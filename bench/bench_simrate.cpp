@@ -324,9 +324,9 @@ Trace capture_scan_trace(const hm::MachineConfig& cfg, std::uint64_t n) {
 /// `--psim-off-check` mode: the guardrail for the sharded replay engine.
 /// With one worker the engine skips epoch analysis entirely and degrades
 /// to buffer-then-serial-replay, so its cost over a direct serial replay
-/// is just the buffering -- the state every run on a single-core host is
-/// in, which must stay within the 5% budget (ISSUE 6) for `kAuto` to be a
-/// safe default.
+/// is just the buffering -- the state an OBLIV_PSIM=sharded run on a
+/// single-core host is in, which must stay within a 5% budget for the
+/// opt-in to be harmless there.
 ///
 /// Statistics mirror bench_wallclock --fault-off-check: per repetition the
 /// serial / serial / engine cells run back-to-back (order alternating),
@@ -444,11 +444,11 @@ int main(int argc, char** argv) {
       g_threads != 0 ? g_threads : hm::psim_threads_from_env();
   std::cout << "host hardware_concurrency = " << bench::host_concurrency()
             << ", pinned = " << (bench::threads_pinned() ? "yes" : "no")
-            << ", psim default mode = "
+            << ", default engine = "
             << (hm::resolve_psim_mode(hm::PsimMode::kAuto) ==
                         hm::PsimMode::kSharded
-                    ? "sharded"
-                    : "serial")
+                    ? "sharded (OBLIV_PSIM=sharded)"
+                    : "serial (OBLIV_PSIM=sharded opts in)")
             << ", psim- rows at threads = " << psim_threads
             << " (capped per machine config)\n";
   const std::uint64_t raw_n = smoke ? 1u << 16 : 1u << 20;

@@ -107,7 +107,8 @@ void ShardedCacheSim::replay(const TraceEntry* entries, std::size_t n,
     // shard): every epoch would fall back anyway, so stream straight
     // through the serial simulator without buffering at all.  This
     // pass-through is the path bench_simrate --psim-off-check pins to the
-    // <= 5% budget, and what makes PsimMode::kAuto safe on 1-core hosts.
+    // <= 5% budget, and what keeps an explicit kSharded request cheap on
+    // 1-core hosts.
     for (std::size_t i = 0; i < n; ++i) {
       const TraceEntry& t = entries[i];
       sim_.access(t.core, t.addr, t.words, t.write != 0);

@@ -11,11 +11,12 @@ PsimMode resolve_psim_mode(PsimMode requested) {
   if (const char* env = std::getenv("OBLIV_PSIM")) {
     if (std::strcmp(env, "sharded") == 0) return PsimMode::kSharded;
     if (std::strcmp(env, "serial") == 0) return PsimMode::kSerial;
-    // Unrecognized values fall through to the hardware default rather than
-    // silently picking a fixed engine.
+    // Unrecognized values fall through to the default.
   }
-  return std::thread::hardware_concurrency() > 1 ? PsimMode::kSharded
-                                                 : PsimMode::kSerial;
+  // Serial on every host: on 4 cores the sharded replay ran the Table II
+  // traces at about half the serial engine's rate (EXPERIMENTS.md,
+  // "Default engine").
+  return PsimMode::kSerial;
 }
 
 unsigned psim_threads_from_env() {

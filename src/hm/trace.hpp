@@ -40,15 +40,15 @@ struct PsimAccess {
 
 /// Which cache-simulation engine a SimExecutor run uses.
 enum class PsimMode : std::uint8_t {
-  kAuto = 0,  ///< OBLIV_PSIM env var, else sharded iff the host has >1 core
+  kAuto = 0,  ///< OBLIV_PSIM env var, else serial
   kSerial,    ///< the serial oracle (hm::CacheSim directly)
   kSharded,   ///< sharded L1 replay with epoch-ordered merge (hm/psim.hpp)
 };
 
 /// Resolves kAuto against `OBLIV_PSIM=serial|sharded` and, failing that,
-/// the host: a 1-core host defaults to serial (the sharded engine cannot
-/// win there and would only pay buffering overhead).  Explicit requests
-/// pass through unchanged.
+/// to serial on every host: the sharded engine is an explicit opt-in, as
+/// it replays the Table II traces slower than serial even on 4 cores
+/// (EXPERIMENTS.md).  Explicit requests pass through unchanged.
 PsimMode resolve_psim_mode(PsimMode requested);
 
 /// Worker count for the sharded engine: `OBLIV_PSIM_THREADS=N` if set and

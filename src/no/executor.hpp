@@ -103,12 +103,9 @@ class NoExecutor {
     run_group_tasks(tasks.size(), [&](std::uint64_t k) { tasks[k].body(); });
   }
 
-  void sb_parallel2(std::uint64_t s1, const std::function<void()>& f1,
-                    std::uint64_t s2, const std::function<void()>& f2) {
-    std::vector<sched::SbTask> tasks;
-    tasks.push_back(sched::SbTask{s1, f1});
-    tasks.push_back(sched::SbTask{s2, f2});
-    sb_parallel(std::move(tasks));
+  void sb_parallel2(std::uint64_t, const std::function<void()>& f1,
+                    std::uint64_t, const std::function<void()>& f2) {
+    run_group_tasks(2, [&](std::uint64_t k) { (k == 0 ? f1 : f2)(); });
   }
 
   void sb_seq(std::uint64_t, const std::function<void()>& body) { body(); }
@@ -122,8 +119,8 @@ class NoExecutor {
   /// Splits the current PE group into min(count, group) subgroups; tasks
   /// mapped to the same subgroup serialize, disjoint subgroups run in
   /// parallel (accounted by max via NoMachine's parallel frames).
-  void run_group_tasks(std::uint64_t count,
-                       const std::function<void(std::uint64_t)>& body) {
+  template <class F>
+  void run_group_tasks(std::uint64_t count, const F& body) {
     if (count == 0) return;
     const std::uint64_t lo = group_lo_, hi = group_hi_;
     const std::uint64_t group = hi - lo;
@@ -164,7 +161,7 @@ class NoRef {
   NoRef(NoExecutor* ex, T* data, std::size_t n, std::uint64_t g_lo,
         std::uint64_t g_span, std::uint64_t off0, std::size_t n0)
       : ex_(ex), data_(data), n_(n), g_lo_(g_lo), g_span_(g_span),
-        off0_(off0), n0_(n0) {}
+        off0_(off0), n0_(n0), own_x0_(n0 * g_span) {}
 
   T load(std::size_t i) const {
     assert(i < n_);
@@ -207,9 +204,18 @@ class NoRef {
   std::size_t size() const { return n_; }
   T* raw() const { return data_; }
 
-  /// Owner PE of element i (relative to the original buffer's layout).
+  /// Owner PE of element i (relative to the original buffer's layout):
+  /// g_lo + floor(x / n0) with x = (off0 + i) * g_span.  The x-range of the
+  /// last owner is cached, so runs of accesses to one PE's elements divide
+  /// only when they cross into another PE's range.
   std::uint64_t owner(std::size_t i) const {
-    return g_lo_ + ((off0_ + i) * g_span_) / n0_;
+    const std::uint64_t x = (off0_ + i) * g_span_;
+    if (x - own_x0_ >= n0_) {  // x outside [own_x0_, own_x0_ + n0_)
+      const std::uint64_t k = x / n0_;
+      own_x0_ = k * n0_;
+      own_pe_ = g_lo_ + k;
+    }
+    return own_pe_;
   }
 
  private:
@@ -220,6 +226,9 @@ class NoRef {
   std::uint64_t g_lo_ = 0, g_span_ = 1;
   std::uint64_t off0_ = 0;  // offset of this slice in the original buffer
   std::size_t n0_ = 1;      // original buffer length
+  // owner() cache: x in [own_x0_, own_x0_ + n0_) lives on PE own_pe_.  It
+  // starts at n0 * g_span, past every x, so the first call misses.
+  mutable std::uint64_t own_x0_ = 1, own_pe_ = 0;
 };
 
 template <class T>

@@ -58,13 +58,97 @@ Status validate_machine(std::uint64_t n_pes,
 
 }  // namespace
 
+void NoMachine::TouchStack::close(std::size_t outer, std::size_t end) {
+  start_ = outer;
+  ++ctx_;
+  std::size_t w = outer;
+  for (std::size_t i = outer; i < end; ++i) {
+    const std::uint32_t q = list_[i];
+    if (stamp_[q] != ctx_) {
+      stamp_[q] = ctx_;
+      list_[w++] = q;
+    }
+  }
+  list_.resize(w);
+}
+
+void NoMachine::TouchStack::clear() {
+  list_.clear();
+  start_ = 0;
+  ++ctx_;
+}
+
+NoMachine::Folding::Folding(std::uint64_t n_pes, std::uint32_t procs)
+    : p(procs), out_blocks(procs, 0), in_blocks(procs, 0), acc(procs, 0),
+      touched(procs) {
+  // min(pe / per, p - 1) without a division per PE: runs of `per` PEs per
+  // processor, the remainder on the last one.
+  const std::uint64_t per = n_pes / p;
+  proc_of.reserve(n_pes);
+  for (std::uint32_t q = 0; q < p; ++q) proc_of.insert(proc_of.end(), per, q);
+  proc_of.resize(n_pes, p - 1);
+  if (p <= kDenseMaxP) pair_words.assign(std::size_t{p} * p, 0);
+}
+
+std::uint64_t NoMachine::Folding::close(std::uint64_t block) {
+  auto tally = [&](std::uint32_t sp, std::uint32_t dp, std::uint64_t words) {
+    const std::uint64_t blocks = util::ceil_div(words, block);
+    out_blocks[sp] += blocks;
+    in_blocks[dp] += blocks;
+  };
+  // Every processor with a nonzero tally is an endpoint of some live pair,
+  // so h is the maximum over the pairs' endpoints; each tally is final
+  // before the second pass reads it, and zeroed once read.
+  auto peak = [&](std::uint32_t sp, std::uint32_t dp, std::uint64_t& h) {
+    h = std::max({h, out_blocks[sp], in_blocks[dp]});
+    out_blocks[sp] = 0;
+    in_blocks[dp] = 0;
+  };
+  std::uint64_t h = 0;
+  if (!pair_words.empty()) {
+    for (const auto& [sp, dp] : live_pairs) {
+      tally(sp, dp, pair_words[std::size_t{sp} * p + dp]);
+    }
+    for (const auto& [sp, dp] : live_pairs) {
+      peak(sp, dp, h);
+      pair_words[std::size_t{sp} * p + dp] = 0;
+    }
+    live_pairs.clear();
+  } else {
+    for (const auto& [key, words] : sparse_words) {
+      tally(static_cast<std::uint32_t>(key >> 32),
+            static_cast<std::uint32_t>(key), words);
+    }
+    for (const auto& [key, words] : sparse_words) {
+      peak(static_cast<std::uint32_t>(key >> 32),
+           static_cast<std::uint32_t>(key), h);
+    }
+    sparse_words.clear();
+  }
+  return h;
+}
+
+void NoMachine::Folding::reset() {
+  for (const auto& [sp, dp] : live_pairs) {
+    pair_words[std::size_t{sp} * p + dp] = 0;
+  }
+  live_pairs.clear();
+  sparse_words.clear();
+  touched.clear();
+}
+
 NoMachine::NoMachine(std::uint64_t n_pes, std::vector<FoldConfig> folds,
                      DbspConfig dbsp)
     : n_(n_pes), folds_(std::move(folds)), dbsp_(std::move(dbsp)) {
   validate_machine(n_, folds_, dbsp_).throw_if_error();
   states_.resize(folds_.size());
   for (std::size_t f = 0; f < folds_.size(); ++f) {
+    states_[f].net = Folding(n_, folds_[f].p);
     states_[f].ops.assign(folds_[f].p, 0);
+  }
+  if (dbsp_.P > 0) {
+    dbsp_net_ = Folding(n_, dbsp_.P);
+    dbsp_acc_.assign(dbsp_.P, 0.0);
   }
   dbsp_worst_level_ =
       dbsp_.g.empty() ? 0 : static_cast<std::uint32_t>(dbsp_.g.size()) - 1;
@@ -92,26 +176,37 @@ void NoMachine::send(std::uint64_t src_pe, std::uint64_t dst_pe,
   superstep_dirty_ = true;
   total_words_ += words;
   step_words_ += words;
-  for (std::size_t f = 0; f < folds_.size(); ++f) {
-    const std::uint32_t p = folds_[f].p;
-    const std::uint64_t per = n_ / p;  // consecutive PEs per processor
-    const std::uint64_t sp = std::min<std::uint64_t>(src_pe / per, p - 1);
-    const std::uint64_t dp = std::min<std::uint64_t>(dst_pe / per, p - 1);
-    if (sp == dp) continue;
-    states_[f].out_words[(sp << 32) | dp] += words;
-    states_[f].touched.insert(static_cast<std::uint32_t>(sp));
-    states_[f].touched.insert(static_cast<std::uint32_t>(dp));
+  if (src_pe != pend_src_ || dst_pe != pend_dst_) {
+    flush_sends();
+    pend_src_ = src_pe;
+    pend_dst_ = dst_pe;
+  }
+  pend_words_ += words;
+}
+
+void NoMachine::compute(std::uint64_t pe, std::uint64_t ops) {
+  assert(pe < n_);
+  if (ops == 0) return;
+  superstep_dirty_ = true;
+  if (pe != pend_pe_) {
+    flush_computes();
+    pend_pe_ = pe;
+  }
+  pend_ops_ += ops;
+}
+
+void NoMachine::flush_sends() {
+  if (pend_words_ == 0) return;
+  for (FoldState& st : states_) {
+    const std::uint32_t sp = st.net.proc_of[pend_src_];
+    const std::uint32_t dp = st.net.proc_of[pend_dst_];
+    if (sp != dp) st.net.add(sp, dp, pend_words_);
   }
   if (dbsp_.P > 0) {
-    const std::uint64_t per = n_ / dbsp_.P;
-    const std::uint64_t sp = std::min<std::uint64_t>(src_pe / per,
-                                                     dbsp_.P - 1);
-    const std::uint64_t dp = std::min<std::uint64_t>(dst_pe / per,
-                                                     dbsp_.P - 1);
+    const std::uint32_t sp = dbsp_net_.proc_of[pend_src_];
+    const std::uint32_t dp = dbsp_net_.proc_of[pend_dst_];
     if (sp != dp) {
-      dbsp_words_[(sp << 32) | dp] += words;
-      dbsp_touched_.insert(static_cast<std::uint32_t>(sp));
-      dbsp_touched_.insert(static_cast<std::uint32_t>(dp));
+      dbsp_net_.add(sp, dp, pend_words_);
       // Cluster level i has clusters of P / 2^i processors; the message
       // needs the smallest i (largest cluster) with sp, dp in one cluster.
       std::uint32_t level = static_cast<std::uint32_t>(dbsp_.g.size()) - 1;
@@ -122,24 +217,18 @@ void NoMachine::send(std::uint64_t src_pe, std::uint64_t dst_pe,
       dbsp_worst_level_ = std::min(dbsp_worst_level_, level);
     }
   }
+  pend_words_ = 0;
 }
 
-void NoMachine::compute(std::uint64_t pe, std::uint64_t ops) {
-  assert(pe < n_);
-  if (ops == 0) return;
-  superstep_dirty_ = true;
-  for (std::size_t f = 0; f < folds_.size(); ++f) {
-    const std::uint32_t p = folds_[f].p;
-    const std::uint64_t per = n_ / p;
-    const std::uint64_t proc = std::min<std::uint64_t>(pe / per, p - 1);
-    states_[f].ops[proc] += ops;
-    states_[f].touched.insert(static_cast<std::uint32_t>(proc));
+void NoMachine::flush_computes() {
+  if (pend_ops_ == 0) return;
+  for (FoldState& st : states_) {
+    const std::uint32_t q = st.net.proc_of[pend_pe_];
+    st.ops[q] += pend_ops_;
+    st.net.touched.insert(q);
   }
-  if (dbsp_.P > 0) {
-    const std::uint64_t per = n_ / dbsp_.P;
-    dbsp_touched_.insert(static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(pe / per, dbsp_.P - 1)));
-  }
+  if (dbsp_.P > 0) dbsp_net_.touched.insert(dbsp_net_.proc_of[pend_pe_]);
+  pend_ops_ = 0;
 }
 
 void NoMachine::set_tracer(obs::Tracer* tracer) {
@@ -157,47 +246,24 @@ void NoMachine::set_tracer(obs::Tracer* tracer) {
 
 void NoMachine::end_superstep() {
   if (!superstep_dirty_) return;
+  flush_sends();
+  flush_computes();
   ++supersteps_;
   std::uint64_t fold0_h = 0;
   for (std::size_t f = 0; f < folds_.size(); ++f) {
     FoldState& st = states_[f];
-    const std::uint32_t p = folds_[f].p;
-    const std::uint64_t B = folds_[f].block;
-    std::vector<std::uint64_t> out_blocks(p, 0), in_blocks(p, 0);
-    for (const auto& [key, words] : st.out_words) {
-      const std::uint64_t sp = key >> 32, dp = key & 0xffffffffull;
-      const std::uint64_t blocks = util::ceil_div(words, B);
-      out_blocks[sp] += blocks;
-      in_blocks[dp] += blocks;
-    }
-    std::uint64_t h = 0;
-    for (std::uint32_t r = 0; r < p; ++r) {
-      h = std::max({h, out_blocks[r], in_blocks[r]});
-    }
+    const std::uint64_t h = st.net.close(folds_[f].block);
     if (f == 0) fold0_h = h;
     st.comm_total += h;
     std::uint64_t w = 0;
-    for (std::uint32_t r = 0; r < p; ++r) w = std::max(w, st.ops[r]);
+    for (const std::uint64_t ops : st.ops) w = std::max(w, ops);
     st.comp_total += w;
-    st.out_words.clear();
     std::fill(st.ops.begin(), st.ops.end(), 0);
   }
-  if (dbsp_.P > 0 && !dbsp_words_.empty()) {
+  if (dbsp_.P > 0 && dbsp_net_.has_traffic()) {
     const std::uint32_t lvl = dbsp_worst_level_;
-    const std::uint64_t B = dbsp_.B[lvl];
-    std::vector<std::uint64_t> out_blocks(dbsp_.P, 0), in_blocks(dbsp_.P, 0);
-    for (const auto& [key, words] : dbsp_words_) {
-      const std::uint64_t sp = key >> 32, dp = key & 0xffffffffull;
-      const std::uint64_t blocks = util::ceil_div(words, B);
-      out_blocks[sp] += blocks;
-      in_blocks[dp] += blocks;
-    }
-    std::uint64_t h = 0;
-    for (std::uint32_t r = 0; r < dbsp_.P; ++r) {
-      h = std::max({h, out_blocks[r], in_blocks[r]});
-    }
+    const std::uint64_t h = dbsp_net_.close(dbsp_.B[lvl]);
     dbsp_time_ += static_cast<double>(h) * dbsp_.g[lvl];
-    dbsp_words_.clear();
   }
   dbsp_worst_level_ =
       dbsp_.g.empty() ? 0 : static_cast<std::uint32_t>(dbsp_.g.size()) - 1;
@@ -213,89 +279,102 @@ void NoMachine::end_superstep() {
 }
 
 template <class T>
-T NoMachine::combine_branches(
-    const std::vector<T>& deltas,
-    const std::vector<std::unordered_set<std::uint32_t>>& procs) {
-  // Parallel branches run simultaneously, but branches folded onto the same
-  // processor time-share it.  Attribute each branch's cost to every
-  // processor it touched and charge the busiest processor: disjoint
-  // branches combine by max, co-located ones add.  (Attributing the full
-  // branch delta to each touched processor is an upper bound for branches
-  // that straddle processors.)
-  std::unordered_map<std::uint32_t, T> per_proc;
+T NoMachine::combine_branches(const ParFrame& fr, std::size_t c,
+                              std::vector<T>& acc, const T* delta,
+                              std::size_t stride) {
+  const TouchStack& ts = touched(c);
+  const std::size_t C = channels();
+  const std::size_t branches = fr.touch_end.size() / C;
   T best{};
-  for (std::size_t i = 0; i < deltas.size(); ++i) {
-    if (procs[i].empty()) continue;
-    for (std::uint32_t q : procs[i]) {
-      T& v = per_proc[q];
-      v += deltas[i];
+  std::size_t lo = fr.first_start[c];
+  for (std::size_t b = 0; b < branches; ++b) {
+    const std::size_t hi = fr.touch_end[b * C + c];
+    for (std::size_t i = lo; i < hi; ++i) {
+      T& v = acc[ts[i]];
+      v += delta[b * stride];
       best = std::max(best, v);
     }
+    lo = hi;
   }
+  for (std::size_t i = fr.first_start[c]; i < lo; ++i) acc[ts[i]] = T{};
   return best;
 }
 
 void NoMachine::parallel_begin() {
   end_superstep();
-  ParFrame f;
-  f.branch_comm.resize(states_.size());
-  f.branch_comp.resize(states_.size());
-  f.branch_procs.resize(states_.size());
-  for (auto& st : states_) {
-    f.base_comm.push_back(st.comm_total);
-    f.base_comp.push_back(st.comp_total);
-    f.outer_touched.push_back(std::move(st.touched));
-    st.touched.clear();
+  if (depth_ == frames_.size()) frames_.emplace_back();
+  ParFrame& fr = frames_[depth_++];
+  fr.base_steps = supersteps_;
+  fr.best_steps = 0;
+  fr.base_dbsp = dbsp_time_;
+  fr.base_comm.clear();
+  fr.base_comp.clear();
+  for (const FoldState& st : states_) {
+    fr.base_comm.push_back(st.comm_total);
+    fr.base_comp.push_back(st.comp_total);
   }
-  f.base_dbsp = dbsp_time_;
-  f.outer_dbsp_touched = std::move(dbsp_touched_);
-  dbsp_touched_.clear();
-  f.base_steps = supersteps_;
-  par_stack_.push_back(std::move(f));
+  fr.comm.clear();
+  fr.comp.clear();
+  fr.dbsp.clear();
+  fr.touch_end.clear();
+  fr.outer_start.clear();
+  fr.first_start.clear();
+  for (std::size_t c = 0; c < channels(); ++c) {
+    TouchStack& ts = touched(c);
+    fr.outer_start.push_back(ts.start());
+    ts.open();
+    fr.first_start.push_back(ts.start());
+  }
 }
 
 void NoMachine::parallel_next() {
   end_superstep();
-  ParFrame& f = par_stack_.back();
+  ParFrame& fr = frames_[depth_ - 1];
   for (std::size_t i = 0; i < states_.size(); ++i) {
-    f.branch_comm[i].push_back(states_[i].comm_total - f.base_comm[i]);
-    f.branch_comp[i].push_back(states_[i].comp_total - f.base_comp[i]);
-    f.branch_procs[i].push_back(std::move(states_[i].touched));
-    states_[i].touched.clear();
-    states_[i].comm_total = f.base_comm[i];
-    states_[i].comp_total = f.base_comp[i];
+    fr.comm.push_back(states_[i].comm_total - fr.base_comm[i]);
+    fr.comp.push_back(states_[i].comp_total - fr.base_comp[i]);
+    states_[i].comm_total = fr.base_comm[i];
+    states_[i].comp_total = fr.base_comp[i];
   }
-  f.branch_dbsp.push_back(dbsp_time_ - f.base_dbsp);
-  f.branch_dbsp_procs.push_back(std::move(dbsp_touched_));
-  dbsp_touched_.clear();
-  dbsp_time_ = f.base_dbsp;
-  f.best_steps = std::max(f.best_steps, supersteps_ - f.base_steps);
-  supersteps_ = f.base_steps;
+  fr.dbsp.push_back(dbsp_time_ - fr.base_dbsp);
+  dbsp_time_ = fr.base_dbsp;
+  for (std::size_t c = 0; c < channels(); ++c) {
+    TouchStack& ts = touched(c);
+    fr.touch_end.push_back(ts.size());
+    ts.open();
+  }
+  fr.best_steps = std::max(fr.best_steps, supersteps_ - fr.base_steps);
+  supersteps_ = fr.base_steps;
 }
 
 void NoMachine::parallel_end() {
-  ParFrame& f = par_stack_.back();
-  for (std::size_t i = 0; i < states_.size(); ++i) {
+  // Declarations after the last parallel_next() belong to no branch, but
+  // still reach the open superstep.
+  flush_sends();
+  flush_computes();
+  ParFrame& fr = frames_[depth_ - 1];
+  const std::size_t F = states_.size();
+  for (std::size_t i = 0; i < F; ++i) {
+    Folding& net = states_[i].net;
     states_[i].comm_total =
-        f.base_comm[i] + combine_branches(f.branch_comm[i], f.branch_procs[i]);
+        fr.base_comm[i] + combine_branches(fr, i, net.acc, fr.comm.data() + i, F);
     states_[i].comp_total =
-        f.base_comp[i] + combine_branches(f.branch_comp[i], f.branch_procs[i]);
-    // The enclosing context's branch (if any) has touched everything the
-    // inner branches touched.
-    states_[i].touched = std::move(f.outer_touched[i]);
-    for (const auto& s : f.branch_procs[i]) {
-      states_[i].touched.insert(s.begin(), s.end());
-    }
+        fr.base_comp[i] + combine_branches(fr, i, net.acc, fr.comp.data() + i, F);
   }
   dbsp_time_ =
-      f.base_dbsp + combine_branches(f.branch_dbsp, f.branch_dbsp_procs);
-  dbsp_touched_ = std::move(f.outer_dbsp_touched);
-  for (const auto& s : f.branch_dbsp_procs) {
-    dbsp_touched_.insert(s.begin(), s.end());
+      fr.base_dbsp + combine_branches(fr, F, dbsp_acc_, fr.dbsp.data(), 1);
+  // The enclosing context (if any) has touched everything the branches
+  // touched; activity after the last parallel_next() is not a branch.
+  const std::size_t C = channels();
+  const std::size_t branches = fr.touch_end.size() / C;
+  for (std::size_t c = 0; c < C; ++c) {
+    touched(c).close(fr.outer_start[c],
+                     branches > 0 ? fr.touch_end[(branches - 1) * C + c]
+                                  : fr.first_start[c]);
   }
   // Branches on disjoint PEs run their supersteps in lockstep: max.
-  supersteps_ = f.base_steps + f.best_steps;
-  par_stack_.pop_back();
+  supersteps_ = fr.base_steps + fr.best_steps;
+  --depth_;
 }
 
 std::uint64_t NoMachine::communication(std::size_t idx) const {
@@ -308,15 +387,15 @@ std::uint64_t NoMachine::computation(std::size_t idx) const {
 
 void NoMachine::reset() {
   for (auto& st : states_) {
-    st.out_words.clear();
+    st.net.reset();
     std::fill(st.ops.begin(), st.ops.end(), 0);
     st.comm_total = 0;
     st.comp_total = 0;
-    st.touched.clear();
   }
-  dbsp_words_.clear();
-  dbsp_touched_.clear();
-  par_stack_.clear();
+  if (dbsp_.P > 0) dbsp_net_.reset();
+  pend_words_ = 0;
+  pend_ops_ = 0;
+  depth_ = 0;
   dbsp_time_ = 0;
   dbsp_worst_level_ =
       dbsp_.g.empty() ? 0 : static_cast<std::uint32_t>(dbsp_.g.size()) - 1;

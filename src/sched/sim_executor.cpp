@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <string>
-#include <unordered_map>
 
 #include "util/bits.hpp"
 
@@ -92,6 +91,7 @@ RunMetrics SimExecutor::run(std::uint64_t space_words,
   span_ = 0;
   rr_counter_ = 0;
   next_task_id_ = 0;
+  sb_ends_.clear();  // a failed try_run can leave entries behind
   for (auto& row : cache_load_) std::fill(row.begin(), row.end(), 0);
   // Engine selection is per run: OBLIV_PSIM can flip between runs, and a
   // failed try_run leaves psim_buf_ set -- begin_run below resets it all.
@@ -277,16 +277,40 @@ void SimExecutor::cgc_pfor_each(
 }
 
 void SimExecutor::sb_parallel(std::vector<SbTask> tasks) {
-  if (tasks.empty()) return;
-  trace_hint(Hint::kSb, tasks.size(), 0);
+  sb_run(
+      tasks.size(), [&](std::size_t k) { return tasks[k].space_words; },
+      [&](std::size_t k) -> const std::function<void()>& {
+        return tasks[k].body;
+      });
+}
+
+void SimExecutor::sb_parallel2(std::uint64_t space1,
+                               const std::function<void()>& f1,
+                               std::uint64_t space2,
+                               const std::function<void()>& f2) {
+  sb_run(
+      2, [&](std::size_t k) { return k == 0 ? space1 : space2; },
+      [&](std::size_t k) -> const std::function<void()>& {
+        return k == 0 ? f1 : f2;
+      });
+}
+
+template <class Space, class Body>
+void SimExecutor::sb_run(std::size_t count, const Space& space,
+                         const Body& body) {
+  if (count == 0) return;
+  trace_hint(Hint::kSb, count, 0);
   const std::uint32_t parent_level = ctx_.anchor_level;
   const std::uint64_t span_base = span_;
   std::uint64_t max_end = span_base;
   // Per-assigned-cache running end time: tasks mapped to the same cache
-  // queue behind each other (the Q(lambda) of Section III-B).
-  std::unordered_map<std::uint64_t, std::uint64_t> ends;
+  // queue behind each other (the Q(lambda) of Section III-B).  This
+  // construct's (cache, end) entries are sb_ends_[base, size()); nested
+  // constructs push above them and pop back before returning.
+  const std::size_t base = sb_ends_.size();
 
-  for (SbTask& task : tasks) {
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::uint64_t space_words = space(k);
     std::uint32_t lvl, idx;
     obs::AnchorReason reason;
     if (policy_.slice_mode) {
@@ -296,13 +320,13 @@ void SimExecutor::sb_parallel(std::vector<SbTask> tasks) {
       idx = first_core_under_ctx() + (rr_counter_++ % P);
       reason = obs::AnchorReason::kSlice;
     } else {
-      const std::uint32_t fit = cfg_.smallest_level_fitting(task.space_words);
+      const std::uint32_t fit = cfg_.smallest_level_fitting(space_words);
       if (parent_level >= 2 && fit <= parent_level - 1 &&
           fit <= cfg_.cache_levels()) {
         // Least-loaded cache at the smallest fitting level under the shadow.
-        auto [count, first] = caches_under_ctx(fit);
+        auto [n_caches, first] = caches_under_ctx(fit);
         std::uint32_t best = first;
-        for (std::uint32_t c = first; c < first + count; ++c) {
+        for (std::uint32_t c = first; c < first + n_caches; ++c) {
           if (cache_load_[fit - 1][c] < cache_load_[fit - 1][best]) best = c;
         }
         lvl = fit;
@@ -317,30 +341,27 @@ void SimExecutor::sb_parallel(std::vector<SbTask> tasks) {
       }
     }
     const std::uint64_t key = (static_cast<std::uint64_t>(lvl) << 32) | idx;
-    auto it = ends.find(key);
-    const std::uint64_t start = (it == ends.end()) ? span_base : it->second;
+    std::size_t slot = base;
+    while (slot < sb_ends_.size() && sb_ends_[slot].first != key) ++slot;
+    const std::uint64_t start =
+        slot < sb_ends_.size() ? sb_ends_[slot].second : span_base;
     const std::uint64_t w0 = work_;
-    trace_anchor(reason, task.space_words, lvl, idx);
-    const std::uint64_t end = run_child(lvl, idx, task.body, start);
+    trace_anchor(reason, space_words, lvl, idx);
+    const std::uint64_t end = run_child(lvl, idx, body(k), start);
     if (lvl <= cfg_.cache_levels()) {
       cache_load_[lvl - 1][idx] += work_ - w0;
     }
-    ends[key] = end;
+    if (slot < sb_ends_.size()) {
+      sb_ends_[slot].second = end;
+    } else {
+      sb_ends_.emplace_back(key, end);
+    }
     max_end = std::max(max_end, end);
   }
+  sb_ends_.resize(base);
   span_ = max_end;
   // An SB join is a shared-level sync point: eligible epoch cut.
   maybe_flush_psim();
-}
-
-void SimExecutor::sb_parallel2(std::uint64_t space1,
-                               const std::function<void()>& f1,
-                               std::uint64_t space2,
-                               const std::function<void()>& f2) {
-  std::vector<SbTask> tasks;
-  tasks.push_back(SbTask{space1, f1});
-  tasks.push_back(SbTask{space2, f2});
-  sb_parallel(std::move(tasks));
 }
 
 void SimExecutor::sb_seq(std::uint64_t space_words,

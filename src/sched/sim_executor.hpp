@@ -61,8 +61,8 @@ struct SimPolicy {
   /// unused anchor caches (ablated in bench_sched_ablation).
   bool cgcsb_fit_only = false;
   /// Cache-simulation engine: serial oracle or the sharded replay engine
-  /// (hm/psim.hpp).  kAuto resolves per run() against OBLIV_PSIM and the
-  /// host core count; counters and traces are byte-identical either way.
+  /// (hm/psim.hpp).  kAuto resolves per run() against OBLIV_PSIM, else to
+  /// serial; counters and traces are byte-identical either way.
   hm::PsimMode psim = hm::PsimMode::kAuto;
   /// Sharded engine epoch grain: buffered accesses that make the buffer
   /// flush-eligible at a sync point (0 = ShardedCacheSim::kDefaultEpochGrain;
@@ -317,6 +317,12 @@ class SimExecutor {
   /// Capacity of a level (memory level == +inf).
   std::uint64_t capacity_of(std::uint32_t level) const;
 
+  /// SB fork of `count` tasks: space(k) is task k's space bound and body(k)
+  /// its body (shared by sb_parallel and sb_parallel2, so neither copies a
+  /// task).
+  template <class Space, class Body>
+  void sb_run(std::size_t count, const Space& space, const Body& body);
+
   /// Runs `fn` with context switched to (level, idx) and its first core.
   /// Returns the span consumed by fn (work accumulates globally).
   std::uint64_t run_child(std::uint32_t level, std::uint32_t idx,
@@ -353,6 +359,9 @@ class SimExecutor {
     std::vector<std::uint64_t> anchors_per_level;  // index level-1
   } tally_;
   std::uint32_t rr_counter_ = 0;  // round-robin cursor for slice mode
+  // sb_run's (anchor cache key, running end time) entries, a stack shared
+  // by nested SB constructs so a fork allocates nothing once warm.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> sb_ends_;
   // cache_load_[level-1][idx]: accumulated work anchored at that cache,
   // used for the SB "least loaded" rule.
   std::vector<std::vector<std::uint64_t>> cache_load_;

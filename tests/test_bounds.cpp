@@ -136,16 +136,12 @@ TEST(BoundsTableII, ScanL1MissesTrackNOverQB) {
   // Table II row 1: Θ(n/(q₁B₁)) misses -- a pure scan, so the exponent is
   // 1 and the ratio is essentially constant.  Sizes start at 2^14 so the
   // tree phase's O(log n) additive term is already negligible; the top end
-  // (2^19, 4x the pre-PR-6 maximum) rides the sharded replay engine --
-  // whose counters are engine-invariant (tests/test_psim_fuzz.cpp), so the
-  // bound windows below are unchanged -- to stay inside the quick budget
-  // on multi-core hosts.
-  sched::SimPolicy pol;
-  pol.psim = hm::PsimMode::kSharded;
+  // is 2^19.  Counters are engine-invariant (tests/test_psim_fuzz.cpp), so
+  // the sweep runs on the default engine, which is also the faster one.
   const Fit f = fit_sweep(
       {1u << 14, 1u << 16, 1u << 18, 1u << 19},
-      [&pol](std::uint64_t n) {
-        sched::SimExecutor ex(machine(), pol);
+      [](std::uint64_t n) {
+        sched::SimExecutor ex(machine());
         auto buf = ex.make_buf<std::int64_t>(n);
         for (auto& v : buf.raw()) v = 1;
         const auto m = ex.run(2 * n, [&] {

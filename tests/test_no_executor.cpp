@@ -25,6 +25,30 @@ TEST(NoExecutor, BlockDistributionOwnership) {
   EXPECT_EQ(s.owner(9), ref.owner(39));
 }
 
+TEST(NoExecutor, OwnerMatchesLayoutInAnyAccessOrder) {
+  // owner() caches the last owner's range; random order, uneven layouts
+  // (PEs not dividing n, more PEs than elements) and slices must still
+  // give floor(i * pes / n) exactly.
+  util::Xoshiro256 rng(3);
+  for (std::uint64_t pes : {1u, 3u, 8u, 13u}) {
+    for (std::uint64_t n : {1u, 5u, 64u, 100u}) {
+      NoMachine mach(pes, {{1, 1}});
+      NoExecutor ex(&mach);
+      auto buf = ex.make_buf<std::uint64_t>(n);
+      const auto ref = buf.ref();
+      const std::uint64_t off = n / 3;
+      const auto s = ref.slice(off, n - off);
+      for (int t = 0; t < 200; ++t) {
+        const std::uint64_t i = rng.below(n);
+        ASSERT_EQ(ref.owner(i), i * pes / n) << pes << " PEs, n=" << n;
+        if (i >= off) {
+          ASSERT_EQ(s.owner(i - off), i * pes / n);
+        }
+      }
+    }
+  }
+}
+
 TEST(NoExecutor, LocalAccessIsFree) {
   NoMachine mach(4, {{4, 1}});
   NoExecutor ex(&mach);

@@ -46,6 +46,11 @@ struct AdversarialCase {
   std::vector<std::uint64_t> (*make)(std::size_t);
 };
 
+// Print the case by name; gtest's default dumps the raw pointer bytes, which
+// change with address-space randomisation and make the listed test names
+// differ from build to build.
+void PrintTo(const AdversarialCase& c, std::ostream* os) { *os << c.name; }
+
 std::vector<std::uint64_t> all_equal(std::size_t n) {
   return std::vector<std::uint64_t>(n, 42);
 }
