@@ -13,13 +13,11 @@
 // bench::write_json_env_header() preamble.
 //
 // `--serve-off-check` is the CI guardrail: serving a single job through
-// submit/admission/fork/complete must cost <= 5% over invoking the same
-// algorithm directly on a NativeExecutor.  Same paired-ratio statistics as
-// bench_wallclock's --fault-off-check: per repetition the direct / direct
-// / served cells run back-to-back with alternating order, ratios aggregate
-// by median so host drift divides out, A/A measures the residual pairing
-// noise, gate overhead <= max(5%, A/A + 1%), one confirming re-measure
-// before failing.  `--smoke` measures and prints but does not gate.
+// submit/admission/fork/complete must cost <= max(5%, A/A noise + 1%) over
+// invoking the same algorithm directly on a NativeExecutor, measured by
+// the shared bench::paired_overhead loop (bench/common.hpp).
+// `--cancel-off-check` gates the cancellation plumbing the same way.
+// `--smoke` measures and prints but does not gate.
 //
 // On a 1-core container the numbers show serving overhead and queueing,
 // not parallel speedup; BENCH_serve.json records hardware_concurrency so
@@ -309,192 +307,70 @@ ServeRecord run_open_loop(unsigned threads, double qps, std::size_t jobs,
 // Serving overhead vs direct invocation
 // ---------------------------------------------------------------------------
 
-struct Overhead {
-  double direct_ns = 0, served_ns = 0, noise_pct = 0, over_pct = 0;
+/// The single job both serving guardrails time: a 2^15-key SPMS sort on
+/// an executor configured like the server's own pool.
+struct SortJob {
+  serve::ServerOptions opts;
+  sched::NativeExecutor ex{opts.threads, opts.sequential_grain_words,
+                           sched::SchedMode::kWorkSteal};
+  std::vector<std::uint64_t> keys = std::vector<std::uint64_t>(1 << 15);
+  std::vector<std::uint64_t> buf;
+
+  SortJob() {
+    util::Xoshiro256 rng(4242);
+    for (auto& x : keys) x = rng();
+  }
+
+  void direct() {
+    buf = keys;
+    algo::spms_sort(ex, ref_of(buf));
+  }
 };
 
-/// Paired-ratio measurement of one served sort job vs the same sort run
-/// directly on an identically configured executor (see the header
-/// comment for the statistics).
-Overhead measure_overhead(int reps) {
-  const std::size_t n = 1 << 15;
-  util::Xoshiro256 rng(4242);
-  std::vector<std::uint64_t> keys(n);
-  for (auto& x : keys) x = rng();
-
-  serve::ServerOptions o;
-  sched::NativeExecutor ex(o.threads, o.sequential_grain_words,
-                           sched::SchedMode::kWorkSteal);
-  serve::Server srv(o);
-
-  std::vector<std::uint64_t> buf;
-  auto direct = [&] {
-    buf = keys;
-    algo::spms_sort(ex, ref_of(buf));
-  };
-  auto served = [&] {
-    buf = keys;
-    auto r = srv.submit(serve::SortRequest{ref_of(buf)});
-    if (r.ok()) r.value().wait();
-  };
-  direct();
-  served();  // warm-up both paths
-
-  double best_direct = 0, best_served = 0;
-  std::vector<double> over_ratios, noise_ratios;
-  for (int r = 0; r < reps; ++r) {
-    double a, a2, b;
-    if (r % 2 == 0) {
-      a = bench::time_once_ns(direct);
-      a2 = bench::time_once_ns(direct);
-      b = bench::time_once_ns(served);
-    } else {
-      b = bench::time_once_ns(served);
-      a2 = bench::time_once_ns(direct);
-      a = bench::time_once_ns(direct);
-    }
-    over_ratios.push_back(b / a2);
-    noise_ratios.push_back(a / a2);
-    const double off = std::min(a, a2);
-    if (r == 0 || off < best_direct) best_direct = off;
-    if (r == 0 || b < best_served) best_served = b;
-  }
-  auto median = [](std::vector<double> v) {
-    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-    return v[v.size() / 2];
-  };
-  Overhead m;
-  m.direct_ns = best_direct;
-  m.served_ns = best_served;
-  m.noise_pct = 100.0 * std::abs(median(noise_ratios) - 1.0);
-  m.over_pct = 100.0 * (median(over_ratios) - 1.0);
-  return m;
+/// One served sort job vs the same sort run directly, under `g`'s budget.
+bench::Overhead serve_overhead(bench::Guardrail& g) {
+  SortJob job;
+  serve::Server srv(job.opts);
+  return g.check("sort 2^15", bench::timed([&] { job.direct(); }),
+                 bench::timed([&] {
+                   job.buf = job.keys;
+                   auto r = srv.submit(serve::SortRequest{ref_of(job.buf)});
+                   if (r.ok()) r.value().wait();
+                 }));
 }
 
-void print_overhead(const Overhead& m, bool ok) {
-  util::Table t({"path", "best ns/job", "A/A noise", "overhead"});
-  t.add_row({"direct", util::Table::fmt(m.direct_ns, "%.0f"), "", ""});
-  t.add_row({std::string("served") + (ok ? "" : "  <-- FAIL"),
-             util::Table::fmt(m.served_ns, "%.0f"),
-             util::Table::fmt(m.noise_pct, "%.2f%%"),
-             util::Table::fmt(m.over_pct, "%+.2f%%")});
-  t.print(std::cout);
+bench::Guardrail serve_guardrail(int reps, bool gated) {
+  return bench::Guardrail("serving overhead vs direct invocation",
+                          {"job", "direct ns", "served ns"}, reps,
+                          bench::Budget{5.0, gated});
 }
 
-/// `--serve-off-check`: gate serving overhead at max(5%, A/A + 1%), with
-/// one confirming re-measure before failing (resonance with host load can
-/// push a single measurement over; a real regression reproduces).
+/// `--serve-off-check`: the serving path must be (nearly) free.
 int serve_off_check(bool smoke, int reps) {
-  bench::print_header("serving overhead vs direct invocation");
-  std::printf("gate %s\n",
-              smoke ? "off (smoke)" : "on (<= max(5%, A/A noise + 1%))");
-  auto within = [smoke](const Overhead& m) {
-    return smoke || m.over_pct <= std::max(5.0, m.noise_pct + 1.0);
-  };
-  Overhead m = measure_overhead(reps);
-  bool ok = within(m);
-  if (!ok) {
-    m = measure_overhead(reps);
-    ok = within(m);
-  }
-  print_overhead(m, ok);
-  if (!ok) {
-    std::printf("\nFAIL: serving overhead exceeds the budget\n");
-    return 1;
-  }
-  std::printf("\nOK: serving overhead within budget\n");
-  return 0;
+  bench::Guardrail g = serve_guardrail(reps, !smoke);
+  serve_overhead(g);
+  return g.finish("serving overhead within budget",
+                  "serving overhead exceeds the budget");
 }
 
-/// Paired-ratio measurement of the PR 10 poison-check plumbing on a job
-/// that is never cancelled: the same sort, direct on one executor, with
-/// and without a live (never-poisoned) CancelToken installed.  Isolates
-/// the per-fork/per-anchor token load from the serving-path costs that
-/// --serve-off-check already gates.
-Overhead measure_cancel_overhead(int reps) {
-  const std::size_t n = 1 << 15;
-  util::Xoshiro256 rng(4242);
-  std::vector<std::uint64_t> keys(n);
-  for (auto& x : keys) x = rng();
-
-  serve::ServerOptions o;
-  sched::NativeExecutor ex(o.threads, o.sequential_grain_words,
-                           sched::SchedMode::kWorkSteal);
-  sched::CancelToken token;  // installed but never poisoned
-
-  std::vector<std::uint64_t> buf;
-  auto bare = [&] {
-    buf = keys;
-    algo::spms_sort(ex, ref_of(buf));
-  };
-  auto guarded = [&] {
-    buf = keys;
-    sched::ScopedCancelToken guard(&token);
-    algo::spms_sort(ex, ref_of(buf));
-  };
-  bare();
-  guarded();  // warm-up both paths
-
-  double best_bare = 0, best_guarded = 0;
-  std::vector<double> over_ratios, noise_ratios;
-  for (int r = 0; r < reps; ++r) {
-    double a, a2, b;
-    if (r % 2 == 0) {
-      a = bench::time_once_ns(bare);
-      a2 = bench::time_once_ns(bare);
-      b = bench::time_once_ns(guarded);
-    } else {
-      b = bench::time_once_ns(guarded);
-      a2 = bench::time_once_ns(bare);
-      a = bench::time_once_ns(bare);
-    }
-    over_ratios.push_back(b / a2);
-    noise_ratios.push_back(a / a2);
-    const double off = std::min(a, a2);
-    if (r == 0 || off < best_bare) best_bare = off;
-    if (r == 0 || b < best_guarded) best_guarded = b;
-  }
-  auto median = [](std::vector<double> v) {
-    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-    return v[v.size() / 2];
-  };
-  Overhead m;
-  m.direct_ns = best_bare;
-  m.served_ns = best_guarded;
-  m.noise_pct = 100.0 * std::abs(median(noise_ratios) - 1.0);
-  m.over_pct = 100.0 * (median(over_ratios) - 1.0);
-  return m;
-}
-
-/// `--cancel-off-check`: the cancellation plumbing must be free when
-/// unused -- gate <= max(5%, A/A + 1%) on uncancelled jobs, same
-/// statistics and re-measure policy as --serve-off-check.
+/// `--cancel-off-check`: the PR 10 poison-check plumbing must be free on a
+/// job that is never cancelled -- the same sort, direct on one executor,
+/// with and without a live (never-poisoned) CancelToken installed.
+/// Isolates the per-fork/per-anchor token load from the serving-path
+/// costs that --serve-off-check already gates.
 int cancel_off_check(bool smoke, int reps) {
-  bench::print_header("cancel-token overhead on uncancelled jobs");
-  std::printf("gate %s\n",
-              smoke ? "off (smoke)" : "on (<= max(5%, A/A noise + 1%))");
-  auto within = [smoke](const Overhead& m) {
-    return smoke || m.over_pct <= std::max(5.0, m.noise_pct + 1.0);
-  };
-  Overhead m = measure_cancel_overhead(reps);
-  bool ok = within(m);
-  if (!ok) {
-    m = measure_cancel_overhead(reps);
-    ok = within(m);
-  }
-  util::Table t({"path", "best ns/job", "A/A noise", "overhead"});
-  t.add_row({"no token", util::Table::fmt(m.direct_ns, "%.0f"), "", ""});
-  t.add_row({std::string("token installed") + (ok ? "" : "  <-- FAIL"),
-             util::Table::fmt(m.served_ns, "%.0f"),
-             util::Table::fmt(m.noise_pct, "%.2f%%"),
-             util::Table::fmt(m.over_pct, "%+.2f%%")});
-  t.print(std::cout);
-  if (!ok) {
-    std::printf("\nFAIL: cancel-check overhead exceeds the budget\n");
-    return 1;
-  }
-  std::printf("\nOK: cancel-check overhead within budget\n");
-  return 0;
+  bench::Guardrail g("cancel-token overhead on uncancelled jobs",
+                     {"job", "no token ns", "token installed ns"}, reps,
+                     bench::Budget{5.0, !smoke});
+  SortJob job;
+  sched::CancelToken token;  // installed but never poisoned
+  g.check("sort 2^15", bench::timed([&] { job.direct(); }),
+          bench::timed([&] {
+            sched::ScopedCancelToken guard(&token);
+            job.direct();
+          }));
+  return g.finish("cancel-check overhead within budget",
+                  "cancel-check overhead exceeds the budget");
 }
 
 }  // namespace
@@ -573,8 +449,9 @@ int main(int argc, char** argv) {
 
   // The overhead measurement rides along in the JSON (ungated here; the
   // gate is the separate --serve-off-check ctest entry).
-  const obliv::Overhead m = obliv::measure_overhead(reps);
-  obliv::print_overhead(m, /*ok=*/true);
+  obliv::bench::Guardrail g = obliv::serve_guardrail(reps, /*gated=*/false);
+  const obliv::bench::Overhead m = obliv::serve_overhead(g);
+  g.print();
   obliv::ServeRecord oc;
   oc.bench = "serve:off_check";
   oc.threads = obliv::bench::host_concurrency();

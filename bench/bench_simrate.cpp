@@ -4,42 +4,28 @@
 // the algorithms being measured, so regeneration time of the paper's
 // results is a direct function of this number.
 //
-// Methodology (interference-robust on a noisy host):
+// Methodology (interference-robust on a noisy host): each workload's access
+// stream is captured ONCE as a trace -- the raw drivers (seq-read,
+// run-read, part-rw) synthesize theirs, the paper workloads (scan, MO-MT,
+// SPMS sort, I-GEP) record the exact (core, addr, words, write) stream the
+// SimExecutor emits -- and then replayed through hm::CacheSim, best of K
+// reps (min time, the standard noise-robust choice for a deterministic
+// computation).  The throughput numerator is simulated WORDS (sum of
+// `words` over the trace), which is invariant to how the stream is chopped
+// into calls.  The stack-* rows additionally time the workloads end-to-end
+// through the full SimExecutor stack (algorithm + scheduler + simulator),
+// which is the cost the actual benches pay.
 //
-//   1. Each workload's access stream is captured ONCE as a trace -- the raw
-//      drivers (seq-read, run-read, part-rw) synthesize theirs, the paper
-//      workloads (scan, MO-MT, SPMS sort, I-GEP) record the exact
-//      (core, addr, words, write) stream the SimExecutor emits.
-//   2. The trace is replayed through the current hm::CacheSim AND through
-//      the vendored pre-optimization simulator (bench/baseline_sim.hpp),
-//      with repetitions interleaved new/old/new/old in one process, so
-//      ambient load perturbs both series equally.  The per-sim statistic is
-//      the best of K reps (min time), the standard noise-robust choice for
-//      a deterministic computation.  For the paper workloads the baseline
-//      replays the UNBATCHED (word-at-a-time) expansion of the trace --
-//      that is the stream the pre-PR views actually issued, since run
-//      batching ships in the same PR as the simulator; the raw-* rows
-//      compare both simulators on the identical call shape.
-//   3. Before timing, both simulators' observable counters (misses,
-//      evictions, invalidations, ping-pongs) are checked for equality on
-//      their respective streams: the speedup only counts if the semantics
-//      are identical.  (Counter equality across the batched/unbatched pair
-//      is exactly the run-batching exactness claim of DESIGN.md.)
-//
-// The throughput numerator is simulated WORDS (sum of `words` over the
-// trace), which is invariant to how the stream is chopped into calls; the
-// "speedup" column is the like-for-like ratio the tentpole targets.  The
-// stack-* rows additionally time the workloads end-to-end through the full
-// SimExecutor stack (algorithm + scheduler + simulator), which is the cost
-// the actual benches pay; they have no baseline counterpart in-process.
-// PR 6 adds the sharded replay engine (hm/psim.hpp) to the comparison:
-// every captured trace is additionally replayed through ShardedCacheSim
-// ("psim-" rows, threads column > 1 on multi-core hosts), with the serial
-// and sharded cells of each repetition run back-to-back in alternating
-// order so ambient drift cancels out of their ratio.  `--threads=N`
-// overrides the engine's worker count; `--psim-off-check` is the
-// single-thread overhead guardrail (ctest: bench_simrate_psim_off_check).
-#include <cassert>
+// Every captured trace is also replayed through the sharded replay engine
+// (hm/psim.hpp; "psim-" rows, threads column > 1 on multi-core hosts),
+// with the serial and sharded cells of each repetition run back-to-back in
+// alternating order so ambient drift cancels out of their ratio; a parity
+// gate first checks that both engines give identical counters.
+// `--threads=N` overrides the engine's worker count; `--psim-off-check` is
+// the single-thread overhead guardrail (ctest:
+// bench_simrate_psim_off_check).  That run-batched accesses count exactly
+// like their word-at-a-time expansion is a tier-1 test
+// (CacheSimBatching.* in tests/test_cache_sim.cpp).
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
@@ -48,7 +34,6 @@
 #include "algo/scan.hpp"
 #include "algo/sort.hpp"
 #include "algo/transpose.hpp"
-#include "bench/baseline_sim.hpp"
 #include "bench/common.hpp"
 #include "hm/cache_sim.hpp"
 #include "hm/config.hpp"
@@ -77,47 +62,6 @@ template <class Sim>
 void replay(Sim& sim, const Trace& t) {
   sim.clear();
   for (const auto& e : t) sim.access(e.core, e.addr, e.words, e.write != 0);
-}
-
-/// Word-at-a-time expansion of a trace: every k-word range access becomes k
-/// single-word accesses in address order.  All view element types here are
-/// one word wide, so this is exactly the stream the pre-PR (unbatched)
-/// SimRef layer issued for the same workload.
-Trace unbatch(const Trace& t) {
-  Trace out;
-  out.reserve(t.size());
-  for (const auto& e : t) {
-    const std::uint32_t k = e.words > 0 ? e.words : 1;
-    for (std::uint32_t w = 0; w < k; ++w) {
-      out.push_back({e.addr + w, 1, e.core, e.write});
-    }
-  }
-  return out;
-}
-
-/// Golden-set counter parity between the optimized simulator (on the
-/// captured trace) and the baseline simulator (on its replay stream);
-/// aborts the bench on any mismatch.
-void check_parity(const hm::MachineConfig& cfg, const Trace& t,
-                  const Trace& t_base, const std::string& name) {
-  hm::CacheSim now(cfg);
-  bench::BaselineCacheSim then(cfg);
-  replay(now, t);
-  replay(then, t_base);
-  bool ok = now.pingpong_events() == then.pingpong_events();
-  for (std::uint32_t lvl = 1; lvl <= cfg.cache_levels(); ++lvl) {
-    for (std::uint32_t i = 0; i < cfg.caches_at(lvl); ++i) {
-      const auto& a = now.counters(lvl, i);
-      const auto& b = then.counters(lvl, i);
-      ok = ok && a.misses == b.misses && a.evictions == b.evictions &&
-           a.invalidations == b.invalidations;
-    }
-  }
-  if (!ok) {
-    std::cerr << "FATAL: counter mismatch vs baseline simulator on " << name
-              << " / " << cfg.name() << "\n";
-    std::exit(1);
-  }
 }
 
 /// Parity gate for the sharded replay engine: before a psim- row's rate
@@ -153,28 +97,20 @@ struct Row {
   hm::MachineConfig cfg;
   std::uint64_t n = 0;
   Trace trace;               ///< empty for stack-* rows
-  Trace trace_base;          ///< baseline replay stream (empty: use `trace`)
   std::function<std::uint64_t()> stack_run;  ///< stack-* rows only
-  std::vector<double> ns_new, ns_base, ns_psim;
+  std::vector<double> ns_new, ns_psim;
   std::uint64_t words = 0;
 };
 
 std::vector<Row> plan;
 
-/// `pre_pr_stream` selects the baseline's replay stream: the word-at-a-time
-/// expansion for view-captured workload traces (what the unbatched pre-PR
-/// views issued), or the identical trace for the raw call-shape rows.
 void add_trace(std::string bench, const hm::MachineConfig& cfg,
-               std::uint64_t n, Trace t, bool pre_pr_stream = false) {
+               std::uint64_t n, Trace t) {
   Row r;
   r.bench = std::move(bench);
   r.cfg = cfg;
   r.n = n;
   r.words = trace_words(t);
-  if (pre_pr_stream) {
-    r.trace_base = unbatch(t);
-    assert(trace_words(r.trace_base) == r.words);
-  }
   r.trace = std::move(t);
   plan.push_back(std::move(r));
 }
@@ -241,7 +177,7 @@ void add_scan(const hm::MachineConfig& cfg, std::uint64_t n) {
   ex->set_trace(&t);
   rep();
   ex->set_trace(nullptr);
-  add_trace("scan", cfg, n, std::move(t), /*pre_pr_stream=*/true);
+  add_trace("scan", cfg, n, std::move(t));
   add_stack("scan", cfg, n, rep);
 }
 
@@ -261,7 +197,7 @@ void add_transpose(const hm::MachineConfig& cfg, std::uint64_t n) {
   ex->set_trace(&t);
   rep();
   ex->set_trace(nullptr);
-  add_trace("mo-mt", cfg, n, std::move(t), /*pre_pr_stream=*/true);
+  add_trace("mo-mt", cfg, n, std::move(t));
   add_stack("mo-mt", cfg, n, rep);
 }
 
@@ -279,7 +215,7 @@ void add_sort(const hm::MachineConfig& cfg, std::uint64_t n) {
   ex->set_trace(&t);
   rep();
   ex->set_trace(nullptr);
-  add_trace("spms-sort", cfg, n, std::move(t), /*pre_pr_stream=*/true);
+  add_trace("spms-sort", cfg, n, std::move(t));
   add_stack("spms-sort", cfg, n, rep);
 }
 
@@ -301,7 +237,7 @@ void add_gep(const hm::MachineConfig& cfg, std::uint64_t n) {
   ex->set_trace(&t);
   rep();
   ex->set_trace(nullptr);
-  add_trace("igep", cfg, n, std::move(t), /*pre_pr_stream=*/true);
+  add_trace("igep", cfg, n, std::move(t));
   add_stack("igep", cfg, n, rep);
 }
 
@@ -325,22 +261,13 @@ Trace capture_scan_trace(const hm::MachineConfig& cfg, std::uint64_t n) {
 /// With one worker the engine skips epoch analysis entirely and degrades
 /// to buffer-then-serial-replay, so its cost over a direct serial replay
 /// is just the buffering -- the state an OBLIV_PSIM=sharded run on a
-/// single-core host is in, which must stay within a 5% budget for the
-/// opt-in to be harmless there.
-///
-/// Statistics mirror bench_wallclock --fault-off-check: per repetition the
-/// serial / serial / engine cells run back-to-back (order alternating),
-/// and the within-rep *ratio* is aggregated -- paired runs share the same
-/// interference window, so host drift divides out.  Both ratios compare
-/// cells adjacent to the shared middle cell; the A/A median is the
-/// pairing-noise floor.  Gate (full mode only):
-/// overhead <= max(5%, A/A + 1%).  Smoke measures and prints but does not
-/// gate.
+/// single-core host is in, which must stay within budget (max(5%, A/A
+/// noise + 1%)) for the opt-in to be harmless there.
 int psim_off_check(bool smoke, int reps) {
-  bench::print_header("sharded replay engine overhead at 1 worker");
-  std::printf("host hardware_concurrency = %u, gate %s\n",
-              bench::host_concurrency(),
-              smoke ? "off (smoke)" : "on (<= max(5%, A/A noise + 1%))");
+  bench::Guardrail g("sharded replay engine overhead at 1 worker",
+                     {"trace", "serial ns", "engine ns"}, reps,
+                     bench::Budget{5.0, !smoke});
+  std::printf("host hardware_concurrency = %u\n", bench::host_concurrency());
   const hm::MachineConfig cfg = hm::MachineConfig::shared_l2(4);
   const std::uint64_t raw_n = smoke ? 1u << 16 : 1u << 20;
   struct Case {
@@ -352,75 +279,18 @@ int psim_off_check(bool smoke, int reps) {
       {"raw-part-rw", make_part(cfg, raw_n)},
       {"scan-trace", capture_scan_trace(cfg, smoke ? 1u << 12 : 1u << 16)},
   };
-  util::Table t({"trace", "serial ns", "A/A noise", "engine ns", "overhead"});
-  bool gate_ok = true;
-  struct Measurement {
-    double best_off, best_on, noise_pct, over_pct;
-  };
-  auto measure = [&](const Case& c) {
+  for (const auto& c : cases) {
     hm::CacheSim serial_sim(cfg);
     hm::CacheSim engine_sim(cfg);
     hm::ShardedCacheSim engine(engine_sim, /*threads=*/1);
-    auto run_serial = [&] { replay(serial_sim, c.trace); };
-    auto run_engine = [&] {
-      engine_sim.clear();
-      engine.replay(c.trace.data(), c.trace.size());
-    };
-    run_serial();  // warm-up
-    run_engine();
-    std::vector<double> over_ratios, noise_ratios;
-    double best_off = 0, best_on = 0;
-    for (int r = 0; r < reps; ++r) {
-      double a, a2, b;
-      if (r % 2 == 0) {
-        a = bench::time_once_ns(run_serial);
-        a2 = bench::time_once_ns(run_serial);
-        b = bench::time_once_ns(run_engine);
-      } else {
-        b = bench::time_once_ns(run_engine);
-        a2 = bench::time_once_ns(run_serial);
-        a = bench::time_once_ns(run_serial);
-      }
-      over_ratios.push_back(b / a2);
-      noise_ratios.push_back(a / a2);
-      const double off = std::min(a, a2);
-      if (r == 0 || off < best_off) best_off = off;
-      if (r == 0 || b < best_on) best_on = b;
-    }
-    auto median = [](std::vector<double> v) {
-      std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-      return v[v.size() / 2];
-    };
-    return Measurement{best_off, best_on,
-                       100.0 * std::abs(median(noise_ratios) - 1.0),
-                       100.0 * (median(over_ratios) - 1.0)};
-  };
-  auto within = [smoke](const Measurement& m) {
-    return smoke || m.over_pct <= std::max(5.0, m.noise_pct + 1.0);
-  };
-  for (const auto& c : cases) {
-    Measurement m = measure(c);
-    bool ok = within(m);
-    if (!ok) {
-      // Confirm before failing: a real buffering regression reproduces; a
-      // host-load resonance artifact does not.
-      m = measure(c);
-      ok = within(m);
-    }
-    gate_ok = gate_ok && ok;
-    t.add_row({c.name + (ok ? "" : "  <-- FAIL"),
-               util::Table::fmt(m.best_off, "%.0f"),
-               util::Table::fmt(m.noise_pct, "%.2f%%"),
-               util::Table::fmt(m.best_on, "%.0f"),
-               util::Table::fmt(m.over_pct, "%+.2f%%")});
+    g.check(c.name, bench::timed([&] { replay(serial_sim, c.trace); }),
+            bench::timed([&] {
+              engine_sim.clear();
+              engine.replay(c.trace.data(), c.trace.size());
+            }));
   }
-  t.print(std::cout);
-  if (!gate_ok) {
-    std::printf("\nFAIL: 1-worker sharded replay exceeds the 5%% budget\n");
-    return 1;
-  }
-  std::printf("\nOK: 1-worker sharded replay within budget\n");
-  return 0;
+  return g.finish("1-worker sharded replay within budget",
+                  "1-worker sharded replay exceeds the budget");
 }
 
 }  // namespace
@@ -465,32 +335,23 @@ int main(int argc, char** argv) {
     add_gep(cfg, smoke ? 32 : 64);
   }
 
-  // Counter-parity gates: the speedup claims only stand on identical
-  // semantics -- vs the vendored baseline AND vs the sharded replay engine.
+  // Counter-parity gate: the sharded engine's rates only count on
+  // identical semantics.
   for (const auto& r : plan) {
-    if (!r.trace.empty()) {
-      check_parity(r.cfg, r.trace,
-                   r.trace_base.empty() ? r.trace : r.trace_base, r.bench);
-      check_psim_parity(r.cfg, r.trace, psim_threads, r.bench);
-    }
+    if (!r.trace.empty()) check_psim_parity(r.cfg, r.trace, psim_threads, r.bench);
   }
 
   // Timed phase.  Reps of every row are interleaved (rep r of all rows
-  // before rep r+1 of any); within a replay row the baseline and the
-  // current simulator alternate back-to-back, and the serial / sharded
-  // cells additionally alternate their order by rep parity so neither
-  // systematically inherits the tail of a load burst.
+  // before rep r+1 of any); within a replay row the serial and sharded
+  // cells alternate their order by rep parity so neither systematically
+  // inherits the tail of a load burst.
   std::vector<std::unique_ptr<hm::CacheSim>> sims_new;
-  std::vector<std::unique_ptr<bench::BaselineCacheSim>> sims_base;
   std::vector<std::unique_ptr<hm::CacheSim>> sims_psim;
   std::vector<std::unique_ptr<hm::ShardedCacheSim>> engines;
   for (const auto& r : plan) {
     const bool has_trace = !r.trace.empty();
     sims_new.push_back(has_trace ? std::make_unique<hm::CacheSim>(r.cfg)
                                  : nullptr);
-    sims_base.push_back(
-        has_trace ? std::make_unique<bench::BaselineCacheSim>(r.cfg)
-                  : nullptr);
     sims_psim.push_back(has_trace ? std::make_unique<hm::CacheSim>(r.cfg)
                                   : nullptr);
     engines.push_back(has_trace ? std::make_unique<hm::ShardedCacheSim>(
@@ -504,9 +365,6 @@ int main(int argc, char** argv) {
         row.ns_new.push_back(bench::time_once_ns([&] { row.stack_run(); }));
         continue;
       }
-      const Trace& tb = row.trace_base.empty() ? row.trace : row.trace_base;
-      row.ns_base.push_back(
-          bench::time_once_ns([&] { replay(*sims_base[i], tb); }));
       auto serial_cell = [&] {
         row.ns_new.push_back(
             bench::time_once_ns([&] { replay(*sims_new[i], row.trace); }));
@@ -528,64 +386,39 @@ int main(int argc, char** argv) {
   }
 
   bench::SimRateRecorder rec("BENCH_simrate.json");
-  util::Table t({"bench", "config", "n", "words", "base Macc/s", "new Macc/s",
-                 "speedup", "psim Macc/s", "T", "psim/serial"});
-  double logsum = 0, logsum_mo = 0, logsum_psim = 0;
-  int cnt = 0, cnt_mo = 0, cnt_psim = 0;
+  util::Table t({"bench", "config", "n", "words", "Macc/s", "psim Macc/s",
+                 "T", "psim/serial"});
+  double logsum_psim = 0;
+  int cnt_psim = 0;
   for (std::size_t i = 0; i < plan.size(); ++i) {
     Row& row = plan[i];
     const double best_new = *std::min_element(row.ns_new.begin(),
                                               row.ns_new.end());
     const double rate_new = double(row.words) / (best_new * 1e-9);
-    double rate_base = 0, speedup = 0;
-    if (!row.ns_base.empty()) {
-      const double best_base = *std::min_element(row.ns_base.begin(),
-                                                 row.ns_base.end());
-      rate_base = double(row.words) / (best_base * 1e-9);
-      speedup = rate_new / rate_base;
-      logsum += std::log(speedup);
-      ++cnt;
-      if (row.bench != "raw-seq-read" && row.bench != "raw-run-read" &&
-          row.bench != "raw-part-rw") {
-        logsum_mo += std::log(speedup);
-        ++cnt_mo;
-      }
-    }
-    rec.add(row.bench, row.cfg.name(), row.n, row.words, rate_new, rate_base,
-            speedup, g_reps);
+    rec.add(row.bench, row.cfg.name(), row.n, row.words, rate_new, g_reps);
     double rate_psim = 0, psim_speedup = 0;
     unsigned engine_threads = 0;
     if (!row.ns_psim.empty()) {
       const double best_psim = *std::min_element(row.ns_psim.begin(),
                                                  row.ns_psim.end());
       rate_psim = double(row.words) / (best_psim * 1e-9);
-      // The psim row's baseline is the CURRENT serial simulator on the
-      // same trace (not the vendored one): the column answers "what does
-      // the parallel engine buy over serial replay today".
       psim_speedup = rate_psim / rate_new;
       engine_threads = engines[i]->threads();
       logsum_psim += std::log(psim_speedup);
       ++cnt_psim;
       rec.add("psim-" + row.bench, row.cfg.name(), row.n, row.words,
-              rate_psim, rate_new, psim_speedup, g_reps, engine_threads);
+              rate_psim, g_reps, engine_threads);
     }
     t.add_row({row.bench, row.cfg.name(), std::to_string(row.n),
                std::to_string(row.words),
-               rate_base > 0 ? util::Table::fmt(rate_base / 1e6, "%.2f") : "-",
                util::Table::fmt(rate_new / 1e6, "%.2f"),
-               speedup > 0 ? util::Table::fmt(speedup, "%.2fx") : "-",
                rate_psim > 0 ? util::Table::fmt(rate_psim / 1e6, "%.2f") : "-",
                engine_threads > 0 ? std::to_string(engine_threads) : "-",
                psim_speedup > 0 ? util::Table::fmt(psim_speedup, "%.2fx")
                                 : "-"});
   }
   t.print(std::cout);
-  std::cout << "counter parity vs baseline simulator AND vs sharded replay "
-               "engine: OK on all traces\n";
-  std::cout << "geomean replay speedup: all "
-            << util::Table::fmt(std::exp(logsum / cnt), "%.2f")
-            << "x, Table-II workloads "
-            << util::Table::fmt(std::exp(logsum_mo / cnt_mo), "%.2f") << "x\n";
+  std::cout << "counter parity vs sharded replay engine: OK on all traces\n";
   if (cnt_psim > 0) {
     std::cout << "geomean sharded-vs-serial replay: "
               << util::Table::fmt(std::exp(logsum_psim / cnt_psim), "%.2f")

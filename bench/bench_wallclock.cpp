@@ -167,41 +167,38 @@ std::vector<Workload> workloads(bool smoke) {
   return w;
 }
 
+/// Worker count of the work-stealing executor every overhead mode below
+/// measures on.
+constexpr unsigned kCheckThreads = 4;
+
 /// `--trace` mode: the same workloads on the work-steal backend with an
-/// obs::Tracer attached vs detached, reps interleaved traced/untraced so
-/// ambient load hits both columns equally.  Exports the last traced run of
-/// the first workload as a Chrome trace.
+/// obs::Tracer attached vs detached, timed by the paired-overhead loop in
+/// measure-only mode.  Exports the traced runs of the first workload as a
+/// Chrome trace.
 int trace_overhead(bool smoke, int reps, const std::string& trace_path) {
-  bench::print_header("obs tracing overhead: work-steal backend");
-  const unsigned threads = 4;
-  std::printf("threads = %u, tracing compiled %s\n", threads,
+  bench::Guardrail g("obs tracing overhead: work-steal backend",
+                     {"workload", "untraced ns/op", "traced ns/op"}, reps,
+                     bench::Budget{0, /*gated=*/false});
+  std::printf("threads = %u, tracing compiled %s\n", kCheckThreads,
               obs::kTracingCompiledIn ? "in" : "out");
-  util::Table t({"workload", "untraced ns/op", "traced ns/op", "overhead"});
   bool wrote = false;
   for (const auto& w : workloads(smoke)) {
-    Exec ex(threads, 1 << 12, sched::SchedMode::kWorkSteal);
+    Exec ex(kCheckThreads, 1 << 12, sched::SchedMode::kWorkSteal);
     auto run = w.make(ex);
-    run();  // warm-up
-    obs::Tracer tracer(threads);
-    double off = 0, on = 0;
-    for (int r = 0; r < reps; ++r) {
-      const double a = bench::time_once_ns(run);
+    obs::Tracer tracer(kCheckThreads);
+    g.check(w.name, bench::timed(run), [&] {
       ex.set_tracer(&tracer);
-      const double b = bench::time_once_ns(run);
+      const double ns = bench::time_once_ns(run);
       ex.set_tracer(nullptr);
-      if (r == 0 || a < off) off = a;
-      if (r == 0 || b < on) on = b;
-    }
-    t.add_row({w.name, util::Table::fmt(off, "%.0f"),
-               util::Table::fmt(on, "%.0f"),
-               util::Table::fmt(100.0 * (on - off) / off, "%+.1f%%")});
+      return ns;
+    });
     if (!wrote && obs::kTracingCompiledIn) {
       wrote = obs::write_chrome_trace(trace_path, tracer);
     }
   }
-  t.print(std::cout);
+  g.print();
   if (wrote) {
-    std::cout << "\nfirst workload's traced run -> " << trace_path
+    std::cout << "\nfirst workload's traced runs -> " << trace_path
               << " (events: spawn/steal/complete per worker)\n";
   }
   return 0;
@@ -212,119 +209,38 @@ int trace_overhead(bool smoke, int reps, const std::string& trace_path) {
 /// nothing: every histogram site sits behind the executor's `tracer_ !=
 /// nullptr` branch.  The measurable upper bound is a tracer attached with
 /// events disabled (set_events_enabled(false)): histogram record() calls
-/// -- a handful of relaxed atomics -- fire, ring traffic does not.  Same
-/// paired-ratio statistics as fault_off_check: per rep the detached /
-/// detached / metrics-only cells run back-to-back with alternating order,
-/// within-rep ratios aggregate as medians, gate (full mode only) is
-/// overhead <= max(1%, A/A noise + 1%), and a failing workload re-measures
-/// once before failing for real.
+/// -- a handful of relaxed atomics -- fire, ring traffic does not.  Budget
+/// max(1%, A/A noise + 1%).
 int hist_off_check(bool smoke, int reps) {
-  bench::print_header("histogram metrics overhead when no tracer attached");
-  const unsigned threads = 4;
-  std::printf("threads = %u, tracing compiled %s, gate %s\n", threads,
-              obs::kTracingCompiledIn ? "in" : "out",
-              smoke ? "off (smoke)" : "on (<= max(1%, A/A noise + 1%))");
+  bench::Guardrail g("histogram metrics overhead when no tracer attached",
+                     {"workload", "detached ns/op", "metrics-only ns/op"},
+                     reps, bench::Budget{1.0, !smoke});
+  std::printf("threads = %u, tracing compiled %s\n", kCheckThreads,
+              obs::kTracingCompiledIn ? "in" : "out");
   if (!obs::kTracingCompiledIn) {
     std::printf("nothing to measure: trace hooks fold away at compile time\n");
     return 0;
   }
-  util::Table t({"workload", "detached ns/op", "A/A noise",
-                 "metrics-only ns/op", "overhead"});
-  bool gate_ok = true;
-  struct Measurement {
-    double best_off, best_on, noise_pct, over_pct;
-  };
-  auto measure = [&](const Workload& w) {
-    Exec ex(threads, 1 << 12, sched::SchedMode::kWorkSteal);
-    auto run = w.make(ex);
-    run();  // warm-up
-    obs::Tracer tracer(threads);
-    tracer.set_events_enabled(false);
-    double best_off = 0, best_on = 0;
-    std::vector<double> over_ratios, noise_ratios;
-    for (int r = 0; r < reps; ++r) {
-      // Alternate the within-rep order: a fixed order hands the same cell
-      // the tail of every load burst and biases the comparison.
-      double a, a2, b;
-      if (r % 2 == 0) {
-        a = bench::time_once_ns(run);
-        a2 = bench::time_once_ns(run);
-        ex.set_tracer(&tracer);
-        b = bench::time_once_ns(run);
-        ex.set_tracer(nullptr);
-      } else {
-        ex.set_tracer(&tracer);
-        b = bench::time_once_ns(run);
-        ex.set_tracer(nullptr);
-        a2 = bench::time_once_ns(run);
-        a = bench::time_once_ns(run);
-      }
-      // a2 is adjacent to both a and b in either order; both ratios span
-      // the same time distance.
-      over_ratios.push_back(b / a2);
-      noise_ratios.push_back(a / a2);
-      const double off = std::min(a, a2);
-      if (r == 0 || off < best_off) best_off = off;
-      if (r == 0 || b < best_on) best_on = b;
-    }
-    auto median = [](std::vector<double> v) {
-      std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-      return v[v.size() / 2];
-    };
-    return Measurement{best_off, best_on,
-                       100.0 * std::abs(median(noise_ratios) - 1.0),
-                       100.0 * (median(over_ratios) - 1.0)};
-  };
-  auto within = [smoke](const Measurement& m) {
-    return smoke || m.over_pct <= std::max(1.0, m.noise_pct + 1.0);
-  };
+  // The metrics-only cells must actually record distributions -- otherwise
+  // the gate would be vacuously green.
+  obs::Tracer tracer(kCheckThreads);
+  tracer.set_events_enabled(false);
   for (const auto& w : workloads(smoke)) {
-    Measurement m = measure(w);
-    bool ok = within(m);
-    if (!ok) {
-      // Confirm before failing: a real hook regression reproduces, a
-      // host-load resonance artifact does not.
-      m = measure(w);
-      ok = within(m);
-    }
-    gate_ok = gate_ok && ok;
-    t.add_row({w.name + (ok ? "" : "  <-- FAIL"),
-               util::Table::fmt(m.best_off, "%.0f"),
-               util::Table::fmt(m.noise_pct, "%.2f%%"),
-               util::Table::fmt(m.best_on, "%.0f"),
-               util::Table::fmt(m.over_pct, "%+.2f%%")});
-  }
-  t.print(std::cout);
-  // The metrics-only cells must actually have recorded distributions --
-  // otherwise the gate would be vacuously green.
-  std::uint64_t hist_count = 0;
-  {
-    const auto smoke_workloads = workloads(true);
-    const auto& w = smoke_workloads.front();
-    Exec ex(threads, 1 << 12, sched::SchedMode::kWorkSteal);
+    Exec ex(kCheckThreads, 1 << 12, sched::SchedMode::kWorkSteal);
     auto run = w.make(ex);
-    obs::Tracer tracer(threads);
-    tracer.set_events_enabled(false);
-    ex.set_tracer(&tracer);
-    run();
-    ex.set_tracer(nullptr);
-    tracer.counters().for_each_histogram(
-        [&](const std::string&, const obs::Histogram& h) {
-          hist_count += h.count();
-        });
+    g.check(w.name, bench::timed(run), [&] {
+      ex.set_tracer(&tracer);
+      const double ns = bench::time_once_ns(run);
+      ex.set_tracer(nullptr);
+      return ns;
+    });
   }
+  const std::uint64_t samples = bench::histogram_samples(tracer);
   std::printf("histogram samples recorded in metrics-only mode: %llu\n",
-              static_cast<unsigned long long>(hist_count));
-  if (hist_count == 0) {
-    std::printf("\nFAIL: no histogram site fired; the guardrail is vacuous\n");
-    return 1;
-  }
-  if (!gate_ok) {
-    std::printf("\nFAIL: histogram metrics exceed the no-tracer budget\n");
-    return 1;
-  }
-  std::printf("\nOK: histogram metrics free when no tracer is attached\n");
-  return 0;
+              static_cast<unsigned long long>(samples));
+  g.require(samples > 0, "no histogram site fired; the guardrail is vacuous");
+  return g.finish("histogram metrics free when no tracer is attached",
+                  "histogram metrics exceed the no-tracer budget");
 }
 
 /// `--fault-off-check` mode: the guardrail for the fault-injection layer.
@@ -332,104 +248,30 @@ int hist_off_check(bool smoke, int reps) {
 /// production run is in) must cost nothing: each hook is one pointer load
 /// and branch.  An attached-but-inert plan is the measurable upper bound
 /// on that cost (same hooks plus one probability load + branch each).
-///
-/// Statistics for a drifting shared host: per repetition the detached /
-/// detached / inert cells run back-to-back (order alternating), and the
-/// *ratio* within each repetition is what gets aggregated -- paired runs
-/// sit in the same interference window, so host drift divides out of the
-/// ratio even when absolute ns/op swings by 2x across the run.  Both
-/// ratios compare runs adjacent to the shared middle cell (inert/detached
-/// and detached/detached), keeping the time distance -- and therefore the
-/// drift exposure -- identical; comparing against the min of the two
-/// detached runs instead would bias the denominator low and read pure
-/// noise as +overhead.  The reported overhead is the median ratio across
-/// reps; the A/A median is the residual pairing-noise floor.  Gate (full
-/// mode only): overhead <= max(1%, A/A + 1%).  Smoke mode measures and
-/// prints but does not gate.
+/// Budget max(1%, A/A noise + 1%).
 int fault_off_check(bool smoke, int reps) {
-  bench::print_header("fault-injection layer overhead when inactive");
-  const unsigned threads = 4;
-  std::printf("threads = %u, faults compiled %s, gate %s\n", threads,
-              fault::kFaultsCompiledIn ? "in" : "out",
-              smoke ? "off (smoke)" : "on (<= max(1%, A/A noise + 1%))");
+  bench::Guardrail g("fault-injection layer overhead when inactive",
+                     {"workload", "detached ns/op", "inert ns/op"}, reps,
+                     bench::Budget{1.0, !smoke});
+  std::printf("threads = %u, faults compiled %s\n", kCheckThreads,
+              fault::kFaultsCompiledIn ? "in" : "out");
   if (!fault::kFaultsCompiledIn) {
     std::printf("nothing to measure: hooks fold away at compile time\n");
     return 0;
   }
-  util::Table t({"workload", "detached ns/op", "A/A noise", "inert ns/op",
-                 "overhead"});
-  bool gate_ok = true;
-  struct Measurement {
-    double best_off, best_on, noise_pct, over_pct;
-  };
-  auto measure = [&](const Workload& w) {
-    Exec ex(threads, 1 << 12, sched::SchedMode::kWorkSteal);
-    auto run = w.make(ex);
-    run();  // warm-up
-    fault::FaultPlan inert(1, fault::FaultOptions::inert());
-    double best_off = 0, best_on = 0;
-    std::vector<double> over_ratios, noise_ratios;
-    for (int r = 0; r < reps; ++r) {
-      // Alternate the within-rep order: a fixed order hands the same cell
-      // the tail of every load burst and biases the comparison.
-      double a, a2, b;
-      if (r % 2 == 0) {
-        a = bench::time_once_ns(run);
-        a2 = bench::time_once_ns(run);
-        ex.set_fault_plan(&inert);
-        b = bench::time_once_ns(run);
-        ex.set_fault_plan(nullptr);
-      } else {
-        ex.set_fault_plan(&inert);
-        b = bench::time_once_ns(run);
-        ex.set_fault_plan(nullptr);
-        a2 = bench::time_once_ns(run);
-        a = bench::time_once_ns(run);
-      }
-      // a2 is adjacent to both a and b in either order; both ratios span
-      // the same time distance.
-      over_ratios.push_back(b / a2);
-      noise_ratios.push_back(a / a2);
-      const double off = std::min(a, a2);
-      if (r == 0 || off < best_off) best_off = off;
-      if (r == 0 || b < best_on) best_on = b;
-    }
-    auto median = [](std::vector<double> v) {
-      std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-      return v[v.size() / 2];
-    };
-    return Measurement{best_off, best_on,
-                       100.0 * std::abs(median(noise_ratios) - 1.0),
-                       100.0 * (median(over_ratios) - 1.0)};
-  };
-  auto within = [smoke](const Measurement& m) {
-    return smoke || m.over_pct <= std::max(1.0, m.noise_pct + 1.0);
-  };
+  fault::FaultPlan inert(1, fault::FaultOptions::inert());
   for (const auto& w : workloads(smoke)) {
-    Measurement m = measure(w);
-    bool ok = within(m);
-    if (!ok) {
-      // Confirm before failing: host load oscillating in resonance with
-      // the repetition cadence can push one measurement past the budget.
-      // A real hook regression (the +50% steal-counter one this guardrail
-      // caught) reproduces; a resonance artifact does not.
-      m = measure(w);
-      ok = within(m);
-    }
-    gate_ok = gate_ok && ok;
-    t.add_row({w.name + (ok ? "" : "  <-- FAIL"),
-               util::Table::fmt(m.best_off, "%.0f"),
-               util::Table::fmt(m.noise_pct, "%.2f%%"),
-               util::Table::fmt(m.best_on, "%.0f"),
-               util::Table::fmt(m.over_pct, "%+.2f%%")});
+    Exec ex(kCheckThreads, 1 << 12, sched::SchedMode::kWorkSteal);
+    auto run = w.make(ex);
+    g.check(w.name, bench::timed(run), [&] {
+      ex.set_fault_plan(&inert);
+      const double ns = bench::time_once_ns(run);
+      ex.set_fault_plan(nullptr);
+      return ns;
+    });
   }
-  t.print(std::cout);
-  if (!gate_ok) {
-    std::printf("\nFAIL: inactive fault layer exceeds the overhead budget\n");
-    return 1;
-  }
-  std::printf("\nOK: inactive fault layer within budget\n");
-  return 0;
+  return g.finish("inactive fault layer within budget",
+                  "inactive fault layer exceeds the overhead budget");
 }
 
 // ---------------------------------------------------------------------------
@@ -503,93 +345,28 @@ void simd_kernel_section(bool smoke, int reps, bench::JsonRecorder& json) {
 /// Mode::kGeneric makes use_kernels() false, so leaves take their pre-kernel
 /// generic loops.  The scalar kernel paths must not be materially slower
 /// than those generic loops -- otherwise turning SIMD off (or running on a
-/// non-vector host) would regress below the pre-SIMD baseline.  Same
-/// paired-ratio statistics as --fault-off-check: per rep the generic /
-/// generic / scalar cells run back-to-back with alternating order,
-/// within-rep ratios aggregate as medians, gate (full mode only) is
-/// overhead <= max(5%, A/A noise + 1%) -- 5% because scalar kernels and
-/// generic loops are genuinely different code, not one branch apart.
+/// non-vector host) would regress below the pre-SIMD baseline.  Budget
+/// max(5%, A/A noise + 1%) -- 5% because scalar kernels and generic loops
+/// are genuinely different code, not one branch apart.
 int simd_off_check(bool smoke, int reps) {
-  bench::print_header("scalar kernel paths vs pre-kernel generic loops");
-  const unsigned threads = 4;
-  std::printf("threads = %u, simd compiled %s, gate %s\n", threads,
-              simd::kSimdCompiledIn ? "in" : "out",
-              smoke ? "off (smoke)" : "on (<= max(5%, A/A noise + 1%))");
-  util::Table t({"workload", "generic ns/op", "A/A noise", "scalar ns/op",
-                 "overhead"});
-  bool gate_ok = true;
-  struct Measurement {
-    double best_off, best_on, noise_pct, over_pct;
-  };
-  auto measure = [&](const Workload& w) {
-    Exec ex(threads, 1 << 12, sched::SchedMode::kWorkSteal);
-    auto run = w.make(ex);
-    run();  // warm-up
-    double best_off = 0, best_on = 0;
-    std::vector<double> over_ratios, noise_ratios;
-    for (int r = 0; r < reps; ++r) {
-      double a, a2, b;
-      if (r % 2 == 0) {
-        {
-          simd::ScopedMode m(simd::Mode::kGeneric);
-          a = bench::time_once_ns(run);
-          a2 = bench::time_once_ns(run);
-        }
-        {
-          simd::ScopedMode m(simd::Mode::kScalar);
-          b = bench::time_once_ns(run);
-        }
-      } else {
-        {
-          simd::ScopedMode m(simd::Mode::kScalar);
-          b = bench::time_once_ns(run);
-        }
-        {
-          simd::ScopedMode m(simd::Mode::kGeneric);
-          a2 = bench::time_once_ns(run);
-          a = bench::time_once_ns(run);
-        }
-      }
-      over_ratios.push_back(b / a2);
-      noise_ratios.push_back(a / a2);
-      const double off = std::min(a, a2);
-      if (r == 0 || off < best_off) best_off = off;
-      if (r == 0 || b < best_on) best_on = b;
-    }
-    auto median = [](std::vector<double> v) {
-      std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-      return v[v.size() / 2];
-    };
-    return Measurement{best_off, best_on,
-                       100.0 * std::abs(median(noise_ratios) - 1.0),
-                       100.0 * (median(over_ratios) - 1.0)};
-  };
-  auto within = [smoke](const Measurement& m) {
-    return smoke || m.over_pct <= std::max(5.0, m.noise_pct + 1.0);
-  };
+  bench::Guardrail g("scalar kernel paths vs pre-kernel generic loops",
+                     {"workload", "generic ns/op", "scalar ns/op"}, reps,
+                     bench::Budget{5.0, !smoke});
+  std::printf("threads = %u, simd compiled %s\n", kCheckThreads,
+              simd::kSimdCompiledIn ? "in" : "out");
   for (const auto& w : workloads(smoke)) {
-    Measurement m = measure(w);
-    bool ok = within(m);
-    if (!ok) {
-      // Confirm before failing (same rationale as fault_off_check): a real
-      // scalar-kernel regression reproduces, a load-resonance blip does not.
-      m = measure(w);
-      ok = within(m);
-    }
-    gate_ok = gate_ok && ok;
-    t.add_row({w.name + (ok ? "" : "  <-- FAIL"),
-               util::Table::fmt(m.best_off, "%.0f"),
-               util::Table::fmt(m.noise_pct, "%.2f%%"),
-               util::Table::fmt(m.best_on, "%.0f"),
-               util::Table::fmt(m.over_pct, "%+.2f%%")});
+    Exec ex(kCheckThreads, 1 << 12, sched::SchedMode::kWorkSteal);
+    auto run = w.make(ex);
+    auto in_mode = [&](simd::Mode mode) {
+      return [&run, mode] {
+        simd::ScopedMode m(mode);
+        return bench::time_once_ns(run);
+      };
+    };
+    g.check(w.name, in_mode(simd::Mode::kGeneric), in_mode(simd::Mode::kScalar));
   }
-  t.print(std::cout);
-  if (!gate_ok) {
-    std::printf("\nFAIL: scalar kernel paths regress past the generic loops\n");
-    return 1;
-  }
-  std::printf("\nOK: scalar kernel paths hold up against the generic loops\n");
-  return 0;
+  return g.finish("scalar kernel paths hold up against the generic loops",
+                  "scalar kernel paths regress past the generic loops");
 }
 
 }  // namespace

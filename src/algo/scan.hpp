@@ -13,8 +13,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <type_traits>
 
+#include "fault/status.hpp"
 #include "sched/hints.hpp"
 #include "util/simd.hpp"
 
@@ -62,12 +64,21 @@ inline void scan_expand_kernel(const std::uint64_t* t, std::uint64_t* v,
 
 }  // namespace detail
 
-/// In-place inclusive scan of `v` under `op` (associative).
-/// `scratch` must have size >= v.size() / 2; pass a ref into a buffer
-/// allocated from the same executor.  Recursion depth is O(log n); each
-/// level runs two CGC pfors.
+/// Scratch words mo_scan_inclusive needs for n elements: each level of
+/// the contraction keeps its floor(n/2) pair sums while the next level
+/// recurses on the rest, so the requirement is the sum of the halves,
+/// floor(n/2) + floor(n/4) + ... down to a level of size 2 -- always less
+/// than n (n - 2 for a power of two).
+inline std::uint64_t scan_scratch_words(std::uint64_t n) {
+  std::uint64_t words = 0;
+  for (; n > 2; n /= 2) words += n / 2;
+  return words;
+}
+
+namespace detail {
+
 template <class Exec, class Ref, class Op>
-void mo_scan_inclusive(Exec& ex, Ref v, Ref scratch, Op op) {
+void scan_inclusive_rec(Exec& ex, Ref v, Ref scratch, Op op) {
   using T = typename Ref::value_type;
   const std::uint64_t n = v.size();
   if (n <= 1) return;
@@ -96,8 +107,8 @@ void mo_scan_inclusive(Exec& ex, Ref v, Ref scratch, Op op) {
                 }
               });
 
-  mo_scan_inclusive(ex, scratch.slice(0, half), scratch.slice(half, half / 2),
-                    op);
+  scan_inclusive_rec(ex, scratch.slice(0, half),
+                     scratch.slice(half, scratch.size() - half), op);
 
   // Expand: v[2i] = t[i-1] (+) v[2i], v[2i+1] = t[i].  Kept per-element:
   // batching this loop would reorder accesses across the t and v streams,
@@ -127,6 +138,27 @@ void mo_scan_inclusive(Exec& ex, Ref v, Ref scratch, Op op) {
   if (n % 2 == 1) {
     v.store(n - 1, op(v.load(n - 2), v.load(n - 1)));
   }
+}
+
+}  // namespace detail
+
+/// In-place inclusive scan of `v` under `op` (associative).  `scratch`
+/// must hold at least scan_scratch_words(v.size()) elements (a v.size()
+/// buffer always does); pass a ref into a buffer allocated from the same
+/// executor.  A shorter scratch throws obliv::Error(kInvalidArgument)
+/// before any access.  Recursion depth is O(log n); each level runs two
+/// CGC pfors.
+template <class Exec, class Ref, class Op>
+void mo_scan_inclusive(Exec& ex, Ref v, Ref scratch, Op op) {
+  const std::uint64_t need = scan_scratch_words(v.size());
+  if (scratch.size() < need) {
+    throw Error(ErrorCode::kInvalidArgument,
+                "mo_scan_inclusive: scratch holds " +
+                    std::to_string(scratch.size()) + " elements, " +
+                    std::to_string(v.size()) + " inputs need " +
+                    std::to_string(need));
+  }
+  detail::scan_inclusive_rec(ex, v, scratch, op);
 }
 
 /// Convenience wrapper that allocates scratch from the executor.

@@ -607,42 +607,69 @@ namespace {
 
 using RangeBody = std::function<void(std::uint64_t, std::uint64_t)>;
 
+/// How a RangeTask loop may split.  `grain` is the sequential chunk,
+/// `floor` the smallest half worth exposing, and `align` the granularity
+/// of the split point: simd::kMaxLaneWords for iteration ranges (cgc_pfor),
+/// so stolen halves start lane-aligned for the simd:: kernels, and 1 for
+/// subtask counts (cgc_sb_pfor), where lanes mean nothing and a binary
+/// CGC=>SB fan-out must still split.  Built only by make_split(), which
+/// establishes the invariant floor >= align >= 1: a range of at least
+/// 2*floor then always splits into two non-empty halves.
+struct RangeSplit {
+  std::uint64_t grain, floor, align;
+
+  std::uint64_t mid(std::uint64_t lo, std::uint64_t hi) const {
+    return lo + (hi - lo) / 2 / align * align;
+  }
+};
+
+/// Split policy for a loop of `total` units: fine enough for 8x
+/// over-decomposition per *core*, never finer than the grain or the
+/// alignment.  The divisor is clamped by hardware_concurrency: requesting
+/// more threads than cores cannot raise real parallelism, only the number
+/// of leaves each oversubscribed thief fragments off (every steal = futex
+/// wake + context switch on a saturated machine), so extra decomposition
+/// slack for them is pure overhead.
+RangeSplit make_split(std::uint64_t total, std::uint64_t grain,
+                      unsigned threads, std::uint64_t align) {
+  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+  const unsigned effective = std::min(threads, cores);
+  const std::uint64_t floor =
+      std::max<std::uint64_t>({grain, align, total / (8ull * effective)});
+  return RangeSplit{grain, floor, align};
+}
+
 /// Lazy binary splitting (the parlay idiom): peel grain-sized chunks off a
 /// range sequentially, and only when the local deque has been emptied by
 /// thieves split the remainder in half and expose the upper half.  Forked
 /// halves live on this frame's stack; recursion depth is O(log(range/floor)).
 ///
-/// `floor` is the smallest half worth exposing.  Without it the empty-deque
-/// signal degenerates: a *stolen* range always starts with an empty thief
-/// deque, so every steal would immediately re-split, fragmenting the loop
-/// all the way down to `grain` no matter how many workers exist.  The call
-/// sites set floor ~ range/(8*threads), which caps a loop at ~16*threads
-/// leaf tasks -- 8x finer than eager per-thread chunking (ample slack for
-/// rebalancing) but bounded fork/notify overhead.
+/// `split.floor` is the smallest half worth exposing.  Without it the
+/// empty-deque signal degenerates: a *stolen* range always starts with an
+/// empty thief deque, so every steal would immediately re-split,
+/// fragmenting the loop all the way down to `grain` no matter how many
+/// workers exist.  make_split sets floor ~ range/(8*threads), which caps a
+/// loop at ~16*threads leaf tasks -- 8x finer than eager per-thread
+/// chunking (ample slack for rebalancing) but bounded fork/notify overhead.
 void range_run(WorkStealingPool& pool, const RangeBody& body, std::uint64_t lo,
-               std::uint64_t hi, std::uint64_t grain, std::uint64_t floor);
+               std::uint64_t hi, const RangeSplit& split);
 
 struct RangeTask : Task {
   RangeTask(WorkStealingPool& p, const RangeBody& b, std::uint64_t l,
-            std::uint64_t h, std::uint64_t g, std::uint64_t f)
-      : Task(&RangeTask::invoke),
-        pool(&p),
-        body(&b),
-        lo(l),
-        hi(h),
-        grain(g),
-        floor(f) {}
+            std::uint64_t h, const RangeSplit& s)
+      : Task(&RangeTask::invoke), pool(&p), body(&b), lo(l), hi(h), split(&s) {}
   static void invoke(Task* t) {
     auto* r = static_cast<RangeTask*>(t);
-    range_run(*r->pool, *r->body, r->lo, r->hi, r->grain, r->floor);
+    range_run(*r->pool, *r->body, r->lo, r->hi, *r->split);
   }
   WorkStealingPool* pool;
   const RangeBody* body;
-  std::uint64_t lo, hi, grain, floor;
+  std::uint64_t lo, hi;
+  const RangeSplit* split;  ///< owned by the root call's frame
 };
 
 void range_run(WorkStealingPool& pool, const RangeBody& body, std::uint64_t lo,
-               std::uint64_t hi, std::uint64_t grain, std::uint64_t floor) {
+               std::uint64_t hi, const RangeSplit& split) {
   for (;;) {
     // Poison check once per grain: the promptness bound for cancellation
     // is therefore one sequential grain of leaf work (plus whatever chunk
@@ -650,48 +677,27 @@ void range_run(WorkStealingPool& pool, const RangeBody& body, std::uint64_t lo,
     // same check).  This covers freshly stolen RangeTasks too: their
     // invoke() lands here before touching the body.
     if (detail::cancel_pending()) return;
-    if (hi - lo <= grain) {
+    if (hi - lo <= split.grain) {
       body(lo, hi);
       return;
     }
-    if (hi - lo >= 2 * floor && pool.local_deque_empty()) {
-      // A thief (or an idle worker) drained us: expose the upper half.  The
-      // split point rounds down to a vector-stride multiple (relative to
-      // lo) so stolen halves start lane-aligned for the simd:: kernels;
-      // floor >= kMaxLaneWords guarantees the rounded half is non-empty.
-      const std::uint64_t mid =
-          lo + ((hi - lo) / 2 & ~std::uint64_t{simd::kMaxLaneWords - 1});
-      RangeTask upper(pool, body, mid, hi, grain, floor);
+    if (hi - lo >= 2 * split.floor && pool.local_deque_empty()) {
+      // A thief (or an idle worker) drained us: expose the upper half.
+      const std::uint64_t mid = split.mid(lo, hi);
+      RangeTask upper(pool, body, mid, hi, split);
       if constexpr (obs::kTracingCompiledIn) {
         if (obs::Histogram* h = pool.fork_grain_hist()) h->record(hi - mid);
       }
       pool.fork(&upper);
-      range_run(pool, body, lo, mid, grain, floor);
+      range_run(pool, body, lo, mid, split);
       pool.join(&upper);
       return;
     }
     // Parallel slack already queued (or the remainder is below the split
     // floor): run one grain and re-check demand.
-    body(lo, lo + grain);
-    lo += grain;
+    body(lo, lo + split.grain);
+    lo += split.grain;
   }
-}
-
-/// Smallest stealable half for a loop of `total` iterations: fine enough for
-/// 8x over-decomposition per *core*, never finer than the CGC grain.  The
-/// divisor is clamped by hardware_concurrency: requesting more threads than
-/// cores cannot raise real parallelism, only the number of leaves each
-/// oversubscribed thief fragments off (every steal = futex wake + context
-/// switch on a saturated machine), so extra decomposition slack for them is
-/// pure overhead.
-std::uint64_t split_floor(std::uint64_t total, std::uint64_t grain,
-                          unsigned threads) {
-  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned effective = std::min(threads, cores);
-  // Never expose a half narrower than one vector stride: a leaf below
-  // simd::kMaxLaneWords iterations is pure tail for the SIMD kernels.
-  return std::max<std::uint64_t>(std::max<std::uint64_t>(grain, simd::kMaxLaneWords),
-                                 total / (8ull * effective));
 }
 
 }  // namespace
@@ -776,8 +782,9 @@ void NativeExecutor::cgc_pfor(
     sq_->run_all(std::move(tasks));
     return;
   }
-  RangeTask root(*ws_, body, lo, hi, min_iters,
-                 split_floor(t, min_iters, ws_->threads()));
+  const RangeSplit split =
+      make_split(t, min_iters, ws_->threads(), simd::kMaxLaneWords);
+  RangeTask root(*ws_, body, lo, hi, split);
   ws_->run_root(root);
 }
 
@@ -934,8 +941,9 @@ void NativeExecutor::cgc_sb_pfor(
   const RangeBody range_body = [&body](std::uint64_t a, std::uint64_t b) {
     for (std::uint64_t s = a; s < b; ++s) body(s);
   };
-  RangeTask root(*ws_, range_body, 0, count, per_unit,
-                 split_floor(count, per_unit, ws_->threads()));
+  const RangeSplit split =
+      make_split(count, per_unit, ws_->threads(), /*align=*/1);
+  RangeTask root(*ws_, range_body, 0, count, split);
   ws_->run_root(root);
 }
 

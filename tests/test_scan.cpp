@@ -37,6 +37,48 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ScanSizes,
                          ::testing::Values(1, 2, 3, 7, 8, 64, 100, 1000, 4096,
                                            12345));
 
+// The scratch contract of mo_scan_inclusive: scan_scratch_words(n) -- the
+// sum of the contraction halves, less than n -- is enough, and not one word
+// more is touched; a shorter scratch is a typed error, raised before any
+// access.
+class ScanScratch : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ScanScratch, ExactMinimumScratchSufficesAndShorterIsRejected) {
+  const std::uint64_t n = GetParam();
+  const std::uint64_t need = scan_scratch_words(n);
+  EXPECT_LT(need, n);
+  sched::NativeExecutor ex(4, /*sequential_grain_words=*/16);
+  std::vector<std::uint64_t> v(n), expect(n);
+  util::Xoshiro256 rng(n);
+  for (std::uint64_t i = 0; i < n; ++i) v[i] = expect[i] = rng.below(1000);
+  std::partial_sum(expect.begin(), expect.end(), expect.begin());
+
+  // Guard words past the exact minimum catch any overrun of the view.
+  constexpr std::uint64_t kGuard = 0xdeadbeefcafef00dull;
+  std::vector<std::uint64_t> scratch(need + 8, kGuard);
+  using Ref = sched::NatRef<std::uint64_t>;
+  mo_scan_inclusive(ex, Ref(v.data(), n), Ref(scratch.data(), need),
+                    AddOp<std::uint64_t>{});
+  EXPECT_EQ(v, expect);
+  for (std::uint64_t i = need; i < scratch.size(); ++i) {
+    EXPECT_EQ(scratch[i], kGuard) << "scratch overrun at word " << i;
+  }
+
+  std::vector<std::uint64_t> input = v;
+  try {
+    mo_scan_inclusive(ex, Ref(v.data(), n), Ref(scratch.data(), need - 1),
+                      AddOp<std::uint64_t>{});
+    ADD_FAILURE() << "a scratch one word short was accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
+  }
+  EXPECT_EQ(v, input);  // rejected before any access
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, ScanScratch,
+                         ::testing::Values(3, 5, 16, 17, 1024, 1025, 1 << 16,
+                                           (1 << 16) + 1));
+
 TEST(Scan, MaxOperatorWorks) {
   const std::size_t n = 513;
   SimExecutor ex(hm::MachineConfig::shared_l2(4));
