@@ -11,14 +11,20 @@
 // open-addressing table's grow/rehash with live tombstones, Node::slot
 // backpointer resync, epoch-recycled sharer slots, the per-core L0 filter's
 // deferred LRU flush, and SimRef run accessors crossing block boundaries.
+// A last scenario drives the sparse-matrix generators (algo/graphgen.hpp),
+// whose counting-sort scatter and in-place duplicate compaction index A_v
+// through computed offsets.
 //
 // A full ASan build of the whole suite is available via
 //   cmake -B build-asan -S . -DOBLIV_SANITIZE=address
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
+#include <utility>
 #include <vector>
 
+#include "algo/graphgen.hpp"
 #include "algo/scan.hpp"
 #include "algo/sort.hpp"
 #include "hm/cache_sim.hpp"
@@ -108,6 +114,87 @@ void executor_workloads(const obliv::hm::MachineConfig& cfg) {
   check(!trace.empty(), "executor: trace captured");
 }
 
+/// Sparse-matrix assembly: odd and 1x1 grids (direct separator-order fill
+/// vs. the two-step permute), tree and random matrices, duplicate-heavy
+/// out-of-order triples including rows of hundreds of entries, and every kInvalidArgument path (which must throw before writing).
+void generator_assembly() {
+  using namespace obliv::algo;
+  for (std::uint64_t side : {0u, 1u, 3u, 17u, 31u}) {
+    const SparseMatrix direct = grid_matrix_reordered(side, side);
+    const SparseMatrix twostep =
+        permute_matrix(grid_matrix(side, side), grid_separator_order(side));
+    check(direct.valid(), "generators: reordered grid valid");
+    check(direct.a0 == twostep.a0 && direct.av.size() == twostep.av.size(),
+          "generators: direct fill matches permute shape");
+    for (std::size_t t = 0; t < direct.av.size(); ++t) {
+      if (direct.av[t].col != twostep.av[t].col ||
+          direct.av[t].val != twostep.av[t].val) {
+        check(false, "generators: direct fill matches permute entries");
+        break;
+      }
+    }
+  }
+  check(tree_matrix_reordered(257, 3).valid(), "generators: tree valid");
+  check(random_matrix(300, 5).valid(), "generators: random valid");
+
+  // 1200 shuffled triples: at n = 1 and 5 every row holds hundreds of
+  // entries and every column repeats dozens of times; at n = 64 rows stay
+  // short and duplicates are sparse.
+  for (std::uint64_t n : {1u, 5u, 64u}) {
+    obliv::util::Xoshiro256 rng(n);
+    std::vector<SpmTriple> triples;
+    std::map<std::pair<std::uint64_t, std::uint64_t>, double> expect;
+    for (int k = 0; k < 1200; ++k) {
+      const std::uint64_t r = rng.below(n), c = rng.below(n);
+      const double v = rng.uniform() - 0.5;
+      triples.push_back({r, c, v});
+      auto [it, fresh] = expect.try_emplace({r, c}, v);
+      if (!fresh) it->second += v;  // input-order sum
+    }
+    const SparseMatrix m = matrix_from_triples(n, triples);
+    check(m.valid(), "generators: triples valid");
+    if (m.nnz() != expect.size()) {
+      check(false, "generators: duplicates merged");
+      continue;
+    }
+    bool same = true;
+    auto it = expect.begin();
+    for (std::uint64_t i = 0; i < n; ++i) {
+      for (std::uint64_t t = m.a0[i]; t < m.a0[i + 1]; ++t, ++it) {
+        same = same && it->first == std::make_pair(i, m.av[t].col) &&
+               it->second == m.av[t].val;
+      }
+    }
+    check(same, "generators: input-order duplicate sums");
+  }
+
+  auto throws = [](auto&& fn) {
+    try {
+      fn();
+    } catch (const obliv::Error& e) {
+      return e.code() == obliv::ErrorCode::kInvalidArgument;
+    }
+    return false;
+  };
+  check(throws([] { matrix_from_triples(4, {{0, 0, 1.0}, {4, 0, 1.0}}); }),
+        "generators: row out of range throws");
+  check(throws([] { matrix_from_triples(4, {{0, 0, 1.0}, {1, ~0ull, 1.0}}); }),
+        "generators: column out of range throws");
+  check(throws([] { matrix_from_triples(0, {{0, 0, 1.0}}); }),
+        "generators: n = 0 with entries throws");
+  const SparseMatrix g = grid_matrix(3);
+  check(throws([&] { permute_matrix(g, {0, 1, 2}); }),
+        "generators: short order throws");
+  check(throws([&] { permute_matrix(g, {0, 1, 2, 3, 4, 5, 6, 7, 7}); }),
+        "generators: repeated order entry throws");
+  check(throws([&] { permute_matrix(g, {0, 1, 2, 3, 4, 5, 6, 7, 99}); }),
+        "generators: order entry out of range throws");
+  SparseMatrix bad = g;
+  bad.av.back().col = 1u << 30;
+  check(throws([&] { permute_matrix(bad, grid_separator_order(3)); }),
+        "generators: invalid matrix throws");
+}
+
 }  // namespace
 
 int main() {
@@ -116,6 +203,7 @@ int main() {
   sim_storm(obliv::hm::MachineConfig::figure1());
   executor_workloads(obliv::hm::MachineConfig::shared_l2(4));
   executor_workloads(obliv::hm::MachineConfig::figure1());
+  generator_assembly();
   if (failures != 0) {
     std::fprintf(stderr, "%d scenario check(s) failed\n", failures);
     return 1;

@@ -96,8 +96,8 @@ TEST(PerfCounters, DegradesGracefully) {
   // way the API must be safe to use.
   PerfCounterGroup g({PerfEvent::kInstructions});
   g.start();
-  volatile int sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  volatile std::uint64_t sink = 0;
+  for (std::uint64_t i = 0; i < 100000; ++i) sink = sink + i;
   g.stop();
   if (g.available()) {
     ASSERT_TRUE(g.value(0).has_value());
