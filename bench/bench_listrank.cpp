@@ -9,8 +9,8 @@
 //       scan).
 #include <cmath>
 #include <iostream>
-#include <numeric>
 
+#include "algo/graphgen.hpp"
 #include "algo/listrank.hpp"
 #include "bench/common.hpp"
 #include "hm/config.hpp"
@@ -26,19 +26,9 @@ struct List {
 };
 
 List random_list(std::uint64_t n, std::uint64_t seed) {
-  std::vector<std::uint64_t> perm(n);
-  std::iota(perm.begin(), perm.end(), 0);
   util::Xoshiro256 rng(seed);
-  for (std::uint64_t i = n; i > 1; --i) {
-    std::swap(perm[i - 1], perm[rng.below(i)]);
-  }
   List li;
-  li.succ.assign(n, algo::kNil);
-  li.pred.assign(n, algo::kNil);
-  for (std::uint64_t t = 0; t + 1 < n; ++t) {
-    li.succ[perm[t]] = perm[t + 1];
-    li.pred[perm[t + 1]] = perm[t];
-  }
+  algo::link_list(algo::random_list_order(n, rng), li.succ, li.pred);
   return li;
 }
 

@@ -8,8 +8,8 @@
 //       buffers of NoExecutor), the distinguishing choice of Section VI-B.
 #include <cmath>
 #include <iostream>
-#include <numeric>
 
+#include "algo/graphgen.hpp"
 #include "algo/listrank.hpp"
 #include "bench/common.hpp"
 #include "no/wrappers.hpp"
@@ -22,18 +22,8 @@ namespace {
 void make_list(std::uint64_t n, std::uint64_t seed,
                std::vector<std::uint64_t>& succ,
                std::vector<std::uint64_t>& pred) {
-  std::vector<std::uint64_t> perm(n);
-  std::iota(perm.begin(), perm.end(), 0);
   util::Xoshiro256 rng(seed);
-  for (std::uint64_t i = n; i > 1; --i) {
-    std::swap(perm[i - 1], perm[rng.below(i)]);
-  }
-  succ.assign(n, algo::kNil);
-  pred.assign(n, algo::kNil);
-  for (std::uint64_t t = 0; t + 1 < n; ++t) {
-    succ[perm[t]] = perm[t + 1];
-    pred[perm[t + 1]] = perm[t];
-  }
+  algo::link_list(algo::random_list_order(n, rng), succ, pred);
 }
 
 }  // namespace

@@ -35,10 +35,7 @@
 #include <thread>
 #include <vector>
 
-#include "algo/fft.hpp"
-#include "algo/scan.hpp"
 #include "algo/sort.hpp"
-#include "algo/transpose.hpp"
 #include "common.hpp"
 #include "obs/trace.hpp"
 #include "sched/cancel.hpp"
@@ -46,6 +43,7 @@
 #include "serve/serve.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
+#include "workload/workloads.hpp"
 
 namespace obliv {
 namespace {
@@ -131,27 +129,12 @@ class ServeRecorder {
 // Open-loop traffic generation
 // ---------------------------------------------------------------------------
 
-/// One generated job: owned buffers + its typed request.  Buffers are
-/// allocated and filled before the timed schedule starts, so generation
+/// One generated job: a registry instance (owned buffers) and its handle.
+/// Inputs are generated before the timed schedule starts, so generation
 /// cost never pollutes the latency measurement.
 struct GenJob {
-  serve::Family family = serve::Family::kSort;
-  std::vector<std::int64_t> i64;
-  std::vector<std::uint64_t> u64;
-  std::vector<algo::cplx> cx;
-  std::vector<double> t_in, t_out;
-  std::uint64_t side = 0;
+  workload::Instance<sched::NativeExecutor> inst;
   serve::JobHandle handle;
-
-  serve::Request request() {
-    switch (family) {
-      case serve::Family::kScan: return serve::ScanRequest{ref_of(i64)};
-      case serve::Family::kSort: return serve::SortRequest{ref_of(u64)};
-      case serve::Family::kFft: return serve::FftRequest{ref_of(cx)};
-      default:
-        return serve::TransposeRequest{ref_of(t_in), ref_of(t_out), side};
-    }
-  }
 };
 
 /// Bounded Pareto sample in [lo, hi] (alpha ~ 1.3: most jobs small, a
@@ -165,29 +148,24 @@ std::uint64_t pareto_size(util::Xoshiro256& rng, std::uint64_t lo,
                                          lo, std::uint64_t(v)));
 }
 
-GenJob generate_job(util::Xoshiro256& rng) {
-  GenJob j;
+GenJob generate_job(sched::NativeExecutor& alloc, util::Xoshiro256& rng) {
   const std::uint64_t pick = rng.below(100);
+  workload::Kind kind;
+  std::uint64_t n;
   if (pick < 40) {  // 40% sort
-    j.family = serve::Family::kSort;
-    j.u64.resize(pareto_size(rng, 256, 16384));
-    for (auto& x : j.u64) x = rng();
+    kind = workload::Kind::kSort;
+    n = pareto_size(rng, 256, 16384);
   } else if (pick < 70) {  // 30% scan
-    j.family = serve::Family::kScan;
-    j.i64.resize(pareto_size(rng, 512, 32768));
-    for (auto& x : j.i64) x = std::int64_t(rng.below(1000)) - 500;
-  } else if (pick < 85) {  // 15% FFT, power-of-two sizes
-    j.family = serve::Family::kFft;
-    j.cx.resize(std::uint64_t(1) << (8 + rng.below(5)));  // 256..4096
-    for (auto& x : j.cx) x = algo::cplx(rng.uniform() - 0.5, rng.uniform());
-  } else {  // 15% transpose, power-of-two sides
-    j.family = serve::Family::kTranspose;
-    j.side = std::uint64_t(1) << (3 + rng.below(4));  // 8..64
-    j.t_in.resize(j.side * j.side);
-    for (auto& x : j.t_in) x = rng.uniform();
-    j.t_out.assign(j.side * j.side, 0.0);
+    kind = workload::Kind::kScan;
+    n = pareto_size(rng, 512, 32768);
+  } else if (pick < 85) {  // 15% FFT, power-of-two sizes 256..4096
+    kind = workload::Kind::kFft;
+    n = std::uint64_t(1) << (8 + rng.below(5));
+  } else {  // 15% transpose, power-of-two sides 8..64
+    kind = workload::Kind::kTranspose;
+    n = std::uint64_t(1) << (3 + rng.below(4));
   }
-  return j;
+  return {{alloc, kind, n, rng()}, {}};
 }
 
 double pct_ms(std::vector<double>& lat_ns, double p) {
@@ -217,9 +195,12 @@ ServeRecord run_open_loop(unsigned threads, double qps, std::size_t jobs,
                           std::uint64_t seed, obs::Tracer* tracer = nullptr,
                           const LoadShape& shape = {}) {
   util::Xoshiro256 rng(seed);
+  sched::NativeExecutor alloc(1);
   std::vector<GenJob> gen;
   gen.reserve(jobs);
-  for (std::size_t i = 0; i < jobs; ++i) gen.push_back(generate_job(rng));
+  for (std::size_t i = 0; i < jobs; ++i) {
+    gen.push_back(generate_job(alloc, rng));
+  }
 
   serve::ServerOptions o;
   o.threads = threads;
@@ -256,7 +237,7 @@ ServeRecord run_open_loop(unsigned threads, double qps, std::size_t jobs,
 
   for (std::size_t i = 0; i < jobs; ++i) {
     std::this_thread::sleep_until(sched[i]);
-    auto r = srv.submit(gen[i].request());
+    auto r = srv.submit(gen[i].inst.request());
     if (r.ok()) gen[i].handle = r.value();  // refusals land in stats()
     submitted.store(i + 1, std::memory_order_release);
     // Client-side cancellation pressure: poison every k-th job right

@@ -30,18 +30,13 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "algo/gep.hpp"
-#include "algo/scan.hpp"
-#include "algo/sort.hpp"
-#include "algo/transpose.hpp"
 #include "bench/common.hpp"
 #include "hm/cache_sim.hpp"
 #include "hm/config.hpp"
 #include "hm/psim.hpp"
 #include "hm/trace.hpp"
 #include "sched/sim_executor.hpp"
-#include "sched/views.hpp"
-#include "util/rng.hpp"
+#include "workload/workloads.hpp"
 
 using namespace obliv;
 
@@ -164,81 +159,25 @@ void add_stack(std::string bench, const hm::MachineConfig& cfg,
   plan.push_back(std::move(r));
 }
 
-void add_scan(const hm::MachineConfig& cfg, std::uint64_t n) {
+/// A registry workload: its executor-emitted access stream as a trace row,
+/// and the same instance timed end to end (input reset included) as a
+/// stack- row.
+void add_workload(std::string bench, const hm::MachineConfig& cfg,
+                  workload::Kind kind, std::uint64_t n, std::uint64_t seed) {
   auto ex = std::make_shared<sched::SimExecutor>(cfg);
-  auto buf = std::make_shared<sched::SimBuf<std::int64_t>>(
-      ex->make_buf<std::int64_t>(n));
-  auto rep = [ex, buf, n] {
-    for (std::size_t i = 0; i < n; ++i) buf->raw()[i] = std::int64_t(i & 7);
-    ex->run(2 * n, [&] { algo::mo_prefix_sum(*ex, buf->ref()); });
+  auto inst = std::make_shared<workload::Instance<sched::SimExecutor>>(
+      *ex, kind, n, seed);
+  auto rep = [ex, inst] {
+    inst->reset();
+    inst->run(*ex);
     return ex->cache_sim().total_accesses();
   };
   Trace t;
   ex->set_trace(&t);
   rep();
   ex->set_trace(nullptr);
-  add_trace("scan", cfg, n, std::move(t));
-  add_stack("scan", cfg, n, rep);
-}
-
-void add_transpose(const hm::MachineConfig& cfg, std::uint64_t n) {
-  auto ex = std::make_shared<sched::SimExecutor>(cfg);
-  auto a =
-      std::make_shared<sched::SimBuf<double>>(ex->make_buf<double>(n * n));
-  auto out =
-      std::make_shared<sched::SimBuf<double>>(ex->make_buf<double>(n * n));
-  for (std::size_t i = 0; i < n * n; ++i) a->raw()[i] = double(i);
-  auto rep = [ex, a, out, n] {
-    ex->run(3 * n * n,
-            [&] { algo::mo_transpose(*ex, a->ref(), out->ref(), n); });
-    return ex->cache_sim().total_accesses();
-  };
-  Trace t;
-  ex->set_trace(&t);
-  rep();
-  ex->set_trace(nullptr);
-  add_trace("mo-mt", cfg, n, std::move(t));
-  add_stack("mo-mt", cfg, n, rep);
-}
-
-void add_sort(const hm::MachineConfig& cfg, std::uint64_t n) {
-  auto ex = std::make_shared<sched::SimExecutor>(cfg);
-  auto buf = std::make_shared<sched::SimBuf<std::uint64_t>>(
-      ex->make_buf<std::uint64_t>(n));
-  auto rep = [ex, buf, n] {
-    util::Xoshiro256 rng(4242);
-    for (auto& v : buf->raw()) v = rng();
-    ex->run(4 * n, [&] { algo::spms_sort(*ex, buf->ref()); });
-    return ex->cache_sim().total_accesses();
-  };
-  Trace t;
-  ex->set_trace(&t);
-  rep();
-  ex->set_trace(nullptr);
-  add_trace("spms-sort", cfg, n, std::move(t));
-  add_stack("spms-sort", cfg, n, rep);
-}
-
-void add_gep(const hm::MachineConfig& cfg, std::uint64_t n) {
-  auto ex = std::make_shared<sched::SimExecutor>(cfg);
-  auto buf =
-      std::make_shared<sched::SimBuf<double>>(ex->make_buf<double>(n * n));
-  auto rep = [ex, buf, n] {
-    util::Xoshiro256 rng(7);
-    for (auto& v : buf->raw()) v = rng.uniform();
-    using Mat = sched::MatView<sched::SimRef<double>>;
-    ex->run(n * n, [&] {
-      algo::igep<algo::FloydWarshallInstance>(*ex,
-                                              Mat::full(buf->ref(), n, n));
-    });
-    return ex->cache_sim().total_accesses();
-  };
-  Trace t;
-  ex->set_trace(&t);
-  rep();
-  ex->set_trace(nullptr);
-  add_trace("igep", cfg, n, std::move(t));
-  add_stack("igep", cfg, n, rep);
+  add_trace(bench, cfg, n, std::move(t));
+  add_stack(std::move(bench), cfg, n, rep);
 }
 
 // ---- --psim-off-check: single-thread engine overhead guardrail ------------
@@ -248,11 +187,10 @@ void add_gep(const hm::MachineConfig& cfg, std::uint64_t n) {
 Trace capture_scan_trace(const hm::MachineConfig& cfg, std::uint64_t n) {
   sched::SimExecutor ex(cfg);
   bench::trace_attach(ex);
-  auto buf = ex.make_buf<std::int64_t>(n);
+  workload::Instance<sched::SimExecutor> scan(ex, workload::Kind::kScan, n, 1);
   Trace t;
   ex.set_trace(&t);
-  for (std::size_t i = 0; i < n; ++i) buf.raw()[i] = std::int64_t(i & 7);
-  ex.run(2 * n, [&] { algo::mo_prefix_sum(ex, buf.ref()); });
+  scan.run(ex);
   ex.set_trace(nullptr);
   return t;
 }
@@ -329,10 +267,12 @@ int main(int argc, char** argv) {
     add_trace("raw-seq-read", cfg, raw_n, make_seq(raw_n));
     add_trace("raw-run-read", cfg, raw_n, make_run(raw_n));
     add_trace("raw-part-rw", cfg, raw_n, make_part(cfg, raw_n));
-    add_scan(cfg, smoke ? 1u << 12 : 1u << 16);
-    add_transpose(cfg, smoke ? 32 : 128);
-    add_sort(cfg, smoke ? 1u << 10 : 1u << 14);
-    add_gep(cfg, smoke ? 32 : 64);
+    add_workload("scan", cfg, workload::Kind::kScan,
+                 smoke ? 1u << 12 : 1u << 16, 1);
+    add_workload("mo-mt", cfg, workload::Kind::kTranspose, smoke ? 32 : 128, 1);
+    add_workload("spms-sort", cfg, workload::Kind::kSort,
+                 smoke ? 1u << 10 : 1u << 14, 4242);
+    add_workload("igep", cfg, workload::Kind::kGep, smoke ? 32 : 64, 7);
   }
 
   // Counter-parity gate: the sharded engine's rates only count on

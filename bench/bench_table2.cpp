@@ -8,11 +8,11 @@
 // the reproduction criterion (constants are not claimed by the paper).
 #include <cmath>
 #include <iostream>
-#include <numeric>
 
 #include "algo/fft.hpp"
 #include "algo/gep.hpp"
 #include "algo/graph.hpp"
+#include "algo/graphgen.hpp"
 #include "algo/listrank.hpp"
 #include "algo/scan.hpp"
 #include "algo/sort.hpp"
@@ -199,16 +199,8 @@ int main(int argc, char** argv) {
   // ---- List ranking, n = 2^13. ----
   {
     const std::uint64_t n = smoke ? 1 << 10 : 1 << 13;
-    std::vector<std::uint64_t> perm(n);
-    std::iota(perm.begin(), perm.end(), 0);
-    for (std::uint64_t i = n; i > 1; --i) {
-      std::swap(perm[i - 1], perm[rng.below(i)]);
-    }
-    std::vector<std::uint64_t> succ(n, algo::kNil), pred(n, algo::kNil);
-    for (std::uint64_t t = 0; t + 1 < n; ++t) {
-      succ[perm[t]] = perm[t + 1];
-      pred[perm[t + 1]] = perm[t];
-    }
+    std::vector<std::uint64_t> succ, pred;
+    algo::link_list(algo::random_list_order(n, rng), succ, pred);
     sched::SimExecutor ex(cfg);
     bench::trace_attach(ex);
     auto sb = ex.make_buf<std::uint64_t>(n);

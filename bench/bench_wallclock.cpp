@@ -29,140 +29,60 @@
 #include <thread>
 #include <vector>
 
-#include "algo/fft.hpp"
-#include "algo/gep.hpp"
-#include "algo/graphgen.hpp"
-#include "algo/scan.hpp"
-#include "algo/sort.hpp"
-#include "algo/spmdv.hpp"
-#include "algo/transpose.hpp"
 #include "bench/common.hpp"
 #include "bench/simd_kernel_benches.hpp"
 #include "fault/fault.hpp"
 #include "obs/trace.hpp"
 #include "sched/native_executor.hpp"
-#include "util/rng.hpp"
 #include "util/simd.hpp"
+#include "workload/workloads.hpp"
 
 using namespace obliv;
 
 namespace {
 
 using Exec = sched::NativeExecutor;
-using Mat = sched::MatView<sched::NatRef<double>>;
 
 struct Workload {
   std::string name;
-  std::uint64_t n;
-  // Binds one timed run to `ex`.  Buffers are allocated ONCE per workload
-  // (captured by the factory) and shared by every (backend, threads) cell:
+  // One input per workload, shared by every (backend, threads) cell:
   // per-cell allocations would give each cell its own page-placement /
   // hugepage luck -- a bias that sticks for the whole run and that no
   // amount of repetition averages out of a cross-cell comparison.
-  std::function<std::function<void()>(Exec&)> make;
+  std::shared_ptr<workload::Instance<Exec>> inst;
+
+  /// Problem size as reported (rows for spmdv).
+  std::uint64_t n() const { return inst->size(); }
+
+  /// One run on `ex`, timed; the input is restored first, untimed.
+  double time_on(Exec& ex) const {
+    inst->reset();
+    return bench::time_once_ns([&] { inst->run(ex); });
+  }
 };
 
 std::vector<Workload> workloads(bool smoke) {
+  struct Row {
+    const char* name;
+    workload::Kind kind;
+    std::uint64_t smoke_n, n, seed;
+  };
+  constexpr Row kRows[] = {
+      {"scan", workload::Kind::kScan, 1u << 16, 1u << 20, 1},
+      {"transpose", workload::Kind::kTranspose, 256, 1024, 2},
+      {"matmul", workload::Kind::kMatmul, 64, 128, 3},
+      {"sort", workload::Kind::kSort, 1u << 12, 1u << 16, 4},
+      {"fft", workload::Kind::kFft, 1u << 12, 1u << 16, 5},
+      {"igep-fw", workload::Kind::kGep, 48, 128, 6},
+      {"spmdv", workload::Kind::kSpmdv, 32, 128, 7},  // grid side
+  };
+  // Buffers are plain memory, so any executor can allocate them and any
+  // pool can run them.
+  Exec alloc(1);
   std::vector<Workload> w;
-  {
-    const std::uint64_t n = smoke ? 1u << 16 : 1u << 20;
-    auto buf = std::make_shared<sched::NatBuf<double>>(n);
-    auto scratch = std::make_shared<sched::NatBuf<double>>(n);
-    util::Xoshiro256 rng(1);
-    for (auto& v : buf->raw()) v = rng.uniform();
-    // In-place scans compound across repetitions (values eventually reach
-    // inf); x86 adds run at full speed regardless, so timings are unbiased.
-    w.push_back({"scan", n, [buf, scratch](Exec& ex) {
-                   return std::function<void()>([&ex, buf, scratch] {
-                     algo::mo_scan_inclusive(ex, buf->ref(), scratch->ref(),
-                                             [](double a, double b) {
-                                               return a + b;
-                                             });
-                   });
-                 }});
-  }
-  {
-    const std::uint64_t n = smoke ? 256 : 1024;
-    auto a = std::make_shared<sched::NatBuf<double>>(n * n);
-    auto out = std::make_shared<sched::NatBuf<double>>(n * n);
-    util::Xoshiro256 rng(2);
-    for (auto& v : a->raw()) v = rng.uniform();
-    w.push_back({"transpose", n, [a, out, n](Exec& ex) {
-                   return std::function<void()>([&ex, a, out, n] {
-                     algo::mo_transpose(ex, a->ref(), out->ref(), n);
-                   });
-                 }});
-  }
-  {
-    const std::uint64_t n = smoke ? 64 : 128;
-    auto c = std::make_shared<sched::NatBuf<double>>(n * n);
-    auto a = std::make_shared<sched::NatBuf<double>>(n * n);
-    auto b = std::make_shared<sched::NatBuf<double>>(n * n);
-    util::Xoshiro256 rng(3);
-    for (auto& v : a->raw()) v = rng.uniform();
-    for (auto& v : b->raw()) v = rng.uniform();
-    w.push_back({"matmul", n, [a, b, c, n](Exec& ex) {
-                   return std::function<void()>([&ex, a, b, c, n] {
-                     algo::mo_matmul(ex, Mat::full(c->ref(), n, n),
-                                     Mat::full(a->ref(), n, n),
-                                     Mat::full(b->ref(), n, n), 32);
-                   });
-                 }});
-  }
-  {
-    const std::uint64_t n = smoke ? 1u << 12 : 1u << 16;
-    auto buf = std::make_shared<sched::NatBuf<std::uint64_t>>(n);
-    w.push_back({"sort", n, [buf](Exec& ex) {
-                   return std::function<void()>([&ex, buf] {
-                     util::Xoshiro256 rng(4);
-                     for (auto& v : buf->raw()) v = rng();
-                     algo::spms_sort(ex, buf->ref());
-                   });
-                 }});
-  }
-  {
-    const std::uint64_t n = smoke ? 1u << 12 : 1u << 16;
-    auto buf = std::make_shared<sched::NatBuf<algo::cplx>>(n);
-    w.push_back({"fft", n, [buf](Exec& ex) {
-                   return std::function<void()>([&ex, buf] {
-                     util::Xoshiro256 rng(5);
-                     for (auto& v : buf->raw()) {
-                       v = algo::cplx(rng.uniform(), 0.0);
-                     }
-                     algo::mo_fft(ex, buf->ref());
-                   });
-                 }});
-  }
-  {
-    const std::uint64_t n = smoke ? 48 : 128;
-    auto x = std::make_shared<sched::NatBuf<double>>(n * n);
-    w.push_back({"igep-fw", n, [x, n](Exec& ex) {
-                   return std::function<void()>([&ex, x, n] {
-                     util::Xoshiro256 rng(6);
-                     for (auto& v : x->raw()) v = rng.uniform() + 0.01;
-                     algo::igep<algo::FloydWarshallInstance>(
-                         ex, Mat::full(x->ref(), n, n));
-                   });
-                 }});
-  }
-  {
-    const std::uint64_t side = smoke ? 32 : 128;
-    auto m = std::make_shared<algo::SparseMatrix>(
-        algo::grid_matrix_reordered(side));
-    auto av = std::make_shared<sched::NatBuf<algo::SpmEntry>>(m->nnz());
-    auto a0 = std::make_shared<sched::NatBuf<std::uint64_t>>(m->n + 1);
-    auto xv = std::make_shared<sched::NatBuf<double>>(m->n);
-    auto yv = std::make_shared<sched::NatBuf<double>>(m->n);
-    av->raw() = m->av;
-    a0->raw() = m->a0;
-    util::Xoshiro256 rng(7);
-    for (auto& v : xv->raw()) v = rng.uniform();
-    w.push_back({"spmdv", m->n, [av, a0, xv, yv](Exec& ex) {
-                   return std::function<void()>([&ex, av, a0, xv, yv] {
-                     algo::mo_spmdv(ex, av->ref(), a0->ref(), xv->ref(),
-                                    yv->ref());
-                   });
-                 }});
+  for (const Row& r : kRows) {
+    w.push_back({r.name, std::make_shared<workload::Instance<Exec>>(
+                             alloc, r.kind, smoke ? r.smoke_n : r.n, r.seed)});
   }
   return w;
 }
@@ -184,11 +104,10 @@ int trace_overhead(bool smoke, int reps, const std::string& trace_path) {
   bool wrote = false;
   for (const auto& w : workloads(smoke)) {
     Exec ex(kCheckThreads, 1 << 12, sched::SchedMode::kWorkSteal);
-    auto run = w.make(ex);
     obs::Tracer tracer(kCheckThreads);
-    g.check(w.name, bench::timed(run), [&] {
+    g.check(w.name, [&] { return w.time_on(ex); }, [&] {
       ex.set_tracer(&tracer);
-      const double ns = bench::time_once_ns(run);
+      const double ns = w.time_on(ex);
       ex.set_tracer(nullptr);
       return ns;
     });
@@ -227,10 +146,9 @@ int hist_off_check(bool smoke, int reps) {
   tracer.set_events_enabled(false);
   for (const auto& w : workloads(smoke)) {
     Exec ex(kCheckThreads, 1 << 12, sched::SchedMode::kWorkSteal);
-    auto run = w.make(ex);
-    g.check(w.name, bench::timed(run), [&] {
+    g.check(w.name, [&] { return w.time_on(ex); }, [&] {
       ex.set_tracer(&tracer);
-      const double ns = bench::time_once_ns(run);
+      const double ns = w.time_on(ex);
       ex.set_tracer(nullptr);
       return ns;
     });
@@ -262,10 +180,9 @@ int fault_off_check(bool smoke, int reps) {
   fault::FaultPlan inert(1, fault::FaultOptions::inert());
   for (const auto& w : workloads(smoke)) {
     Exec ex(kCheckThreads, 1 << 12, sched::SchedMode::kWorkSteal);
-    auto run = w.make(ex);
-    g.check(w.name, bench::timed(run), [&] {
+    g.check(w.name, [&] { return w.time_on(ex); }, [&] {
       ex.set_fault_plan(&inert);
-      const double ns = bench::time_once_ns(run);
+      const double ns = w.time_on(ex);
       ex.set_fault_plan(nullptr);
       return ns;
     });
@@ -356,11 +273,10 @@ int simd_off_check(bool smoke, int reps) {
               simd::kSimdCompiledIn ? "in" : "out");
   for (const auto& w : workloads(smoke)) {
     Exec ex(kCheckThreads, 1 << 12, sched::SchedMode::kWorkSteal);
-    auto run = w.make(ex);
     auto in_mode = [&](simd::Mode mode) {
-      return [&run, mode] {
+      return [&w, &ex, mode] {
         simd::ScopedMode m(mode);
-        return bench::time_once_ns(run);
+        return w.time_on(ex);
       };
     };
     g.check(w.name, in_mode(simd::Mode::kGeneric), in_mode(simd::Mode::kScalar));
@@ -446,17 +362,14 @@ int main(int argc, char** argv) {
       unsigned threads;
       std::size_t backend;
       std::unique_ptr<Exec> ex;
-      std::function<void()> run;
       double best_ns = 0.0;
     };
     std::vector<Cell> cells;
     for (unsigned threads : thread_counts) {
       for (std::size_t bi = 0; bi < backends.size(); ++bi) {
         Cell c{threads, bi,
-               std::make_unique<Exec>(threads, 1 << 12, backends[bi].second),
-               {}};
-        c.run = w.make(*c.ex);
-        c.run();  // warm-up
+               std::make_unique<Exec>(threads, 1 << 12, backends[bi].second)};
+        w.time_on(*c.ex);  // warm-up
         cells.push_back(std::move(c));
       }
     }
@@ -466,7 +379,7 @@ int main(int argc, char** argv) {
       // constant (and unequal) warm-cache inheritance.
       for (std::size_t k = 0; k < cells.size(); ++k) {
         Cell& c = cells[r % 2 == 0 ? k : cells.size() - 1 - k];
-        const double ns = bench::time_once_ns(c.run);
+        const double ns = w.time_on(*c.ex);
         if (r == 0 || ns < c.best_ns) c.best_ns = ns;
       }
     }
@@ -481,14 +394,14 @@ int main(int argc, char** argv) {
       for (std::size_t bi = 0; bi < backends.size(); ++bi) {
         for (const auto& c : cells) {
           if (c.threads != threads || c.backend != bi) continue;
-          json.add(w.name, backends[bi].first, threads, w.n, c.best_ns, reps);
+          json.add(w.name, backends[bi].first, threads, w.n(), c.best_ns, reps);
           row.push_back(util::Table::fmt(c.best_ns, "%.0f"));
           row.push_back(util::Table::fmt(base[bi] / c.best_ns, "%.3f"));
         }
       }
       t.add_row(std::move(row));
     }
-    std::cout << "\n-- " << w.name << " (n=" << w.n << ") --\n";
+    std::cout << "\n-- " << w.name << " (n=" << w.n() << ") --\n";
     t.print(std::cout);
   }
   simd_kernel_section(smoke, smoke ? 2 : std::max(reps, 7), json);

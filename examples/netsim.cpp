@@ -9,10 +9,10 @@
 #include <algorithm>
 #include <iostream>
 #include <limits>
-#include <numeric>
 #include <vector>
 
 #include "algo/gep.hpp"
+#include "algo/graphgen.hpp"
 #include "no/colsort.hpp"
 #include "no/ngep.hpp"
 #include "no/wrappers.hpp"
@@ -68,16 +68,9 @@ int main() {
   // --- NO-LR: list ranking with evenly distributed nodes. ---
   {
     const std::uint64_t n = 4096;
-    std::vector<std::uint64_t> perm(n);
-    std::iota(perm.begin(), perm.end(), 0);
-    for (std::uint64_t i = n; i > 1; --i) {
-      std::swap(perm[i - 1], perm[rng.below(i)]);
-    }
-    std::vector<std::uint64_t> succ(n, algo::kNil), pred(n, algo::kNil);
-    for (std::uint64_t t = 0; t + 1 < n; ++t) {
-      succ[perm[t]] = perm[t + 1];
-      pred[perm[t + 1]] = perm[t];
-    }
+    const std::vector<std::uint64_t> perm = algo::random_list_order(n, rng);
+    std::vector<std::uint64_t> succ, pred;
+    algo::link_list(perm, succ, pred);
     no::NoMachine mach(16, {{16, 4}});
     const auto rank = no::no_list_rank(mach, succ, pred);
     std::cout << "NO-LR on " << n << " nodes: head rank = " << rank[perm[0]]

@@ -1,6 +1,7 @@
 // Workload generators for the SpM-DV and graph experiments: sparse matrices
 // whose support graphs satisfy edge separator theorems, and the separator
-// tree reordering Theorem 4 assumes.
+// tree reordering Theorem 4 assumes, plus random linked lists for list
+// ranking.
 //
 //   * 2-D grid (mesh) graphs satisfy an n^(1/2)-edge separator theorem
 //     (eps = 1/2), with the separator realized by alternating-axis geometric
@@ -29,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "algo/listrank.hpp"
 #include "algo/spmdv.hpp"
 #include "fault/status.hpp"
 #include "util/rng.hpp"
@@ -371,6 +373,36 @@ inline SparseMatrix random_matrix(std::uint64_t n, std::uint64_t per_row = 4,
     }
   }
   return matrix_from_triples(n, triples);
+}
+
+// ---------------------------------------------------------------------------
+// Random linked lists (list ranking inputs).
+// ---------------------------------------------------------------------------
+
+/// The node visited t-th by a uniformly random list over n nodes, for t in
+/// [0, n): a Fisher-Yates shuffle of 0..n-1 that draws rng.below(i) for i
+/// from n down to 2.
+inline std::vector<std::uint64_t> random_list_order(std::uint64_t n,
+                                                    util::Xoshiro256& rng) {
+  std::vector<std::uint64_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  for (std::uint64_t i = n; i > 1; --i) {
+    std::swap(order[i - 1], order[rng.below(i)]);
+  }
+  return order;
+}
+
+/// Links the nodes into one list visiting `order` front to back: succ and
+/// pred get order.size() entries each, kNil past either end.
+inline void link_list(const std::vector<std::uint64_t>& order,
+                      std::vector<std::uint64_t>& succ,
+                      std::vector<std::uint64_t>& pred) {
+  succ.assign(order.size(), kNil);
+  pred.assign(order.size(), kNil);
+  for (std::uint64_t t = 0; t + 1 < order.size(); ++t) {
+    succ[order[t]] = order[t + 1];
+    pred[order[t + 1]] = order[t];
+  }
 }
 
 }  // namespace obliv::algo

@@ -20,6 +20,7 @@
 #include "fault/fault.hpp"
 #include "sched/views.hpp"
 #include "util/bits.hpp"
+#include "workload/kinds.hpp"
 
 namespace obliv::serve {
 
@@ -54,16 +55,9 @@ std::uint64_t steady_now_ns() {
 }  // namespace
 
 std::string_view family_name(Family f) {
-  switch (f) {
-    case Family::kScan: return "scan";
-    case Family::kSort: return "sort";
-    case Family::kFft: return "fft";
-    case Family::kTranspose: return "transpose";
-    case Family::kGep: return "gep";
-    case Family::kListRank: return "listrank";
-    case Family::kSpmdv: return "spmdv";
-  }
-  return "unknown";
+  return static_cast<std::size_t>(f) < kFamilies
+             ? workload::name(static_cast<workload::Kind>(f))
+             : "unknown";
 }
 
 Family family_of(const Request& req) {
@@ -158,29 +152,23 @@ Status validate(const Request& req) {
 }
 
 std::uint64_t space_estimate_words(const Request& req) {
-  return std::visit(
+  // The request's size argument to S(n) (see workload::space_words).
+  const std::uint64_t n = std::visit(
       Overloaded{
-          [](const ScanRequest& r) -> std::uint64_t {
-            return 2 * r.data.size();
-          },
-          [](const SortRequest& r) -> std::uint64_t {
-            return 4 * r.keys.size();
-          },
-          [](const FftRequest& r) -> std::uint64_t {
-            return 6 * r.data.size();  // 3n complex elements, 2 words each
-          },
-          [](const TransposeRequest& r) -> std::uint64_t {
-            return 3 * r.n * r.n;
-          },
-          [](const GepRequest& r) -> std::uint64_t { return r.n * r.n; },
+          [](const ScanRequest& r) -> std::uint64_t { return r.data.size(); },
+          [](const SortRequest& r) -> std::uint64_t { return r.keys.size(); },
+          [](const FftRequest& r) -> std::uint64_t { return r.data.size(); },
+          [](const TransposeRequest& r) -> std::uint64_t { return r.n; },
+          [](const GepRequest& r) -> std::uint64_t { return r.n; },
           [](const ListRankRequest& r) -> std::uint64_t {
-            return 8 * r.succ.size();
+            return r.succ.size();
           },
-          [](const SpmdvRequest& r) -> std::uint64_t {
-            return 4 * r.y.size() + 2 * r.av.size();
-          },
+          [](const SpmdvRequest& r) -> std::uint64_t { return r.y.size(); },
       },
       req);
+  const auto* spmdv = std::get_if<SpmdvRequest>(&req);
+  return workload::space_words(static_cast<workload::Kind>(family_of(req)), n,
+                               spmdv != nullptr ? spmdv->av.size() : 0);
 }
 
 namespace {

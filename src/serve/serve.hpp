@@ -96,39 +96,37 @@ std::string_view family_name(Family f);
 // reports completion; results are written in place, exactly as the direct
 // algorithm entry points do.
 
-/// In-place inclusive prefix sum over int64 (Sec III-A).  S(n) = 2n.
+/// In-place inclusive prefix sum over int64 (Sec III-A).
 struct ScanRequest {
   sched::NatRef<std::int64_t> data;
 };
 
-/// SPMS sort of uint64 keys, ascending (Thm 3-5).  S(n) = 4n.
+/// SPMS sort of uint64 keys, ascending (Thm 3-5).
 struct SortRequest {
   sched::NatRef<std::uint64_t> keys;
 };
 
-/// In-place MO-FFT (Thm 2); size must be a power of two.  S(n) = 6n words
-/// (3n complex elements of 2 words each).
+/// In-place MO-FFT (Thm 2); size must be a power of two.
 struct FftRequest {
   sched::NatRef<algo::cplx> data;
 };
 
 /// Out-of-place MO-MT transposition of an n x n matrix (Thm 1); n must be
-/// a power of two and `in`/`out` may not alias.  S(n) = 3n^2.
+/// a power of two and `in`/`out` may not alias.
 struct TransposeRequest {
   sched::NatRef<double> in;
   sched::NatRef<double> out;
   std::uint64_t n = 0;  ///< matrix side
 };
 
-/// In-place I-GEP Floyd-Warshall over an n x n matrix (Sec IV).  S = n^2.
+/// In-place I-GEP Floyd-Warshall over an n x n matrix (Sec IV).
 struct GepRequest {
   sched::NatRef<double> matrix;
   std::uint64_t n = 0;  ///< matrix side
 };
 
 /// MO-LR list ranking (Thm 7): succ/pred use algo::kNil as terminators,
-/// dist receives the rank.  All three the same length.  S(n) ~= 8n (the
-/// recursion's internal scratch dominates the three caller arrays).
+/// dist receives the rank.  All three the same length.
 struct ListRankRequest {
   sched::NatRef<std::uint64_t> succ;
   sched::NatRef<std::uint64_t> pred;
@@ -136,7 +134,7 @@ struct ListRankRequest {
 };
 
 /// SpM-DV y = A*x in the paper's (A_v, A_0) separator-reordered layout
-/// (Sec V).  a0 holds y.size()+1 row offsets into av.  S = 4n + 2*nnz.
+/// (Sec V).  a0 holds y.size()+1 row offsets into av.
 struct SpmdvRequest {
   sched::NatRef<algo::SpmEntry> av;
   sched::NatRef<std::uint64_t> a0;
@@ -157,8 +155,9 @@ Family family_of(const Request& req);
 Status validate(const Request& req);
 
 /// The admission-control working-set estimate: the family's SB space bound
-/// S(n) in words, evaluated for this request's size.  Deterministic and
-/// cheap (no data access), so clients can predict admission behavior.
+/// S(n) in words (workload::space_words in workload/kinds.hpp), evaluated
+/// for this request's size.  Deterministic and cheap (no data access), so
+/// clients can predict admission behavior.
 std::uint64_t space_estimate_words(const Request& req);
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@
 // simulator, their cache-miss counters) are properties of the algorithm and
 // the machine, not of the schedule.  This harness turns that into an
 // executable claim -- for N seeded fault plans it runs every algorithm
-// (scan, transpose, FFT, sort, I-GEP, list ranking, N-GEP) under
+// (the eight registry kinds of workload/workloads.hpp, plus N-GEP) under
 // adversarial scheduling chaos (perturbed steal victims, inverted pop
 // order, worker stalls, dropped wake-ups) and asserts the output is
 // bit-identical to the fault-free run; on the simulator it additionally
@@ -36,12 +36,7 @@
 #include <tuple>
 #include <vector>
 
-#include "algo/fft.hpp"
 #include "algo/gep.hpp"
-#include "algo/listrank.hpp"
-#include "algo/scan.hpp"
-#include "algo/sort.hpp"
-#include "algo/transpose.hpp"
 #include "fault/crash_dump.hpp"
 #include "fault/fault.hpp"
 #include "fault/status.hpp"
@@ -54,6 +49,7 @@
 #include "sched/sim_executor.hpp"
 #include "sched/views.hpp"
 #include "util/rng.hpp"
+#include "workload/workloads.hpp"
 
 namespace {
 
@@ -90,31 +86,35 @@ std::string repro(std::uint64_t seed) {
 // Native fuzz: results must be bit-identical under any chaos schedule
 // ---------------------------------------------------------------------------
 
-/// Runs `workload` on a fresh 4-worker work-stealing executor with `plan`
-/// attached (nullptr = fault-free reference).  A small grain forces real
-/// forking even at fuzz-sized inputs.
-template <class Workload>
-auto run_native(fault::FaultPlan* plan, Workload&& workload) {
+/// Runs registry instance (kind, n, seed) on a fresh 4-worker work-stealing
+/// executor with `plan` attached (nullptr = fault-free reference) and
+/// returns its output bytes.  A small grain forces real forking even at
+/// fuzz-sized inputs.
+std::vector<std::byte> run_native(fault::FaultPlan* plan, workload::Kind kind,
+                                  std::uint64_t n, std::uint64_t seed) {
   sched::NativeExecutor ex(4, /*sequential_grain_words=*/128,
                            sched::SchedMode::kWorkSteal);
+  workload::Instance<sched::NativeExecutor> inst(ex, kind, n, seed);
   ex.set_fault_plan(plan);
-  auto out = workload(ex);
+  inst.run(ex);
   ex.set_fault_plan(nullptr);
-  return out;
+  EXPECT_TRUE(inst.check()) << workload::name(kind);
+  return {inst.output().begin(), inst.output().end()};
 }
 
 /// The fuzz loop shared by all native algorithm tests: baseline without a
-/// plan, then every seed under full chaos, asserting bit-identical output.
-template <class Workload>
-void fuzz_native(Workload&& workload) {
+/// plan, then every seed under full chaos, asserting bit-identical output
+/// (floating point included: every output element's arithmetic DAG is
+/// fixed by the algorithm, whatever the schedule).
+void fuzz_native(workload::Kind kind, std::uint64_t n, std::uint64_t seed) {
   if (!fault::kFaultsCompiledIn) {
     GTEST_SKIP() << "fault injection compiled out (OBLIV_FAULTS=OFF)";
   }
-  const auto baseline = run_native(nullptr, workload);
-  for (const std::uint64_t seed : fuzz_seeds()) {
-    fault::FaultPlan plan(seed, fault::FaultOptions::chaos());
-    const auto out = run_native(&plan, workload);
-    ASSERT_EQ(baseline, out) << repro(seed);
+  const auto baseline = run_native(nullptr, kind, n, seed);
+  for (const std::uint64_t fault_seed : fuzz_seeds()) {
+    fault::FaultPlan plan(fault_seed, fault::FaultOptions::chaos());
+    const auto out = run_native(&plan, kind, n, seed);
+    ASSERT_EQ(baseline, out) << repro(fault_seed);
     // The plan must actually have been consulted -- a silent disconnect
     // would make this whole harness vacuous.
     EXPECT_GT(plan.decisions(), 0u) << "fault plan was never consulted";
@@ -122,88 +122,35 @@ void fuzz_native(Workload&& workload) {
 }
 
 TEST(FaultFuzz, NativeScan) {
-  fuzz_native([](sched::NativeExecutor& ex) {
-    const std::size_t n = 4096;
-    auto buf = ex.make_buf<std::int64_t>(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      buf.raw()[i] = static_cast<std::int64_t>(i % 97) - 11;
-    }
-    algo::mo_prefix_sum(ex, buf.ref());
-    return buf.raw();
-  });
+  fuzz_native(workload::Kind::kScan, 4096, 97);
 }
 
 TEST(FaultFuzz, NativeTranspose) {
-  fuzz_native([](sched::NativeExecutor& ex) {
-    const std::uint64_t n = 64;  // MO-MT's Morton map needs a power of two
-    auto a = ex.make_buf<double>(n * n);
-    auto out = ex.make_buf<double>(n * n);
-    for (std::size_t i = 0; i < n * n; ++i) {
-      a.raw()[i] = static_cast<double>(i) * 0.5 - 3.0;
-    }
-    algo::mo_transpose(ex, a.ref(), out.ref(), n);
-    return out.raw();
-  });
+  fuzz_native(workload::Kind::kTranspose, 64, 3);
 }
 
 TEST(FaultFuzz, NativeFft) {
-  fuzz_native([](sched::NativeExecutor& ex) {
-    const std::size_t n = 256;
-    auto buf = ex.make_buf<algo::cplx>(n);
-    util::Xoshiro256 rng(4242);
-    for (auto& v : buf.raw()) v = algo::cplx(rng.uniform(), rng.uniform());
-    algo::mo_fft(ex, buf.ref());
-    // Bit-identical complex doubles: every output element's arithmetic DAG
-    // is fixed by the algorithm, so even floating point must match exactly.
-    return buf.raw();
-  });
+  fuzz_native(workload::Kind::kFft, 256, 4242);
 }
 
 TEST(FaultFuzz, NativeSort) {
-  fuzz_native([](sched::NativeExecutor& ex) {
-    const std::size_t n = 2048;
-    auto buf = ex.make_buf<std::uint64_t>(n);
-    util::Xoshiro256 rng(777);
-    for (auto& v : buf.raw()) v = rng();
-    algo::spms_sort(ex, buf.ref());
-    return buf.raw();
-  });
+  fuzz_native(workload::Kind::kSort, 2048, 777);
 }
 
 TEST(FaultFuzz, NativeGep) {
-  fuzz_native([](sched::NativeExecutor& ex) {
-    const std::uint64_t n = 24;
-    auto buf = ex.make_buf<double>(n * n);
-    util::Xoshiro256 rng(999);
-    for (auto& v : buf.raw()) v = rng.uniform();
-    using Mat = sched::MatView<sched::NatRef<double>>;
-    algo::igep<algo::FloydWarshallInstance>(ex, Mat::full(buf.ref(), n, n));
-    return buf.raw();
-  });
+  fuzz_native(workload::Kind::kGep, 24, 999);
 }
 
 TEST(FaultFuzz, NativeListRank) {
-  fuzz_native([](sched::NativeExecutor& ex) {
-    const std::uint64_t n = 512;
-    // A list in scrambled memory order (the interesting case for MO-LR).
-    std::vector<std::uint64_t> perm(n);
-    for (std::uint64_t i = 0; i < n; ++i) perm[i] = i;
-    util::Xoshiro256 rng(31337);
-    for (std::uint64_t i = n - 1; i > 0; --i) {
-      std::swap(perm[i], perm[rng() % (i + 1)]);
-    }
-    auto sb = ex.make_buf<std::uint64_t>(n);
-    auto pb = ex.make_buf<std::uint64_t>(n);
-    auto db = ex.make_buf<std::uint64_t>(n);
-    sb.raw().assign(n, algo::kNil);
-    pb.raw().assign(n, algo::kNil);
-    for (std::uint64_t t = 0; t + 1 < n; ++t) {
-      sb.raw()[perm[t]] = perm[t + 1];
-      pb.raw()[perm[t + 1]] = perm[t];
-    }
-    algo::mo_list_rank(ex, sb.ref(), pb.ref(), db.ref());
-    return db.raw();
-  });
+  fuzz_native(workload::Kind::kListRank, 512, 31337);
+}
+
+TEST(FaultFuzz, NativeSpmdv) {
+  fuzz_native(workload::Kind::kSpmdv, 24, 2024);  // grid side
+}
+
+TEST(FaultFuzz, NativeMatmul) {
+  fuzz_native(workload::Kind::kMatmul, 32, 11);
 }
 
 // ---------------------------------------------------------------------------
@@ -255,11 +202,9 @@ TEST(FaultFuzz, SimCountersInvariantUnderAttachedPlan) {
     push(golden::run_gep(cfg, 16));
     // FFT on the simulator (not part of the golden sweep).
     sched::SimExecutor ex(cfg);
-    auto buf = ex.make_buf<algo::cplx>(256);
-    util::Xoshiro256 rng(8080);
-    for (auto& v : buf.raw()) v = algo::cplx(rng.uniform(), rng.uniform());
-    const auto m = ex.run(4 * 256, [&] { algo::mo_fft(ex, buf.ref()); });
-    golden::flatten(ex, m, flat);
+    workload::Instance<sched::SimExecutor> fft(ex, workload::Kind::kFft, 256,
+                                               8080);
+    golden::flatten(ex, fft.run(ex), flat);
     return flat;
   };
   const auto baseline = sweep();

@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <vector>
 
+#include "algo/graphgen.hpp"
 #include "hm/config.hpp"
 #include "sched/native_executor.hpp"
 #include "sched/sim_executor.hpp"
@@ -22,24 +22,12 @@ struct ListInstance {
 };
 
 ListInstance random_list(std::uint64_t n, std::uint64_t seed) {
-  // Random permutation = order of the list's nodes in memory.
-  std::vector<std::uint64_t> perm(n);
-  std::iota(perm.begin(), perm.end(), 0);
   util::Xoshiro256 rng(seed);
-  for (std::uint64_t i = n; i > 1; --i) {
-    std::swap(perm[i - 1], perm[rng.below(i)]);
-  }
+  const std::vector<std::uint64_t> order = random_list_order(n, rng);
   ListInstance li;
-  li.succ.assign(n, kNil);
-  li.pred.assign(n, kNil);
+  link_list(order, li.succ, li.pred);
   li.rank.assign(n, 0);
-  for (std::uint64_t t = 0; t < n; ++t) {
-    li.rank[perm[t]] = n - 1 - t;  // distance from end
-    if (t + 1 < n) {
-      li.succ[perm[t]] = perm[t + 1];
-      li.pred[perm[t + 1]] = perm[t];
-    }
-  }
+  for (std::uint64_t t = 0; t < n; ++t) li.rank[order[t]] = n - 1 - t;
   return li;
 }
 

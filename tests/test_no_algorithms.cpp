@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <vector>
 
 #include "algo/fft.hpp"
 #include "algo/gep.hpp"
+#include "algo/graphgen.hpp"
 #include "no/colsort.hpp"
 #include "no/fft.hpp"
 #include "no/ngep.hpp"
@@ -249,22 +249,11 @@ TEST(NoWrappers, PrefixSumCorrect) {
 
 TEST(NoWrappers, ListRankCorrect) {
   const std::uint64_t n = 2000;
-  // Random-order list.
-  std::vector<std::uint64_t> perm(n);
-  std::iota(perm.begin(), perm.end(), 0);
   util::Xoshiro256 rng(12);
-  for (std::uint64_t i = n; i > 1; --i) {
-    std::swap(perm[i - 1], perm[rng.below(i)]);
-  }
-  std::vector<std::uint64_t> succ(n, algo::kNil), pred(n, algo::kNil),
-      expect(n);
-  for (std::uint64_t t = 0; t < n; ++t) {
-    expect[perm[t]] = n - 1 - t;
-    if (t + 1 < n) {
-      succ[perm[t]] = perm[t + 1];
-      pred[perm[t + 1]] = perm[t];
-    }
-  }
+  const std::vector<std::uint64_t> order = algo::random_list_order(n, rng);
+  std::vector<std::uint64_t> succ, pred, expect(n);
+  algo::link_list(order, succ, pred);
+  for (std::uint64_t t = 0; t < n; ++t) expect[order[t]] = n - 1 - t;
   NoMachine mach(8, {{8, 4}});
   EXPECT_EQ(no_list_rank(mach, succ, pred), expect);
 }

@@ -25,6 +25,7 @@
 
 #include "algo/gep.hpp"
 #include "algo/graph.hpp"
+#include "algo/graphgen.hpp"
 #include "algo/listrank.hpp"
 #include "no/colsort.hpp"
 #include "no/fft.hpp"
@@ -71,16 +72,9 @@ Snapshot snapshot(const NoMachine& m) {
 
 std::vector<std::uint64_t> random_list(std::uint64_t n, std::uint64_t seed,
                                        std::vector<std::uint64_t>& pred) {
-  std::vector<std::uint64_t> perm(n);
-  std::iota(perm.begin(), perm.end(), 0);
   util::Xoshiro256 rng(seed);
-  for (std::uint64_t i = n; i > 1; --i) std::swap(perm[i - 1], perm[rng.below(i)]);
-  std::vector<std::uint64_t> succ(n, algo::kNil);
-  pred.assign(n, algo::kNil);
-  for (std::uint64_t t = 0; t + 1 < n; ++t) {
-    succ[perm[t]] = perm[t + 1];
-    pred[perm[t + 1]] = perm[t];
-  }
+  std::vector<std::uint64_t> succ;
+  algo::link_list(algo::random_list_order(n, rng), succ, pred);
   return succ;
 }
 

@@ -27,14 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "algo/fft.hpp"
-#include "algo/gep.hpp"
-#include "algo/graphgen.hpp"
-#include "algo/listrank.hpp"
-#include "algo/scan.hpp"
-#include "algo/sort.hpp"
-#include "algo/spmdv.hpp"
-#include "algo/transpose.hpp"
 #include "fault/fault.hpp"
 #include "hm/cache_sim.hpp"
 #include "hm/config.hpp"
@@ -42,8 +34,7 @@
 #include "hm/trace.hpp"
 #include "obs/trace.hpp"
 #include "sched/sim_executor.hpp"
-#include "sched/views.hpp"
-#include "util/rng.hpp"
+#include "workload/workloads.hpp"
 
 namespace {
 
@@ -72,97 +63,27 @@ std::string repro(std::uint64_t seed) {
 }
 
 // ---------------------------------------------------------------------------
-// Workloads (bodies mirror test_fault_fuzz's sizes and seeds)
+// Workloads (registry instances; sizes and seeds mirror test_fault_fuzz)
 // ---------------------------------------------------------------------------
-
-using WorkloadFn = void (*)(sched::SimExecutor&);
-
-void wl_scan(sched::SimExecutor& ex) {
-  const std::size_t n = 4096;
-  auto buf = ex.make_buf<std::int64_t>(n);
-  for (std::size_t i = 0; i < n; ++i) buf.raw()[i] = std::int64_t(i % 97);
-  ex.run(2 * n, [&] { algo::mo_prefix_sum(ex, buf.ref()); });
-}
-
-void wl_transpose(sched::SimExecutor& ex) {
-  const std::uint64_t n = 32;
-  auto a = ex.make_buf<double>(n * n);
-  auto out = ex.make_buf<double>(n * n);
-  for (std::size_t i = 0; i < n * n; ++i) a.raw()[i] = double(i);
-  ex.run(3 * n * n, [&] { algo::mo_transpose(ex, a.ref(), out.ref(), n); });
-}
-
-void wl_fft(sched::SimExecutor& ex) {
-  const std::size_t n = 256;
-  auto buf = ex.make_buf<algo::cplx>(n);
-  util::Xoshiro256 rng(4242);
-  for (auto& v : buf.raw()) v = algo::cplx(rng.uniform(), rng.uniform());
-  ex.run(4 * n, [&] { algo::mo_fft(ex, buf.ref()); });
-}
-
-void wl_sort(sched::SimExecutor& ex) {
-  const std::size_t n = 1024;
-  auto buf = ex.make_buf<std::uint64_t>(n);
-  util::Xoshiro256 rng(777);
-  for (auto& v : buf.raw()) v = rng();
-  ex.run(4 * n, [&] { algo::spms_sort(ex, buf.ref()); });
-}
-
-void wl_gep(sched::SimExecutor& ex) {
-  const std::uint64_t n = 24;
-  auto buf = ex.make_buf<double>(n * n);
-  util::Xoshiro256 rng(999);
-  for (auto& v : buf.raw()) v = rng.uniform();
-  using Mat = sched::MatView<sched::SimRef<double>>;
-  ex.run(n * n, [&] {
-    algo::igep<algo::FloydWarshallInstance>(ex, Mat::full(buf.ref(), n, n));
-  });
-}
-
-void wl_listrank(sched::SimExecutor& ex) {
-  const std::uint64_t n = 512;
-  std::vector<std::uint64_t> perm(n);
-  for (std::uint64_t i = 0; i < n; ++i) perm[i] = i;
-  util::Xoshiro256 rng(31337);
-  for (std::uint64_t i = n - 1; i > 0; --i) {
-    std::swap(perm[i], perm[rng() % (i + 1)]);
-  }
-  auto sb = ex.make_buf<std::uint64_t>(n);
-  auto pb = ex.make_buf<std::uint64_t>(n);
-  auto db = ex.make_buf<std::uint64_t>(n);
-  sb.raw().assign(n, algo::kNil);
-  pb.raw().assign(n, algo::kNil);
-  for (std::uint64_t t = 0; t + 1 < n; ++t) {
-    sb.raw()[perm[t]] = perm[t + 1];
-    pb.raw()[perm[t + 1]] = perm[t];
-  }
-  ex.run(8 * n, [&] { algo::mo_list_rank(ex, sb.ref(), pb.ref(), db.ref()); });
-}
-
-void wl_spmdv(sched::SimExecutor& ex) {
-  const algo::SparseMatrix a = algo::grid_matrix(8);
-  auto av = ex.make_buf<algo::SpmEntry>(a.nnz());
-  auto a0 = ex.make_buf<std::uint64_t>(a.n + 1);
-  auto xv = ex.make_buf<double>(a.n);
-  auto yv = ex.make_buf<double>(a.n);
-  av.raw() = a.av;
-  a0.raw() = a.a0;
-  util::Xoshiro256 rng(2024);
-  for (auto& v : xv.raw()) v = rng.uniform();
-  ex.run(4 * a.n, [&] {
-    algo::mo_spmdv(ex, av.ref(), a0.ref(), xv.ref(), yv.ref());
-  });
-}
 
 struct Workload {
   const char* name;
-  WorkloadFn fn;
+  workload::Kind kind;
+  std::uint64_t n, seed;
+
+  void run(sched::SimExecutor& ex) const {
+    workload::Instance<sched::SimExecutor>(ex, kind, n, seed).run(ex);
+  }
 };
 
 const Workload kWorkloads[] = {
-    {"scan", wl_scan},     {"transpose", wl_transpose}, {"fft", wl_fft},
-    {"sort", wl_sort},     {"igep", wl_gep},            {"listrank", wl_listrank},
-    {"spmdv", wl_spmdv},
+    {"scan", workload::Kind::kScan, 4096, 97},
+    {"transpose", workload::Kind::kTranspose, 32, 3},
+    {"fft", workload::Kind::kFft, 256, 4242},
+    {"sort", workload::Kind::kSort, 1024, 777},
+    {"igep", workload::Kind::kGep, 24, 999},
+    {"listrank", workload::Kind::kListRank, 512, 31337},
+    {"spmdv", workload::Kind::kSpmdv, 8, 2024},  // grid side
 };
 
 /// Every observable simulator metric of one run, flattened: per-cache full
@@ -171,12 +92,12 @@ const Workload kWorkloads[] = {
 std::vector<std::uint64_t> run_flattened(const hm::MachineConfig& cfg,
                                          hm::PsimMode mode,
                                          std::uint64_t grain,
-                                         WorkloadFn fn) {
+                                         const Workload& w) {
   sched::SimPolicy pol;
   pol.psim = mode;
   pol.psim_epoch_grain = grain;
   sched::SimExecutor ex(cfg, pol);
-  fn(ex);
+  w.run(ex);
   std::vector<std::uint64_t> out;
   const hm::CacheSim& sim = ex.cache_sim();
   for (std::uint32_t lvl = 1; lvl <= cfg.cache_levels(); ++lvl) {
@@ -204,9 +125,9 @@ TEST(PsimFuzz, CountersMatchSerialOracleAllAlgorithms) {
        {hm::MachineConfig::shared_l2(4), hm::MachineConfig::figure1()}) {
     for (const Workload& w : kWorkloads) {
       const auto serial =
-          run_flattened(cfg, hm::PsimMode::kSerial, 0, w.fn);
+          run_flattened(cfg, hm::PsimMode::kSerial, 0, w);
       const auto sharded =
-          run_flattened(cfg, hm::PsimMode::kSharded, 0, w.fn);
+          run_flattened(cfg, hm::PsimMode::kSharded, 0, w);
       EXPECT_EQ(serial, sharded)
           << w.name << " on " << cfg.name()
           << ": sharded counters diverge from the serial oracle";
@@ -219,7 +140,7 @@ TEST(PsimFuzz, RandomEpochGrains) {
   // Serial baselines are mode- and seed-independent: compute them once.
   std::vector<std::vector<std::uint64_t>> baselines;
   for (const Workload& w : kWorkloads) {
-    baselines.push_back(run_flattened(cfg, hm::PsimMode::kSerial, 0, w.fn));
+    baselines.push_back(run_flattened(cfg, hm::PsimMode::kSerial, 0, w));
   }
   for (const std::uint64_t seed : fuzz_seeds()) {
     fault::FaultPlan plan(seed, fault::FaultOptions{});
@@ -228,7 +149,7 @@ TEST(PsimFuzz, RandomEpochGrains) {
       const std::uint64_t grain =
           1 + plan.pick(fault::InjectSite::kStealVictim, 513);
       const auto sharded =
-          run_flattened(cfg, hm::PsimMode::kSharded, grain, kWorkloads[wi].fn);
+          run_flattened(cfg, hm::PsimMode::kSharded, grain, kWorkloads[wi]);
       EXPECT_EQ(baselines[wi], sharded)
           << kWorkloads[wi].name << " with epoch grain " << grain << ": "
           << repro(seed);
@@ -364,7 +285,7 @@ TEST(PsimFuzz, MultiThreadedEngineMatchesOracleOnCapturedTraces) {
     sched::SimExecutor ex(cfg, pol);
     std::vector<hm::TraceEntry> t;
     ex.set_trace(&t);
-    w.fn(ex);
+    w.run(ex);
     traces.emplace_back(w.name, std::move(t));
   }
   std::uint64_t parallel_epochs = 0;
@@ -408,7 +329,7 @@ TEST(PsimFuzz, ObsTraceExportByteIdentical) {
       sched::SimExecutor ex(cfg, pol);
       obs::Tracer tracer;
       ex.set_tracer(&tracer);
-      w.fn(ex);
+      w.run(ex);
       return obs::chrome_trace_json(tracer);
     };
     const std::string serial = trace_of(hm::PsimMode::kSerial, 0);

@@ -15,22 +15,13 @@
 #include <chrono>
 #include <complex>
 #include <cstring>
-#include <numeric>
 #include <vector>
 
-#include "algo/fft.hpp"
-#include "algo/gep.hpp"
-#include "algo/graphgen.hpp"
-#include "algo/listrank.hpp"
-#include "algo/scan.hpp"
-#include "algo/sort.hpp"
-#include "algo/spmdv.hpp"
-#include "algo/transpose.hpp"
 #include "obs/analysis.hpp"
 #include "obs/trace.hpp"
 #include "sched/native_executor.hpp"
-#include "sched/views.hpp"
 #include "util/rng.hpp"
+#include "workload/workloads.hpp"
 
 namespace obliv::serve {
 namespace {
@@ -61,144 +52,50 @@ ServerOptions small_server() {
 // Parity: served == direct, bit for bit, for all seven families
 // ---------------------------------------------------------------------------
 
-TEST(ServeParity, ScanMatchesDirect) {
-  const std::size_t n = 10000;
-  util::Xoshiro256 rng(101);
-  std::vector<std::int64_t> direct(n), served;
-  for (auto& x : direct) x = std::int64_t(rng()) % 1000;
-  served = direct;
-
+/// Serves registry instance (kind, n, seed) and runs its twin directly on
+/// a 2-worker executor: the outputs must match bit for bit and pass the
+/// serial reference check.
+void expect_served_matches_direct(workload::Kind kind, std::uint64_t n,
+                                  std::uint64_t seed) {
   sched::NativeExecutor ex(2);
-  algo::mo_prefix_sum(ex, ref_of(direct));
+  workload::Instance<sched::NativeExecutor> direct(ex, kind, n, seed);
+  workload::Instance<sched::NativeExecutor> served(ex, kind, n, seed);
+  direct.run(ex);
 
   Server srv(small_server());
-  auto h = srv.submit(ScanRequest{ref_of(served)});
+  auto h = srv.submit(served.request());
   ASSERT_TRUE(h.ok()) << h.status().message();
   EXPECT_TRUE(h.value().wait().ok());
-  EXPECT_TRUE(bits_equal(direct, served));
+  EXPECT_TRUE(std::ranges::equal(direct.output(), served.output()));
+  EXPECT_TRUE(served.check());
+}
+
+TEST(ServeParity, ScanMatchesDirect) {
+  expect_served_matches_direct(workload::Kind::kScan, 10000, 101);
 }
 
 TEST(ServeParity, SortMatchesDirect) {
-  const std::size_t n = 20000;
-  util::Xoshiro256 rng(202);
-  std::vector<std::uint64_t> direct(n), served;
-  for (auto& x : direct) x = rng();
-  served = direct;
-
-  sched::NativeExecutor ex(2);
-  algo::spms_sort(ex, ref_of(direct));
-
-  Server srv(small_server());
-  auto h = srv.submit(SortRequest{ref_of(served)});
-  ASSERT_TRUE(h.ok());
-  EXPECT_TRUE(h.value().wait().ok());
-  EXPECT_TRUE(bits_equal(direct, served));
-  EXPECT_TRUE(std::is_sorted(served.begin(), served.end()));
+  expect_served_matches_direct(workload::Kind::kSort, 20000, 202);
 }
 
 TEST(ServeParity, FftMatchesDirect) {
-  const std::size_t n = 1 << 12;
-  util::Xoshiro256 rng(303);
-  std::vector<algo::cplx> direct(n), served;
-  for (auto& x : direct) x = algo::cplx(rng.uniform() - 0.5, rng.uniform());
-  served = direct;
-
-  sched::NativeExecutor ex(2);
-  algo::mo_fft(ex, ref_of(direct));
-
-  Server srv(small_server());
-  auto h = srv.submit(FftRequest{ref_of(served)});
-  ASSERT_TRUE(h.ok());
-  EXPECT_TRUE(h.value().wait().ok());
-  EXPECT_TRUE(bits_equal(direct, served));
+  expect_served_matches_direct(workload::Kind::kFft, 1 << 12, 303);
 }
 
 TEST(ServeParity, TransposeMatchesDirect) {
-  const std::uint64_t n = 64;
-  util::Xoshiro256 rng(404);
-  std::vector<double> in(n * n);
-  for (auto& x : in) x = rng.uniform();
-  std::vector<double> direct(n * n, -1.0), served(n * n, -1.0);
-
-  sched::NativeExecutor ex(2);
-  algo::mo_transpose(ex, ref_of(in), ref_of(direct), n);
-
-  Server srv(small_server());
-  auto h = srv.submit(TransposeRequest{ref_of(in), ref_of(served), n});
-  ASSERT_TRUE(h.ok());
-  EXPECT_TRUE(h.value().wait().ok());
-  EXPECT_TRUE(bits_equal(direct, served));
+  expect_served_matches_direct(workload::Kind::kTranspose, 64, 404);
 }
 
 TEST(ServeParity, GepMatchesDirect) {
-  const std::uint64_t n = 48;
-  util::Xoshiro256 rng(505);
-  std::vector<double> direct(n * n), served;
-  for (auto& x : direct) x = rng.uniform() * 10.0;
-  served = direct;
-
-  sched::NativeExecutor ex(2);
-  using Mat = sched::MatView<NatRef<double>>;
-  algo::igep<algo::FloydWarshallInstance>(ex,
-                                          Mat::full(ref_of(direct), n, n));
-
-  Server srv(small_server());
-  auto h = srv.submit(GepRequest{ref_of(served), n});
-  ASSERT_TRUE(h.ok());
-  EXPECT_TRUE(h.value().wait().ok());
-  EXPECT_TRUE(bits_equal(direct, served));
+  expect_served_matches_direct(workload::Kind::kGep, 48, 505);
 }
 
 TEST(ServeParity, ListRankMatchesDirect) {
-  const std::uint64_t n = 4000;
-  // Random-memory-order list: perm[t] is the t-th node.
-  std::vector<std::uint64_t> perm(n);
-  std::iota(perm.begin(), perm.end(), 0);
-  util::Xoshiro256 rng(606);
-  for (std::uint64_t i = n; i > 1; --i) {
-    std::swap(perm[i - 1], perm[rng.below(i)]);
-  }
-  std::vector<std::uint64_t> succ(n, algo::kNil), pred(n, algo::kNil);
-  for (std::uint64_t t = 0; t + 1 < n; ++t) {
-    succ[perm[t]] = perm[t + 1];
-    pred[perm[t + 1]] = perm[t];
-  }
-  std::vector<std::uint64_t> d_succ = succ, d_pred = pred, d_dist(n, 0);
-  std::vector<std::uint64_t> s_succ = succ, s_pred = pred, s_dist(n, 0);
-
-  sched::NativeExecutor ex(2);
-  algo::mo_list_rank(ex, ref_of(d_succ), ref_of(d_pred), ref_of(d_dist));
-
-  Server srv(small_server());
-  auto h = srv.submit(
-      ListRankRequest{ref_of(s_succ), ref_of(s_pred), ref_of(s_dist)});
-  ASSERT_TRUE(h.ok());
-  EXPECT_TRUE(h.value().wait().ok());
-  EXPECT_TRUE(bits_equal(d_dist, s_dist));
-  for (std::uint64_t t = 0; t < n; ++t) {
-    EXPECT_EQ(s_dist[perm[t]], n - 1 - t);
-  }
+  expect_served_matches_direct(workload::Kind::kListRank, 4000, 606);
 }
 
 TEST(ServeParity, SpmdvMatchesDirect) {
-  const std::uint64_t side = 24;
-  algo::SparseMatrix a = algo::grid_matrix(side);
-  util::Xoshiro256 rng(707);
-  std::vector<double> x(a.n);
-  for (auto& v : x) v = rng.uniform() - 0.5;
-  std::vector<double> direct(a.n, 0.0), served(a.n, 0.0);
-  std::vector<algo::SpmEntry> av = a.av;
-  std::vector<std::uint64_t> a0 = a.a0;
-
-  sched::NativeExecutor ex(2);
-  algo::mo_spmdv(ex, ref_of(av), ref_of(a0), ref_of(x), ref_of(direct));
-
-  Server srv(small_server());
-  auto h = srv.submit(
-      SpmdvRequest{ref_of(av), ref_of(a0), ref_of(x), ref_of(served)});
-  ASSERT_TRUE(h.ok());
-  EXPECT_TRUE(h.value().wait().ok());
-  EXPECT_TRUE(bits_equal(direct, served));
+  expect_served_matches_direct(workload::Kind::kSpmdv, 24, 707);  // grid side
 }
 
 TEST(ServeParity, ZeroSizeRequestsCompleteOk) {

@@ -16,24 +16,16 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <numeric>
 #include <thread>
 #include <vector>
 
-#include "algo/fft.hpp"
-#include "algo/gep.hpp"
-#include "algo/graphgen.hpp"
-#include "algo/listrank.hpp"
-#include "algo/scan.hpp"
 #include "algo/sort.hpp"
-#include "algo/spmdv.hpp"
-#include "algo/transpose.hpp"
 #include "fault/fault.hpp"
 #include "obs/trace.hpp"
 #include "sched/cancel.hpp"
 #include "sched/native_executor.hpp"
-#include "sched/views.hpp"
 #include "util/rng.hpp"
+#include "workload/workloads.hpp"
 
 namespace obliv::serve {
 namespace {
@@ -52,142 +44,29 @@ bool bits_equal(const std::vector<T>& a, const std::vector<T>& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
 }
 
-/// One millisecond-scale job instance: big enough that a cancel() issued
-/// after the body starts reliably lands mid-execution (the cancel round
-/// trip is microseconds; these bodies run for milliseconds), small enough
-/// to keep 16 iterations in tier-1 budget.  All buffers are owned here so
-/// an instance can be copied wholesale for pristine snapshots.
-struct BigJob {
-  Family family = Family::kScan;
-  std::vector<std::int64_t> i64;
-  std::vector<std::uint64_t> u64;
-  std::vector<algo::cplx> cx;
-  std::vector<double> t_in, t_out, mat, x, y;
-  std::vector<std::uint64_t> succ, pred, dist, a0;
-  std::vector<algo::SpmEntry> av;
-  std::uint64_t side = 0;
-};
+using Job = workload::Instance<sched::NativeExecutor>;
 
-BigJob make_big(Family family, util::Xoshiro256& rng) {
-  BigJob j;
-  j.family = family;
-  switch (family) {
-    // Sizes are chosen so every family runs for at least ~10 ms even with
-    // the SIMD leaf kernels engaged: the test must observe the job in its
-    // running state and land a cancel before it finishes.  If a family
-    // shrinks below that (faster kernels, more threads), the assert below
-    // names it and says to grow the instance.
-    case Family::kScan: {
-      j.i64.resize(std::size_t{1} << 23);
-      for (auto& v : j.i64) v = std::int64_t(rng.below(1000)) - 500;
-      break;
-    }
-    case Family::kSort: {
-      j.u64.resize(std::size_t{1} << 19);
-      for (auto& v : j.u64) v = rng();
-      break;
-    }
-    case Family::kFft: {
-      j.cx.resize(std::size_t{1} << 18);
-      for (auto& v : j.cx) v = algo::cplx(rng.uniform() - 0.5, rng.uniform());
-      break;
-    }
-    case Family::kTranspose: {
-      j.side = 2048;
-      j.t_in.resize(j.side * j.side);
-      for (auto& v : j.t_in) v = rng.uniform();
-      j.t_out.assign(j.side * j.side, -3.0);
-      break;
-    }
-    case Family::kGep: {
-      j.side = 384;
-      j.mat.resize(j.side * j.side);
-      for (auto& v : j.mat) v = rng.uniform() * 10.0;
-      break;
-    }
-    case Family::kListRank: {
+/// The size of a millisecond-scale job of `family`: big enough that a
+/// cancel() issued after the body starts reliably lands mid-execution (the
+/// cancel round trip is microseconds; these bodies run for milliseconds),
+/// small enough to keep 16 iterations in tier-1 budget.  Every family runs
+/// for at least ~10 ms even with the SIMD leaf kernels engaged; if one
+/// shrinks below that (faster kernels, more threads), the assert in the
+/// test names it and says to grow the instance.
+std::uint64_t big_size(Family family) {
+  constexpr std::uint64_t kSizes[kFamilies] = {
+      std::uint64_t{1} << 23,  // scan
+      std::uint64_t{1} << 19,  // sort
+      std::uint64_t{1} << 18,  // fft
+      2048,                    // transpose side
+      384,                     // gep side
       // List ranking is the costliest family per element (deep contraction
       // recursion): 1<<14 already runs for >100 ms, and each plan pays for
       // two full reruns, so keep it small.
-      const std::uint64_t n = std::uint64_t{1} << 14;
-      std::vector<std::uint64_t> perm(n);
-      std::iota(perm.begin(), perm.end(), 0);
-      for (std::uint64_t i = n; i > 1; --i) {
-        std::swap(perm[i - 1], perm[rng.below(i)]);
-      }
-      j.succ.assign(n, algo::kNil);
-      j.pred.assign(n, algo::kNil);
-      j.dist.assign(n, 0);
-      for (std::uint64_t t = 0; t + 1 < n; ++t) {
-        j.succ[perm[t]] = perm[t + 1];
-        j.pred[perm[t + 1]] = perm[t];
-      }
-      break;
-    }
-    case Family::kSpmdv: {
-      algo::SparseMatrix a = algo::grid_matrix(768);
-      j.av = a.av;
-      j.a0 = a.a0;
-      j.x.resize(a.n);
-      for (auto& v : j.x) v = rng.uniform() - 0.5;
-      j.y.assign(a.n, 0.0);
-      break;
-    }
-  }
-  return j;
-}
-
-Request request_of(BigJob& j) {
-  switch (j.family) {
-    case Family::kScan: return ScanRequest{ref_of(j.i64)};
-    case Family::kSort: return SortRequest{ref_of(j.u64)};
-    case Family::kFft: return FftRequest{ref_of(j.cx)};
-    case Family::kTranspose:
-      return TransposeRequest{ref_of(j.t_in), ref_of(j.t_out), j.side};
-    case Family::kGep: return GepRequest{ref_of(j.mat), j.side};
-    case Family::kListRank:
-      return ListRankRequest{ref_of(j.succ), ref_of(j.pred), ref_of(j.dist)};
-    default:
-      return SpmdvRequest{ref_of(j.av), ref_of(j.a0), ref_of(j.x),
-                          ref_of(j.y)};
-  }
-}
-
-void run_direct(sched::NativeExecutor& ex, BigJob& j) {
-  switch (j.family) {
-    case Family::kScan: algo::mo_prefix_sum(ex, ref_of(j.i64)); break;
-    case Family::kSort: algo::spms_sort(ex, ref_of(j.u64)); break;
-    case Family::kFft: algo::mo_fft(ex, ref_of(j.cx)); break;
-    case Family::kTranspose:
-      algo::mo_transpose(ex, ref_of(j.t_in), ref_of(j.t_out), j.side);
-      break;
-    case Family::kGep: {
-      using Mat = sched::MatView<NatRef<double>>;
-      algo::igep<algo::FloydWarshallInstance>(
-          ex, Mat::full(ref_of(j.mat), j.side, j.side));
-      break;
-    }
-    case Family::kListRank:
-      algo::mo_list_rank(ex, ref_of(j.succ), ref_of(j.pred), ref_of(j.dist));
-      break;
-    default:
-      algo::mo_spmdv(ex, ref_of(j.av), ref_of(j.a0), ref_of(j.x),
-                     ref_of(j.y));
-      break;
-  }
-}
-
-/// Bitwise comparison of the family's output buffer(s).
-bool outputs_equal(const BigJob& a, const BigJob& b) {
-  switch (a.family) {
-    case Family::kScan: return bits_equal(a.i64, b.i64);
-    case Family::kSort: return bits_equal(a.u64, b.u64);
-    case Family::kFft: return bits_equal(a.cx, b.cx);
-    case Family::kTranspose: return bits_equal(a.t_out, b.t_out);
-    case Family::kGep: return bits_equal(a.mat, b.mat);
-    case Family::kListRank: return bits_equal(a.dist, b.dist);
-    default: return bits_equal(a.y, b.y);
-  }
+      std::uint64_t{1} << 14,
+      768,  // spmdv grid side
+  };
+  return kSizes[static_cast<std::size_t>(family)];
 }
 
 /// Spins until the job body is executing (true) or the job completed
@@ -210,7 +89,7 @@ TEST(ServeCancel, MidRunCancelAllFamiliesUnderChaos) {
   constexpr int kPlans = 16;  // i % 7 covers every family at least twice
   ServerOptions o;
   o.threads = 2;
-  // The instances are sized for cancellable runtimes (see make_big), so
+  // The instances are sized for cancellable runtimes (see big_size), so
   // the largest working set (scan, 2 * 2^24 words) must fit the budget.
   o.space_budget_words = std::uint64_t{1} << 26;
   Server srv(o);
@@ -223,11 +102,11 @@ TEST(ServeCancel, MidRunCancelAllFamiliesUnderChaos) {
                           fault::FaultOptions::chaos());
     srv.set_fault_plan(&plan);
 
-    util::Xoshiro256 rng(5000 + std::uint64_t(i) * 131);
-    BigJob job = make_big(family, rng);
-    const BigJob pristine = job;
+    const auto kind = static_cast<workload::Kind>(family);
+    const std::uint64_t seed = 5000 + std::uint64_t(i) * 131;
+    Job job(direct_ex, kind, big_size(family), seed);
 
-    auto r = srv.submit(request_of(job));
+    auto r = srv.submit(job.request());
     ASSERT_TRUE(r.ok()) << r.status().message();
     JobHandle h = r.value();
     ASSERT_TRUE(wait_until_running(h, std::chrono::seconds(10)))
@@ -251,13 +130,14 @@ TEST(ServeCancel, MidRunCancelAllFamiliesUnderChaos) {
     // Pool reuse: the same request, resubmitted on the same server with
     // fresh input, must complete and match a direct executor run bit for
     // bit -- the cancelled tree left no residue in the pool.
-    job = pristine;
-    auto r2 = srv.submit(request_of(job));
+    job.reset();
+    auto r2 = srv.submit(job.request());
     ASSERT_TRUE(r2.ok()) << r2.status().message();
     EXPECT_TRUE(r2.value().wait().ok());
-    BigJob ref = pristine;
-    run_direct(direct_ex, ref);
-    EXPECT_TRUE(outputs_equal(job, ref)) << family_name(family);
+    Job ref(direct_ex, kind, big_size(family), seed);
+    ref.run(direct_ex);
+    EXPECT_TRUE(std::ranges::equal(job.output(), ref.output()))
+        << family_name(family);
 
     srv.set_fault_plan(nullptr);  // before `plan` goes out of scope
   }
@@ -287,17 +167,13 @@ TEST(ServeDeadline, RunningJobPoisonedByWatchdog) {
   // is ~1.07G relaxations -- beating a 25 ms deadline would need over
   // 40G relaxations/s, far beyond any host this runs on (the SIMD leaf
   // kernels on this class of machine manage a few G/s).
-  BigJob job;
-  job.family = Family::kGep;
-  job.side = 1024;
-  util::Xoshiro256 rng(99);
-  job.mat.resize(job.side * job.side);
-  for (auto& v : job.mat) v = rng.uniform() * 10.0;
+  sched::NativeExecutor alloc(1);
+  Job job(alloc, workload::Kind::kGep, 1024, 99);
 
   JobOptions jo;
   jo.deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(25);
-  auto r = srv.submit(request_of(job), jo);
+  auto r = srv.submit(job.request(), jo);
   ASSERT_TRUE(r.ok()) << r.status().message();
   JobHandle h = r.value();
 

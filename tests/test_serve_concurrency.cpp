@@ -21,132 +21,55 @@
 //      (golden_workloads.hpp reuse).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
-#include <cstring>
-#include <numeric>
 #include <thread>
 #include <vector>
 
-#include "algo/listrank.hpp"
 #include "fault/fault.hpp"
 #include "golden_workloads.hpp"
 #include "hm/config.hpp"
 #include "obs/trace.hpp"
 #include "serve/serve.hpp"
 #include "util/rng.hpp"
+#include "workload/workloads.hpp"
 
 namespace obliv::serve {
 namespace {
 
-using sched::NatRef;
-
-template <class T>
-NatRef<T> ref_of(std::vector<T>& v) {
-  return NatRef<T>(v.data(), v.size());
-}
-
-template <class T>
-bool bits_equal(const std::vector<T>& a, const std::vector<T>& b) {
-  return a.size() == b.size() &&
-         (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
-}
-
-/// One producer-owned job: the live buffers, their pre-submit snapshot,
-/// the serially computed expected result, and the handle.
+/// One producer-owned job: a registry instance (the live buffers the server
+/// writes into), its handle, and what the producer did to it.
 struct ClientJob {
-  Family family = Family::kScan;
-  // Live buffers (what the server writes into).
-  std::vector<std::int64_t> i64;
-  std::vector<std::uint64_t> u64, succ, pred, dist;
-  std::vector<double> t_in, t_out;
-  std::uint64_t side = 0;
-  // Snapshots and references.
-  std::vector<std::int64_t> i64_before, i64_expect;
-  std::vector<std::uint64_t> u64_before, u64_expect, dist_expect;
-  std::vector<double> t_out_before, t_out_expect;
-
+  workload::Instance<sched::NativeExecutor> inst;
   JobHandle handle;
   bool tried_cancel = false;
   bool cancel_won = false;
   bool had_deadline = false;
 };
 
-ClientJob make_job(util::Xoshiro256& rng) {
-  ClientJob j;
+/// A random scan, sort, transpose or list-ranking job.  `alloc` only
+/// allocates (native buffers are plain memory), so producers share it.
+ClientJob make_job(sched::NativeExecutor& alloc, util::Xoshiro256& rng) {
+  workload::Kind kind;
+  std::uint64_t n;
   switch (rng.below(4)) {
-    case 0: {  // scan
-      j.family = Family::kScan;
-      const std::size_t n = 1 + rng.below(4096);
-      j.i64.resize(n);
-      for (auto& x : j.i64) x = std::int64_t(rng.below(1000)) - 500;
-      j.i64_before = j.i64;
-      j.i64_expect = j.i64;
-      std::partial_sum(j.i64_expect.begin(), j.i64_expect.end(),
-                       j.i64_expect.begin());
+    case 0:
+      kind = workload::Kind::kScan;
+      n = 1 + rng.below(4096);
       break;
-    }
-    case 1: {  // sort
-      j.family = Family::kSort;
-      const std::size_t n = 1 + rng.below(4096);
-      j.u64.resize(n);
-      for (auto& x : j.u64) x = rng();
-      j.u64_before = j.u64;
-      j.u64_expect = j.u64;
-      std::sort(j.u64_expect.begin(), j.u64_expect.end());
+    case 1:
+      kind = workload::Kind::kSort;
+      n = 1 + rng.below(4096);
       break;
-    }
-    case 2: {  // transpose
-      j.family = Family::kTranspose;
-      j.side = std::uint64_t(1) << (2 + rng.below(4));  // 4..32
-      j.t_in.resize(j.side * j.side);
-      for (auto& x : j.t_in) x = rng.uniform();
-      j.t_out.assign(j.side * j.side, -7.0);
-      j.t_out_before = j.t_out;
-      j.t_out_expect.resize(j.side * j.side);
-      for (std::uint64_t r = 0; r < j.side; ++r) {
-        for (std::uint64_t c = 0; c < j.side; ++c) {
-          j.t_out_expect[c * j.side + r] = j.t_in[r * j.side + c];
-        }
-      }
+    case 2:
+      kind = workload::Kind::kTranspose;
+      n = std::uint64_t(1) << (2 + rng.below(4));  // 4..32
       break;
-    }
-    default: {  // list ranking over a random-memory-order list
-      j.family = Family::kListRank;
-      const std::uint64_t n = 1 + rng.below(2048);
-      std::vector<std::uint64_t> perm(n);
-      std::iota(perm.begin(), perm.end(), 0);
-      for (std::uint64_t i = n; i > 1; --i) {
-        std::swap(perm[i - 1], perm[rng.below(i)]);
-      }
-      j.succ.assign(n, algo::kNil);
-      j.pred.assign(n, algo::kNil);
-      j.dist.assign(n, 0);
-      j.dist_expect.assign(n, 0);
-      for (std::uint64_t t = 0; t < n; ++t) {
-        j.dist_expect[perm[t]] = n - 1 - t;
-        if (t + 1 < n) {
-          j.succ[perm[t]] = perm[t + 1];
-          j.pred[perm[t + 1]] = perm[t];
-        }
-      }
+    default:  // list ranking over a random-memory-order list
+      kind = workload::Kind::kListRank;
+      n = 1 + rng.below(2048);
       break;
-    }
   }
-  return j;
-}
-
-Request request_of(ClientJob& j) {
-  switch (j.family) {
-    case Family::kScan: return ScanRequest{ref_of(j.i64)};
-    case Family::kSort: return SortRequest{ref_of(j.u64)};
-    case Family::kTranspose:
-      return TransposeRequest{ref_of(j.t_in), ref_of(j.t_out), j.side};
-    default:
-      return ListRankRequest{ref_of(j.succ), ref_of(j.pred),
-                             ref_of(j.dist)};
-  }
+  return ClientJob{{alloc, kind, n, rng()}, {}};
 }
 
 /// Checks one completed job's outcome against its reference.  Returns a
@@ -175,25 +98,7 @@ std::string check_job(ClientJob& j) {
   // Buffer checks only for kOk: a cancelled or deadline-expired job may
   // have been poisoned mid-run, which leaves its output unspecified (the
   // tree stopped part-way through its schedule).
-  if (!ran) return "";
-  switch (j.family) {
-    case Family::kScan:
-      if (!bits_equal(j.i64, j.i64_expect)) return "scan buffer mismatch";
-      break;
-    case Family::kSort:
-      if (!bits_equal(j.u64, j.u64_expect)) return "sort buffer mismatch";
-      break;
-    case Family::kTranspose:
-      if (!bits_equal(j.t_out, j.t_out_expect)) {
-        return "transpose buffer mismatch";
-      }
-      break;
-    default:
-      if (!bits_equal(j.dist, j.dist_expect)) {
-        return "listrank buffer mismatch";
-      }
-      break;
-  }
+  if (ran && !j.inst.check()) return "buffer mismatch vs the serial reference";
   return "";
 }
 
@@ -212,6 +117,7 @@ TEST(ServeConcurrency, SeededMultiClientStormUnderChaos) {
   o.queue_capacity = kProducers * kJobsPerProducer;  // but no overflow
   obs::Tracer tracer(o.threads, 1 << 15);
 
+  sched::NativeExecutor alloc(1);
   std::vector<std::vector<ClientJob>> jobs(kProducers);
   {
     Server srv(o);
@@ -225,7 +131,7 @@ TEST(ServeConcurrency, SeededMultiClientStormUnderChaos) {
         auto& mine = jobs[p];
         mine.reserve(kJobsPerProducer);
         for (int i = 0; i < kJobsPerProducer; ++i) {
-          mine.push_back(make_job(rng));
+          mine.push_back(make_job(alloc, rng));
           ClientJob& j = mine.back();
           JobOptions jo;
           if (rng.below(8) == 0) {
@@ -235,7 +141,7 @@ TEST(ServeConcurrency, SeededMultiClientStormUnderChaos) {
             jo.deadline = std::chrono::steady_clock::now() +
                           std::chrono::microseconds(rng.below(2000));
           }
-          auto r = srv.submit(request_of(j), jo);
+          auto r = srv.submit(j.inst.request(), jo);
           ASSERT_TRUE(r.ok()) << r.status().message();
           j.handle = r.value();
           if (rng.below(4) == 0) {
@@ -292,7 +198,8 @@ TEST(ServeConcurrency, SeededMultiClientStormUnderChaos) {
   for (auto& mine : jobs) {
     for (ClientJob& j : mine) {
       const std::string err = check_job(j);
-      EXPECT_EQ(err, "") << family_name(j.family) << " job " << j.handle.id();
+      EXPECT_EQ(err, "") << workload::name(j.inst.kind()) << " job "
+                         << j.handle.id();
       ++completed;
     }
   }
@@ -307,6 +214,7 @@ TEST(ServeConcurrency, ConcurrentSubmitAndShutdownIsClean) {
   o.threads = 2;
   Server srv(o);
 
+  sched::NativeExecutor alloc(1);
   std::vector<std::vector<ClientJob>> jobs(kProducers);
   std::vector<std::thread> producers;
   std::atomic<int> unavailable{0};
@@ -314,9 +222,9 @@ TEST(ServeConcurrency, ConcurrentSubmitAndShutdownIsClean) {
     producers.emplace_back([&, p] {
       util::Xoshiro256 rng(555 + std::uint64_t(p));
       for (int i = 0; i < 16; ++i) {
-        jobs[p].push_back(make_job(rng));
+        jobs[p].push_back(make_job(alloc, rng));
         ClientJob& j = jobs[p].back();
-        auto r = srv.submit(request_of(j));
+        auto r = srv.submit(j.inst.request());
         if (!r.ok()) {
           EXPECT_EQ(r.status().code(), ErrorCode::kUnavailable);
           unavailable.fetch_add(1);
@@ -334,7 +242,7 @@ TEST(ServeConcurrency, ConcurrentSubmitAndShutdownIsClean) {
   for (auto& mine : jobs) {
     for (ClientJob& j : mine) {
       const std::string err = check_job(j);
-      EXPECT_EQ(err, "") << family_name(j.family);
+      EXPECT_EQ(err, "") << workload::name(j.inst.kind());
     }
   }
   const ServerStats st = srv.stats();

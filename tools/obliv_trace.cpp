@@ -21,31 +21,27 @@
 //       JSON (default BENCH_span.json).  Output is byte-deterministic:
 //       logical work-clock metrics only, fixed float formatting.
 //
-// Exit codes: 0 ok, 1 usage or I/O or malformed trace, 2 trace refused
+// Exit codes: 0 ok, 1 usage or I/O or malformed trace or a size the
+// algorithm cannot take (e.g. a non-power-of-two FFT), 2 trace refused
 // because events were dropped.
 #include <algorithm>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "algo/fft.hpp"
-#include "algo/gep.hpp"
-#include "algo/listrank.hpp"
-#include "algo/scan.hpp"
-#include "algo/sort.hpp"
-#include "algo/transpose.hpp"
 #include "hm/config.hpp"
 #include "obs/analysis.hpp"
 #include "obs/trace.hpp"
 #include "sched/sim_executor.hpp"
 #include "serve/serve.hpp"
-#include "util/rng.hpp"
+#include "workload/workloads.hpp"
 
 using namespace obliv;
 
@@ -56,99 +52,33 @@ namespace {
 constexpr std::size_t kRingCapacity = std::size_t{1} << 20;
 
 // ---------------------------------------------------------------------------
-// Built-in workloads (deterministic inputs, reference machine).
+// Built-in workloads (registry instances with fixed seeds, reference machine).
 // ---------------------------------------------------------------------------
 
 struct Workload {
   const char* name;
   const char* what;
+  workload::Kind kind;
   std::uint64_t n;  ///< problem size knob (elements or matrix side)
-  void (*run)(sched::SimExecutor& ex, std::uint64_t n);
+  std::uint64_t seed;
 };
 
-void run_scan(sched::SimExecutor& ex, std::uint64_t n) {
-  auto buf = ex.make_buf<std::int64_t>(n);
-  for (auto& v : buf.raw()) v = 1;
-  ex.run(2 * n, [&] { algo::mo_prefix_sum(ex, buf.ref()); });
-}
-
-void run_transpose(sched::SimExecutor& ex, std::uint64_t n) {
-  auto a = ex.make_buf<double>(n * n);
-  auto out = ex.make_buf<double>(n * n);
-  util::Xoshiro256 rng(7);
-  for (auto& v : a.raw()) v = rng.uniform();
-  ex.run(3 * n * n, [&] { algo::mo_transpose(ex, a.ref(), out.ref(), n); });
-}
-
-void run_matmul(sched::SimExecutor& ex, std::uint64_t n) {
-  using Mat = sched::MatView<sched::SimRef<double>>;
-  auto c = ex.make_buf<double>(n * n);
-  auto a = ex.make_buf<double>(n * n);
-  auto b = ex.make_buf<double>(n * n);
-  util::Xoshiro256 rng(11);
-  for (auto& v : a.raw()) v = rng.uniform();
-  for (auto& v : b.raw()) v = rng.uniform();
-  ex.run(4 * n * n, [&] {
-    algo::mo_matmul(ex, Mat::full(c.ref(), n, n), Mat::full(a.ref(), n, n),
-                    Mat::full(b.ref(), n, n));
-  });
-}
-
-void run_fft(sched::SimExecutor& ex, std::uint64_t n) {
-  auto buf = ex.make_buf<algo::cplx>(n);
-  util::Xoshiro256 rng(13);
-  for (auto& v : buf.raw()) v = algo::cplx(rng.uniform(), 0.0);
-  ex.run(6 * n, [&] { algo::mo_fft(ex, buf.ref()); });
-}
-
-void run_sort(sched::SimExecutor& ex, std::uint64_t n) {
-  auto buf = ex.make_buf<std::uint64_t>(n);
-  util::Xoshiro256 rng(17);
-  for (auto& v : buf.raw()) v = rng();
-  ex.run(4 * n, [&] { algo::spms_sort(ex, buf.ref()); });
-}
-
-void run_igep(sched::SimExecutor& ex, std::uint64_t n) {
-  using Mat = sched::MatView<sched::SimRef<double>>;
-  auto buf = ex.make_buf<double>(n * n);
-  util::Xoshiro256 rng(19);
-  for (auto& v : buf.raw()) v = rng.uniform() + 0.1;
-  ex.run(n * n, [&] {
-    algo::igep<algo::FloydWarshallInstance>(ex, Mat::full(buf.ref(), n, n));
-  });
-}
-
-void run_listrank(sched::SimExecutor& ex, std::uint64_t n) {
-  // Random-permutation linked list (same construction as bench_listrank).
-  std::vector<std::uint64_t> perm(n);
-  for (std::uint64_t i = 0; i < n; ++i) perm[i] = i;
-  util::Xoshiro256 rng(23);
-  for (std::uint64_t i = n; i > 1; --i) {
-    std::swap(perm[i - 1], perm[rng.below(i)]);
-  }
-  auto sb = ex.make_buf<std::uint64_t>(n);
-  auto pb = ex.make_buf<std::uint64_t>(n);
-  auto db = ex.make_buf<std::uint64_t>(n);
-  for (auto& v : sb.raw()) v = algo::kNil;
-  for (auto& v : pb.raw()) v = algo::kNil;
-  for (std::uint64_t t = 0; t + 1 < n; ++t) {
-    sb.raw()[perm[t]] = perm[t + 1];
-    pb.raw()[perm[t + 1]] = perm[t];
-  }
-  ex.run(8 * n, [&] { algo::mo_list_rank(ex, sb.ref(), pb.ref(), db.ref()); });
-}
-
 constexpr Workload kWorkloads[] = {
-    {"scan", "prefix sums (Sec III-A)", 1u << 12, run_scan},
-    {"transpose", "MO-MT matrix transposition (Thm 1)", 64, run_transpose},
-    {"matmul", "recursive matrix multiply (Sec III-B)", 32, run_matmul},
-    {"fft", "MO-FFT (Thm 2)", 1u << 12, run_fft},
-    {"sort", "SPMS sample-partition sort (Thm 3-5)", 1u << 12, run_sort},
+    {"scan", "prefix sums (Sec III-A)", workload::Kind::kScan, 1u << 12, 5},
+    {"transpose", "MO-MT matrix transposition (Thm 1)",
+     workload::Kind::kTranspose, 64, 7},
+    {"matmul", "recursive matrix multiply (Sec III-B)",
+     workload::Kind::kMatmul, 32, 11},
+    {"fft", "MO-FFT (Thm 2)", workload::Kind::kFft, 1u << 12, 13},
+    {"sort", "SPMS sample-partition sort (Thm 3-5)", workload::Kind::kSort,
+     1u << 12, 17},
     // n=64: n^2 words overflow an L1 (2048w), so the root anchors at the
     // shared L2 and the quadrant rounds fan out across the four L1s; at
     // n=32 the whole problem fits one L1 and correctly serializes.
-    {"igep", "I-GEP Floyd-Warshall (Sec IV, Table I)", 64, run_igep},
-    {"listrank", "MO-LR list ranking (Thm 7)", 1u << 11, run_listrank},
+    {"igep", "I-GEP Floyd-Warshall (Sec IV, Table I)", workload::Kind::kGep,
+     64, 19},
+    {"listrank", "MO-LR list ranking (Thm 7)", workload::Kind::kListRank,
+     1u << 11, 23},
 };
 
 const Workload* find_workload(std::string_view name) {
@@ -156,6 +86,12 @@ const Workload* find_workload(std::string_view name) {
     if (name == w.name) return &w;
   }
   return nullptr;
+}
+
+/// Runs workload `w` at size `n` on `ex`; throws Error(kInvalidArgument)
+/// for a size the algorithm cannot take.
+void run_workload(sched::SimExecutor& ex, const Workload& w, std::uint64_t n) {
+  workload::Instance<sched::SimExecutor>(ex, w.kind, n, w.seed).run(ex);
 }
 
 // ---------------------------------------------------------------------------
@@ -384,7 +320,12 @@ int mode_run(int argc, char** argv) {
   obs::Tracer tracer(1, kRingCapacity);
   sched::SimExecutor ex(cfg);
   ex.set_tracer(&tracer);
-  w->run(ex, n);
+  try {
+    run_workload(ex, *w, n);
+  } catch (const std::exception& e) {  // bad size, or more memory than we have
+    std::fprintf(stderr, "obliv-trace: %s\n", e.what());
+    return 1;
+  }
   ex.set_tracer(nullptr);
 
   const std::string out = obs::resolve_trace_out(argc, argv);
@@ -446,7 +387,7 @@ int mode_bench(int argc, char** argv) {
     obs::Tracer tracer(1, kRingCapacity);
     sched::SimExecutor ex(cfg);
     ex.set_tracer(&tracer);
-    w.run(ex, w.n);
+    run_workload(ex, w, w.n);
     ex.set_tracer(nullptr);
     if (tracer.events_dropped() != 0) {
       std::fprintf(stderr,

@@ -1,6 +1,7 @@
 # Smoke for the obliv-trace CLI: run scan n=2^12 in-process with a trace
 # export, assert the report schema, then re-ingest the exported trace and
-# assert the analyzer accepts it (zero drops => exit 0).
+# assert the analyzer accepts it (zero drops => exit 0).  Finally, sizes an
+# algorithm cannot take must exit 1.
 #
 # Invoked by ctest:  cmake -DOBLIV_TRACE=<bin> -P obliv_trace_smoke.cmake
 if(NOT DEFINED OBLIV_TRACE)
@@ -55,6 +56,21 @@ string(FIND "${out2}" "recomputed == executor-recorded" pos2)
 if(pos2 EQUAL -1)
   message(FATAL_ERROR "round-trip report lost the span check:\n${out2}")
 endif()
+
+# Sizes the algorithms cannot take are refused with exit 1 and a message,
+# never run (a non-power-of-two FFT used to corrupt the heap).
+foreach(bad "fft;--n=1000" "transpose;--n=48")
+  execute_process(
+    COMMAND "${OBLIV_TRACE}" run ${bad}
+    OUTPUT_VARIABLE out3 ERROR_VARIABLE err3 RESULT_VARIABLE rc3)
+  if(NOT rc3 EQUAL 1)
+    message(FATAL_ERROR "obliv-trace run ${bad}: expected rc 1, got ${rc3}:\n${out3}\n${err3}")
+  endif()
+  string(FIND "${err3}" "unsupported size" pos3)
+  if(pos3 EQUAL -1)
+    message(FATAL_ERROR "obliv-trace run ${bad}: no size message:\n${err3}")
+  endif()
+endforeach()
 
 file(REMOVE "${trace_file}")
 message(STATUS "obliv-trace smoke ok")
