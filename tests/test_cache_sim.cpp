@@ -2,18 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
+#include <algorithm>
 #include <string>
 #include <vector>
 
-#include "algo/gep.hpp"
-#include "algo/scan.hpp"
-#include "algo/sort.hpp"
-#include "algo/transpose.hpp"
-#include "hm/trace.hpp"
-#include "sched/sim_executor.hpp"
-#include "sched/views.hpp"
-#include "util/rng.hpp"
+#include "sim_traces.hpp"
 
 namespace obliv::hm {
 namespace {
@@ -143,7 +136,7 @@ TEST(CacheSim, MultiWordAccessTouchesAllBlocks) {
 // replays.
 // ---------------------------------------------------------------------------
 
-using Trace = std::vector<TraceEntry>;
+using traces::Trace;
 
 /// Word-at-a-time expansion: every k-word access becomes k single-word
 /// accesses in address order, by the same core, with the same direction.
@@ -173,74 +166,13 @@ std::vector<std::uint64_t> replay_counters(const MachineConfig& cfg,
   return out;
 }
 
-/// The access stream `body` issues on a fresh SimExecutor for `cfg`.
-Trace capture(const MachineConfig& cfg,
-              const std::function<void(sched::SimExecutor&)>& body) {
-  sched::SimExecutor ex(cfg);
-  Trace t;
-  ex.set_trace(&t);
-  body(ex);
-  ex.set_trace(nullptr);
-  return t;
-}
-
-std::vector<std::pair<std::string, Trace>> batching_traces(
-    const MachineConfig& cfg) {
-  std::vector<std::pair<std::string, Trace>> traces;
-  traces.emplace_back("scan", capture(cfg, [](sched::SimExecutor& ex) {
-    const std::uint64_t n = 1 << 14;
-    auto buf = ex.make_buf<std::int64_t>(n);
-    for (std::uint64_t i = 0; i < n; ++i) buf.raw()[i] = std::int64_t(i & 7);
-    ex.run(2 * n, [&] { algo::mo_prefix_sum(ex, buf.ref()); });
-  }));
-  traces.emplace_back("mo-mt", capture(cfg, [](sched::SimExecutor& ex) {
-    const std::uint64_t n = 64;
-    auto a = ex.make_buf<double>(n * n);
-    auto out = ex.make_buf<double>(n * n);
-    for (std::uint64_t i = 0; i < n * n; ++i) a.raw()[i] = double(i);
-    ex.run(3 * n * n, [&] { algo::mo_transpose(ex, a.ref(), out.ref(), n); });
-  }));
-  traces.emplace_back("spms-sort", capture(cfg, [](sched::SimExecutor& ex) {
-    const std::uint64_t n = 1 << 12;
-    auto buf = ex.make_buf<std::uint64_t>(n);
-    util::Xoshiro256 rng(4242);
-    for (auto& v : buf.raw()) v = rng();
-    ex.run(4 * n, [&] { algo::spms_sort(ex, buf.ref()); });
-  }));
-  traces.emplace_back("igep", capture(cfg, [](sched::SimExecutor& ex) {
-    const std::uint64_t n = 32;
-    auto buf = ex.make_buf<double>(n * n);
-    util::Xoshiro256 rng(7);
-    for (auto& v : buf.raw()) v = rng.uniform();
-    using Mat = sched::MatView<sched::SimRef<double>>;
-    ex.run(n * n, [&] {
-      algo::igep<algo::FloydWarshallInstance>(ex, Mat::full(buf.ref(), n, n));
-    });
-  }));
-  // Random multi-word runs from every core over a footprint larger than
-  // the caches, a quarter of them writes: unaligned starts, block-straddling
-  // runs, evictions inside a run, and invalidations between runs.
-  for (std::uint64_t seed : {1, 2, 3}) {
-    util::Xoshiro256 rng(seed);
-    Trace t;
-    for (int i = 0; i < 20000; ++i) {
-      t.push_back({rng.below(1 << 17),
-                   static_cast<std::uint32_t>(1 + rng.below(96)),
-                   static_cast<std::uint8_t>(rng.below(cfg.cores())),
-                   static_cast<std::uint8_t>(rng.below(4) == 0)});
-    }
-    traces.emplace_back("random-" + std::to_string(seed), std::move(t));
-  }
-  return traces;
-}
-
 class CacheSimBatching : public ::testing::TestWithParam<int> {};
 
 TEST_P(CacheSimBatching, BatchedRunsCountLikeWordAtATimeReplay) {
   const MachineConfig cfg = GetParam() == 0 ? MachineConfig::shared_l2(4)
                                             : MachineConfig::figure1();
   std::size_t batched = 0;
-  for (const auto& [name, trace] : batching_traces(cfg)) {
+  for (const auto& [name, trace] : traces::batching_traces(cfg)) {
     const Trace words = unbatch(trace);
     if (words.size() > trace.size()) ++batched;
     EXPECT_EQ(replay_counters(cfg, trace), replay_counters(cfg, words))
