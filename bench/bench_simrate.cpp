@@ -7,10 +7,10 @@
 // Methodology (interference-robust on a noisy host): each workload's access
 // stream is captured ONCE as a trace -- the raw drivers (seq-read,
 // run-read, part-rw) synthesize theirs, the paper workloads (scan, MO-MT,
-// SPMS sort, I-GEP) record the exact (core, addr, words, write) stream the
-// SimExecutor emits -- and then replayed through hm::CacheSim, best of K
-// reps (min time, the standard noise-robust choice for a deterministic
-// computation).  The throughput numerator is simulated WORDS (sum of
+// SPMS sort, I-GEP, MO-FFT, list ranking) record the exact (core, addr,
+// words, write) stream the SimExecutor emits -- and then replayed through
+// hm::CacheSim, best of K reps (min time, the standard noise-robust choice
+// for a deterministic computation).  The throughput numerator is simulated WORDS (sum of
 // `words` over the trace), which is invariant to how the stream is chopped
 // into calls.  The stack-* rows additionally time the workloads end-to-end
 // through the full SimExecutor stack (algorithm + scheduler + simulator),
@@ -112,8 +112,8 @@ void add_trace(std::string bench, const hm::MachineConfig& cfg,
 
 // ---- Raw trace generators -------------------------------------------------
 
-/// Sequential word-at-a-time read scan by core 0, the common case the L0
-/// filter targets.
+/// Sequential word-at-a-time read scan by core 0, the common case the
+/// block memo's most-recently-used check targets.
 Trace make_seq(std::uint64_t n) {
   Trace t;
   t.reserve(n);
@@ -273,6 +273,10 @@ int main(int argc, char** argv) {
     add_workload("spms-sort", cfg, workload::Kind::kSort,
                  smoke ? 1u << 10 : 1u << 14, 4242);
     add_workload("igep", cfg, workload::Kind::kGep, smoke ? 32 : 64, 7);
+    add_workload("fft", cfg, workload::Kind::kFft,
+                 smoke ? 1u << 10 : 1u << 14, 3);
+    add_workload("listrank", cfg, workload::Kind::kListRank,
+                 smoke ? 1u << 9 : 1u << 12, 5);
   }
 
   // Counter-parity gate: the sharded engine's rates only count on

@@ -40,6 +40,37 @@ inline constexpr bool fft_kernel_v =
     sched::is_direct_ref_v<Ref> &&
     std::is_same_v<typename Ref::value_type, cplx>;
 
+/// Size of the shared twiddle table: the largest power of two whose
+/// table of complex doubles fits in 64 KiB.
+inline constexpr std::uint64_t kTwiddleTableSize = 4096;
+
+/// w_M^k = polar(1, -2*pi*k/M) for k < M = kTwiddleTableSize, built once on
+/// first use (thread-safe) and read-only after.
+inline const cplx* twiddle_table() {
+  static const std::vector<cplx> table = [] {
+    std::vector<cplx> t(kTwiddleTableSize);
+    for (std::uint64_t k = 0; k < kTwiddleTableSize; ++k) {
+      t[k] = std::polar(1.0, -2.0 * std::numbers::pi * static_cast<double>(k) /
+                                 static_cast<double>(kTwiddleTableSize));
+    }
+    return t;
+  }();
+  return table.data();
+}
+
+/// w_m^j = polar(1, -2*pi*j/m) for j < m, m a power of two.  For m up to
+/// kTwiddleTableSize this is table entry j * (M/m), and bit-identical to
+/// the direct expression: scaling the angle's numerator and denominator by
+/// the same power of two changes neither rounding.  Larger m call
+/// std::polar directly.
+inline cplx twiddle(std::uint64_t j, std::uint64_t m) {
+  if (m <= kTwiddleTableSize) {
+    return twiddle_table()[j * (kTwiddleTableSize / m)];
+  }
+  return std::polar(1.0, -2.0 * std::numbers::pi * static_cast<double>(j) /
+                             static_cast<double>(m));
+}
+
 /// Direct O(m^2) DFT used at the recursion base (m is a small constant, so
 /// this does not affect asymptotics).  Convention: Y[f] = sum_t x[t] *
 /// exp(-2*pi*i*f*t/m).
@@ -72,10 +103,7 @@ void dft_base(Exec& ex, Ref x) {
   for (std::uint64_t f = 0; f < m; ++f) {
     cplx acc{0.0, 0.0};
     for (std::uint64_t t = 0; t < m; ++t) {
-      const double ang = -2.0 * std::numbers::pi *
-                         static_cast<double>((f * t) % m) /
-                         static_cast<double>(m);
-      acc += in[t] * std::polar(1.0, ang);
+      acc += in[t] * twiddle((f * t) % m, m);
       ex.tick(4);
     }
     out[f] = acc;
@@ -143,10 +171,7 @@ void mo_fft(Exec& ex, Ref x) {
   ex.cgc_pfor(0, n, W, [&](std::uint64_t lo, std::uint64_t hi) {
     for (std::uint64_t z = lo; z < hi; ++z) {
       const std::uint64_t b = z / n1, c = z % n1;
-      const double ang = -2.0 * std::numbers::pi *
-                         static_cast<double>((b * c) % n) /
-                         static_cast<double>(n);
-      A.store(b, c, A.load(b, c) * std::polar(1.0, ang));
+      A.store(b, c, A.load(b, c) * detail::twiddle((b * c) % n, n));
       ex.tick(8);
     }
   });

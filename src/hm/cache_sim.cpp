@@ -9,7 +9,11 @@
 namespace obliv::hm {
 
 LruCache::LruCache(std::size_t lines)
-    : lines_(lines), map_(std::min<std::size_t>(lines, 32768)) {
+    : lines_(lines),
+      map_(std::min<std::size_t>(lines, 32768)),
+      queue_(kQueueSlack),
+      queue_mask_(kQueueSlack - 1) {
+  static_assert(std::has_single_bit(kQueueSlack));
   assert(lines_ > 0);
 }
 
@@ -26,12 +30,8 @@ bool LruCache::touch(std::uint64_t block) {
   }
   std::size_t slot;
   if (const std::uint32_t* v = map_.find_or_slot(block, slot)) {
-    const std::uint32_t idx = *v;
-    last_node_ = idx;
-    if (head_ != idx) {
-      unlink(idx);
-      push_front(idx);
-    }
+    last_node_ = *v;
+    touch_known(*v);
     return true;
   }
   std::uint32_t idx;
@@ -39,10 +39,9 @@ bool LruCache::touch(std::uint64_t block) {
     // Evict the LRU block and reuse its node.  The victim's tombstone
     // cannot shorten our insert cluster, but `slot` stays valid: probes
     // step over tombstones, and `slot` precedes the cluster's first empty.
-    idx = tail_;
+    idx = pop_victim();
     last_evicted_ = nodes_[idx].block;
     map_.erase_at(nodes_[idx].slot);
-    unlink(idx);
   } else if (!free_.empty()) {
     idx = free_.back();
     free_.pop_back();
@@ -54,15 +53,61 @@ bool LruCache::touch(std::uint64_t block) {
   nodes_[idx].slot =
       static_cast<std::uint32_t>(map_.insert_at(slot, block, idx));
   last_node_ = idx;
-  push_front(idx);
+  stamp(idx);
   return false;
+}
+
+std::uint32_t LruCache::pop_victim() {
+  for (;;) {
+    assert(head_ < tail_);
+    const Use u = queue_[head_++ & queue_mask_];
+    if (nodes_[u.node].stamp == u.stamp) return u.node;
+  }
+}
+
+void LruCache::compact() {
+  // Branch-free filter: whether a use is current is a coin flip on
+  // hit-heavy streams, so every use is copied and the write position
+  // advances by the test.
+  std::size_t w = head_;
+  for (std::size_t i = head_; i < tail_; ++i) {
+    const Use u = queue_[i & queue_mask_];
+    queue_[w & queue_mask_] = u;
+    w += nodes_[u.node].stamp == u.stamp ? 1 : 0;
+  }
+  tail_ = w;
+  const std::size_t live = tail_ - head_;
+  if (now_ >= kRenumberAt) {
+    // Compaction runs at least once per ring size of pushes, so stamps
+    // stay below kRenumberAt plus a ring size and cannot wrap.
+    for (std::size_t i = head_; i < tail_; ++i) {
+      Use& u = queue_[i & queue_mask_];
+      u.stamp = static_cast<std::uint32_t>(i - head_ + 1);
+      nodes_[u.node].stamp = u.stamp;
+    }
+    now_ = static_cast<std::uint32_t>(live);
+  }
+  // Keep at least half the ring free, so every compaction is followed by
+  // at least size() + kQueueSlack pushes: amortized O(1) per use, and the
+  // ring stays O(lines).
+  const std::size_t want = 2 * live + kQueueSlack;
+  if (queue_.size() < want) {
+    std::vector<Use> ring(std::bit_ceil(want));
+    for (std::size_t i = 0; i < live; ++i) {
+      ring[i] = queue_[(head_ + i) & queue_mask_];
+    }
+    queue_.swap(ring);
+    queue_mask_ = queue_.size() - 1;
+    head_ = 0;
+    tail_ = live;
+  }
 }
 
 bool LruCache::erase(std::uint64_t block) {
   const std::uint32_t* v = map_.find(block);
   if (v == nullptr) return false;
   const std::uint32_t idx = *v;
-  unlink(idx);
+  nodes_[idx].stamp = 0;  // its queued uses go stale
   free_.push_back(idx);
   map_.erase_at(nodes_[idx].slot);
   return true;
@@ -72,7 +117,9 @@ void LruCache::clear() {
   map_.clear();
   nodes_.clear();
   free_.clear();
-  head_ = tail_ = kNil;
+  head_ = 0;
+  tail_ = 0;
+  now_ = 0;
   last_evicted_ = ~0ull;
 }
 
@@ -107,11 +154,16 @@ CacheSim::CacheSim(MachineConfig cfg) : cfg_(std::move(cfg)) {
                           ? static_cast<std::uint8_t>(std::countr_zero(b))
                           : kNoShift;
   }
-  l0_.assign(std::size_t(cfg_.cores()) * kL0Ways, L0Entry{});
-  l0_dirty_.assign(cfg_.cores(), 0);
+  // About four memo slots per L1 line, within [2^4, 2^14] per core.
+  const std::uint64_t l1_lines = caches_[0][0].lines();
+  while (memo_bits_ < kMaxMemoBits && (1ull << memo_bits_) < 4 * l1_lines) {
+    ++memo_bits_;
+  }
+  memo_.assign(std::size_t{cfg_.cores()} << memo_bits_, MemoEntry{});
   run_memo_.assign(L, ~0ull);
   b1_ = cfg_.block(1);
   b1_shift_ = shift_[0];
+  l1_ = caches_[0].data();
   counters1_ = counters_[0].data();
 }
 
@@ -141,136 +193,68 @@ void CacheSim::coherence_write(std::uint32_t core, std::uint64_t blk1) {
       }
     }
     do {
-      // p_1 == 1 (validated), so core c's L1 is caches_[0][c].
+      // p_1 == 1 (validated), so core c's L1 is l1_[c].
       const std::uint32_t c =
           static_cast<std::uint32_t>(std::countr_zero(others));
       others &= others - 1;
-      if (caches_[0][c].erase(blk1)) ++counters_[0][c].invalidations;
-      l0_drop(c, blk1);
+      if (l1_[c].erase(blk1)) ++counters1_[c].invalidations;
+      memo_drop(c, blk1);
     } while (others != 0);
   }
   mask = me;
 }
 
-void CacheSim::l0_drop(std::uint32_t core, std::uint64_t blk1) {
-  L0Entry* set = &l0_[core * kL0Ways];
-  for (std::uint32_t k = 0; k < kL0Ways; ++k) {
-    if (set[k].block == blk1) {
-      set[k].block = ~0ull;
-      return;
-    }
+bool CacheSim::miss_shared(std::uint32_t core, std::uint64_t blk1, bool write,
+                           std::uint64_t victim) {
+  const std::uint64_t me = 1ull << core;
+  if (victim != obs::kNoEviction) {
+    // Keep the sharer table in sync with L1 contents.
+    if (std::uint64_t* m = sharers_.find(victim)) *m &= ~me;
   }
+  if (write) return true;  // the write path made `core` the sole sharer
+  std::uint64_t& mask = sharers_.get(blk1);
+  // Gaining a second sharer revokes the sole owner's memo exclusivity (its
+  // next write must ping-pong us out).
+  if (mask != 0 && mask != me && (mask & (mask - 1)) == 0) {
+    const std::uint32_t w = static_cast<std::uint32_t>(std::countr_zero(mask));
+    MemoEntry& e = memo_[memo_index(w, blk1)];
+    if (e.block == blk1) e.exclusive = 0;
+  }
+  mask |= me;
+  return mask == me;
 }
 
 void CacheSim::touch_block(std::uint32_t core, std::uint64_t blk1, bool write,
                            std::uint64_t* run_memo) {
-  L0Entry* set = &l0_[core * kL0Ways];
-  CacheCounters& c1 = counters1_[core];
-  LruCache& l1 = caches_[0][core];
-  // L0 filter probe: a slot hit is an exact L1 hit.  The LRU-list move is
-  // deferred (see L0Entry); the slot just rotates to the front.  Reads need
-  // no sharer update (the core's bit is already set); only a write to a
-  // possibly-shared block probes.
-  for (std::uint32_t k = 0; k < kL0Ways; ++k) {
-    if (set[k].block != blk1) continue;
-    if (write && !set[k].exclusive) {
-      coherence_write(core, blk1);
-      set[k].exclusive = true;
-    }
-    if (k != 0) {
-      const L0Entry hit = set[k];
-      for (std::uint32_t j = k; j > 0; --j) set[j] = set[j - 1];
-      set[0] = hit;
-      l0_dirty_[core] = 1;
-    }
-    ++c1.hits;
+  if (touch_private(core, blk1, write, [&] {
+        if (multicore_) coherence_write(core, blk1);
+      })) {
     return;
   }
-  // Slow path.  First settle the deferred LRU moves so the list is in
-  // exact recency order before any eviction decision below.
-  if (l0_dirty_[core]) {
-    l0_dirty_[core] = 0;
-    for (std::uint32_t k = kL0Ways; k-- > 0;) {
-      if (set[k].block != ~0ull) l1.touch_known(set[k].node);
-    }
-  }
-  if (multicore_ && write) coherence_write(core, blk1);
-  const bool hit = l1.touch(blk1);
-  // Either way blk1 is now MRU in the L1; record it at L0 slot 0.
-  for (std::uint32_t j = kL0Ways - 1; j > 0; --j) set[j] = set[j - 1];
-  // After a write the sharer mask is exactly {core}; after a read other
-  // sharers may exist, so exclusivity is only assumed when it is free.
-  set[0] = L0Entry{blk1, l1.last_node(), write || !multicore_};
-  if (hit) {
-    ++c1.hits;
-    return;
-  }
-  ++c1.misses;
+  const std::uint64_t victim = l1_[core].last_evicted();
   if constexpr (obs::kTracingCompiledIn) {
     if (tracer_ != nullptr) {
       tracer_->emit_attributed(obs::EventKind::kMiss, 1,
-                               obs::cache_lane(1, core), blk1,
-                               l1.last_evicted());
+                               obs::cache_lane(1, core), blk1, victim);
     }
   }
-  if (l1.last_evicted() != obs::kNoEviction) {
-    ++c1.evictions;
-    l0_drop(core, l1.last_evicted());
-    if (multicore_) {
-      // Keep the sharer table in sync with L1 contents.
-      if (std::uint64_t* m = sharers_.find(l1.last_evicted())) {
-        *m &= ~(1ull << core);
-      }
-    }
+  // A read miss that leaves `core` the sole sharer makes the memo slot
+  // touch_private just filled exclusive, so a following write to the block
+  // skips the coherence probe; the revocation above keeps that exact.
+  if (multicore_ && miss_shared(core, blk1, write, victim)) {
+    memo_[memo_index(core, blk1)].exclusive = 1;
   }
-  if (multicore_ && !write) {
-    std::uint64_t& mask = sharers_.get(blk1);
-    const std::uint64_t me = 1ull << core;
-    // Gaining a second sharer invalidates the sole owner's L0 exclusivity
-    // (its next write must ping-pong us out).
-    if (mask != 0 && mask != me && (mask & (mask - 1)) == 0) {
-      const std::uint32_t w =
-          static_cast<std::uint32_t>(std::countr_zero(mask));
-      L0Entry* ws = &l0_[w * kL0Ways];
-      for (std::uint32_t k = 0; k < kL0Ways; ++k) {
-        if (ws[k].block == blk1) ws[k].exclusive = false;
-      }
-    }
-    mask |= me;
-  }
-
-  // Walk the upper levels until a hit.
-  const std::uint64_t word0 = blk1 * b1_;
-  const std::uint32_t L = cfg_.cache_levels();
-  for (std::uint32_t lvl = 2; lvl <= L; ++lvl) {
-    const std::uint64_t blk = block_of(word0, lvl);
-    const std::uint32_t idx = cache_idx_[lvl - 1][core];
-    CacheCounters& ctr = counters_[lvl - 1][idx];
-    if (run_memo != nullptr) {
-      if (run_memo[lvl - 1] == blk) {
-        // Touched earlier in this run with nothing since at this level:
-        // still present and MRU, so this is a hit with no LRU movement.
-        ++ctr.hits;
-        return;
-      }
-      run_memo[lvl - 1] = blk;
-    }
-    LruCache& cache = caches_[lvl - 1][idx];
-    if (cache.touch(blk)) {
-      ++ctr.hits;
-      return;
-    }
-    ++ctr.misses;
-    if constexpr (obs::kTracingCompiledIn) {
-      if (tracer_ != nullptr) {
-        tracer_->emit_attributed(obs::EventKind::kMiss,
-                                 static_cast<std::uint8_t>(lvl),
-                                 obs::cache_lane(lvl, idx), blk,
-                                 cache.last_evicted());
-      }
-    }
-    if (cache.last_evicted() != obs::kNoEviction) ++ctr.evictions;
-  }
+  walk_upper(core, blk1, run_memo,
+             [&](std::uint32_t lvl, std::uint32_t idx, std::uint64_t blk,
+                 std::uint64_t evicted) {
+               if constexpr (obs::kTracingCompiledIn) {
+                 if (tracer_ != nullptr) {
+                   tracer_->emit_attributed(
+                       obs::EventKind::kMiss, static_cast<std::uint8_t>(lvl),
+                       obs::cache_lane(lvl, idx), blk, evicted);
+                 }
+               }
+             });
 }
 
 void CacheSim::access_blocks(std::uint32_t core, std::uint64_t first,
@@ -326,8 +310,7 @@ void CacheSim::clear() {
   for (auto& row : caches_) {
     for (auto& c : row) c.clear();
   }
-  std::fill(l0_.begin(), l0_.end(), L0Entry{});
-  std::fill(l0_dirty_.begin(), l0_dirty_.end(), 0);
+  std::fill(memo_.begin(), memo_.end(), MemoEntry{});
   sharers_.clear();
 }
 

@@ -14,26 +14,33 @@
 // scheduler's B_1-respecting chunking exists precisely to avoid these events
 // (ablated in bench_sched_ablation).
 //
-// Implementation (PR 3): this is the hot path of every Table II / Theorem
-// bench, so it is built for throughput while keeping every observable
-// counter bit-identical to the reference semantics above (enforced by
-// tests/test_golden_counters.cpp):
+// Implementation: this is the hot path of every Table II / Theorem bench,
+// so it is built for throughput while keeping every observable counter
+// bit-identical to the reference semantics above (enforced by
+// tests/test_golden_counters.cpp and, against an independent naive model,
+// tests/test_cache_sim_oracle.cpp):
 //
 //   * LruCache keys blocks through an open-addressing flat table
-//     (hm/flat_table.hpp) into an intrusive doubly-linked LRU list -- exact
-//     fully-associative LRU, ~one probe per touch.
+//     (hm/flat_table.hpp) into stable nodes.  Recency is a last-use stamp
+//     per node; a lazy FIFO of (node, stamp) pairs finds the victim by
+//     popping pairs until one still matches its node's stamp -- exact
+//     fully-associative LRU in amortized O(1), ~one probe per touch.
+//   * A per-core block memo in front of the L1 maps a B_1 block to its L1
+//     node and an exclusivity bit.  Entries are dropped when their block
+//     leaves the L1, so a memo hit is an exact L1 hit and resolves inline
+//     with one compare.  See DESIGN.md section 5c for why both are exact.
 //   * Coherence is O(1) per access: the sharer set is a 64-bit mask in an
 //     epoch-tagged flat table (MachineConfig rejects > 64 cores), writers
-//     that are the sole sharer skip the invalidation scan entirely, and
-//     invalidations iterate set bits, not all cores.
-//   * A per-core "L0" filter (one block tag per core) short-circuits
-//     repeated touches of a core's most-recently-used B_1 block -- the
-//     common sequential-access case -- into a single compare.  L1 hit
-//     counters are still credited; see DESIGN.md for why this is exact.
+//     the memo knows to be the sole sharer skip the invalidation probe
+//     entirely, and invalidations iterate set bits, not all cores.
 //   * access_run() walks a whole run of B_1 blocks per call, memoising the
 //     last block touched per upper level within the run, so batched range
 //     accesses (SimRef::load_run / store_run) pay one hierarchy walk per
 //     *distinct* upper-level block instead of one probe per B_1 block.
+//
+// The sharded replay engine (hm/psim.hpp) runs the same private-path and
+// upper-walk routines (touch_private, miss_shared, walk_upper), so the two
+// engines cannot drift apart.
 #pragma once
 
 #include <cstdint>
@@ -56,13 +63,11 @@ class LruCache {
   /// `evicted_valid()` is true after the call).
   bool touch(std::uint64_t block);
 
-  /// LRU move for a block whose node index is already known (from
-  /// last_node() at install/hit time) -- no hash probe.
+  /// Recency update for a block whose node index is already known (from
+  /// last_node() at install/hit time) -- no hash probe.  Touching the most
+  /// recently used block again changes nothing.
   void touch_known(std::uint32_t idx) {
-    if (head_ != idx) {
-      unlink(idx);
-      push_front(idx);
-    }
+    if (nodes_[idx].stamp != now_) stamp(idx);
   }
 
   /// Node index of the block hit or installed by the most recent touch().
@@ -87,42 +92,50 @@ class LruCache {
   std::size_t lines() const { return lines_; }
 
  private:
+  /// `stamp` is the node's last use (larger = more recent; 0 = free).
   struct Node {
     std::uint64_t block;
-    std::uint32_t prev, next;
+    std::uint32_t stamp;
     std::uint32_t slot;  ///< backpointer into map_ for O(1) erase
   };
-  static constexpr std::uint32_t kNil = 0xffffffffu;
+  /// One use of `node`; stale once the node is used again or freed.
+  struct Use {
+    std::uint32_t node;
+    std::uint32_t stamp;
+  };
+  /// The victim queue is a ring of at least 2 * size() + kQueueSlack uses.
+  static constexpr std::size_t kQueueSlack = 64;
+  static constexpr std::uint32_t kRenumberAt = 1u << 20;
 
-  void unlink(std::uint32_t idx) {
-    Node& n = nodes_[idx];
-    if (n.prev != kNil) {
-      nodes_[n.prev].next = n.next;
-    } else {
-      head_ = n.next;
-    }
-    if (n.next != kNil) {
-      nodes_[n.next].prev = n.prev;
-    } else {
-      tail_ = n.prev;
-    }
+  void stamp(std::uint32_t idx) {
+    if (tail_ - head_ > queue_mask_) compact();
+    nodes_[idx].stamp = ++now_;
+    queue_[tail_++ & queue_mask_] = Use{idx, now_};
   }
 
-  void push_front(std::uint32_t idx) {
-    Node& n = nodes_[idx];
-    n.prev = kNil;
-    n.next = head_;
-    if (head_ != kNil) nodes_[head_].prev = idx;
-    head_ = idx;
-    if (tail_ == kNil) tail_ = idx;
-  }
+  /// Pops stale uses off the queue front until one is current: that node
+  /// is the least recently used.  Only called when the cache is full.
+  std::uint32_t pop_victim();
+
+  /// Called when the ring is full: drops every stale use and grows the
+  /// ring if less than half of it is then free.  Once stamps pass
+  /// kRenumberAt it also renumbers the current uses 1..size() in queue
+  /// order, so stamps never outgrow 32 bits.
+  void compact();
 
   std::size_t lines_;
   std::vector<Node> nodes_;
   std::vector<std::uint32_t> free_;
   FlatTable<std::uint32_t> map_;
-  std::uint32_t head_ = kNil, tail_ = kNil;
-  std::uint32_t last_node_ = kNil;
+  // Ring of uses in stamp order: positions [head_, tail_), each stored at
+  // queue_[pos & queue_mask_] (the size is a power of two).  Every live
+  // node's latest use is in the ring, and no other use there is current.
+  std::vector<Use> queue_;
+  std::size_t queue_mask_;
+  std::size_t head_ = 0;
+  std::size_t tail_ = 0;
+  std::uint32_t now_ = 0;
+  std::uint32_t last_node_ = 0;
   std::uint64_t last_evicted_ = ~0ull;
 };
 
@@ -149,8 +162,9 @@ class CacheSim {
   /// failures at fault::InjectSite::kAllocSim).
   static Result<CacheSim> make(MachineConfig cfg) noexcept;
 
-  // counters1_ points into counters_[0]; moves keep vector heap buffers so
-  // the pointer survives, but copies would leave it dangling.
+  // l1_ and counters1_ point into caches_[0] and counters_[0]; moves keep
+  // vector heap buffers so the pointers survive, but copies would leave
+  // them dangling.
   CacheSim(const CacheSim&) = delete;
   CacheSim& operator=(const CacheSim&) = delete;
   CacheSim(CacheSim&&) = default;
@@ -168,10 +182,10 @@ class CacheSim {
   /// to per-word access() calls over the same range collapsed at B_1
   /// granularity (each covered block is touched exactly once per call).
   ///
-  /// The body here is the L0 fast path, inlined into callers: a repeat
-  /// touch of the core's most recent B_1 block (and, for writes, one it
-  /// holds exclusively) is a single compare + two counter increments.
-  /// Everything else tail-calls the out-of-line slow path.
+  /// The body here is the memo fast path, inlined into callers: a
+  /// re-touch of a block resident in the core's L1 (for a write, one the
+  /// core holds exclusively) is one compare, a recency stamp and a counter
+  /// increment.  Everything else calls the out-of-line slow path.
   void access_run(std::uint32_t core, std::uint64_t addr, std::uint32_t words,
                   bool write) {
     accesses_ += words > 0 ? words : 1;
@@ -185,18 +199,9 @@ class CacheSim {
       last = end / b1_;
     }
     if (first == last) {
-      L0Entry* set = &l0_[core * kL0Ways];
-      if (set[0].block == first && (!write || set[0].exclusive)) {
-        ++counters1_[core].hits;
-        return;
-      }
-      // Second way inline: two interleaved streams (one loaded, one stored)
-      // alternate between slots 0 and 1 on every access.
-      if (set[1].block == first && (!write || set[1].exclusive)) {
-        const L0Entry hit = set[1];
-        set[1] = set[0];
-        set[0] = hit;
-        l0_dirty_[core] = 1;  // LRU move deferred until the next slow path
+      const MemoEntry& m = memo_[memo_index(core, first)];
+      if (m.block == first && (!write || m.exclusive)) {
+        l1_[core].touch_known(m.node);
         ++counters1_[core].hits;
         return;
       }
@@ -230,7 +235,7 @@ class CacheSim {
 
   /// Attaches an event tracer (nullptr detaches).  Misses, evictions and
   /// ping-pongs are then emitted as obs events attributed to the tracer's
-  /// current task context; the L0/L1 hit fast paths never emit, so the
+  /// current task context; the memo/L1 hit fast paths never emit, so the
   /// traced slowdown is bounded by the miss rate.  Emission sits behind
   /// `if constexpr (obs::kTracingCompiledIn)`, so an OBLIV_TRACING=OFF
   /// build pays nothing.
@@ -243,50 +248,132 @@ class CacheSim {
   void clear();
 
  private:
-  // The sharded replay engine (hm/psim.hpp) replicates the private L0/L1
-  // paths on worker threads and replays shared-level effects through the
-  // same internal state, so it needs full access.
+  // The sharded replay engine (hm/psim.hpp) runs touch_private() on worker
+  // threads and replays the shared-level effects through miss_shared() and
+  // walk_upper(), so it needs access to them.
   friend class ShardedCacheSim;
 
-  /// One slot of a core's L0 filter: a B_1 block known to be resident in
-  /// the core's private L1 at LRU node `node`.  `exclusive` means the
-  /// sharer mask is known to be exactly this core, so even writes need no
-  /// coherence probe.  Each core owns kL0Ways slots kept in MRU order, and
-  /// slots are cleared whenever their block leaves the L1 (eviction or
-  /// invalidation), so a slot hit is always an exact L1 hit.  The slots
-  /// are, by construction, the core's kL0Ways most recently used distinct
-  /// blocks, so the L1's LRU-list moves for slot hits are *deferred*: list
-  /// order among the top-kL0Ways blocks cannot affect an eviction decision
-  /// until the next install, and the slow path settles the deferred order
-  /// (flush, in slot order) before it touches the L1 -- reproducing
-  /// exactly the list an eager implementation would have.  Multiple ways
-  /// matter because the MO kernels interleave 2-3 sequential streams
-  /// (e.g. scan reads v[2i], v[2i+1] and writes t[i]), which would thrash
-  /// a single-entry filter every access.
-  struct L0Entry {
+  /// One slot of a core's block memo: B_1 block `block` is resident in the
+  /// core's L1 at node `node`.  `exclusive` means the sharer mask is known
+  /// to be exactly this core, so even a write needs no coherence probe.
+  /// Slots are cleared when their block leaves the L1 (eviction or
+  /// invalidation), so a memo hit is always an exact L1 hit.  Slots are
+  /// direct-mapped by a Fibonacci hash of the block id: masking the low
+  /// bits would alias the power-of-two row strides of the matrix kernels.
+  struct MemoEntry {
     std::uint64_t block = ~0ull;
     std::uint32_t node = 0;
-    bool exclusive = false;
+    std::uint32_t exclusive = 0;
   };
-  static constexpr std::uint32_t kL0Ways = 4;
+
+  static constexpr std::uint8_t kMaxMemoBits = 14;
+
+  std::size_t memo_index(std::uint32_t core, std::uint64_t blk) const {
+    return (std::size_t{core} << memo_bits_) |
+           static_cast<std::size_t>((blk * 0x9e3779b97f4a7c15ull) >>
+                                    (64 - memo_bits_));
+  }
 
   /// Out-of-line slow path of access_run(): touches blocks [first, last].
   void access_blocks(std::uint32_t core, std::uint64_t first,
                      std::uint64_t last, bool write);
 
-  /// One B_1-block touch: L0 filter, coherence, hierarchy walk.
-  /// `run_memo` (one slot per level, ~0 = none) carries the last block
-  /// touched per upper level within the current access_run() call; pass
-  /// nullptr for single-block accesses.
+  /// One B_1-block touch: private path, then on an L1 miss the sharer
+  /// bookkeeping and the upper-level walk.  `run_memo` (one slot per
+  /// level, ~0 = none) carries the last block touched per upper level
+  /// within the current access_run() call; pass nullptr for single-block
+  /// accesses.
   void touch_block(std::uint32_t core, std::uint64_t blk1, bool write,
                    std::uint64_t* run_memo);
+
+  /// The private half of a B_1-block touch: memo probe, L1 touch or
+  /// install, L1 counters and memo upkeep.  It reads and writes only
+  /// `core`'s memo, L1 and L1 counters.  `on_write()` runs where a write
+  /// must go through the coherence protocol (other sharers may exist).
+  /// Returns true on an L1 hit; after a miss l1_[core].last_evicted() is
+  /// the victim.
+  template <class OnWrite>
+  bool touch_private(std::uint32_t core, std::uint64_t blk1, bool write,
+                     OnWrite&& on_write) {
+    MemoEntry& m = memo_[memo_index(core, blk1)];
+    LruCache& l1 = l1_[core];
+    CacheCounters& c1 = counters1_[core];
+    if (m.block == blk1) {
+      if (write && !m.exclusive) {
+        on_write();
+        m.exclusive = 1;
+      }
+      l1.touch_known(m.node);
+      ++c1.hits;
+      return true;
+    }
+    if (write) on_write();
+    const bool hit = l1.touch(blk1);
+    // After a write the sharer mask is exactly {core}; after a read other
+    // sharers may exist, so exclusivity is only assumed when it is free
+    // (touch_block grants it once miss_shared finds no other sharer).
+    m = MemoEntry{blk1, l1.last_node(), write || !multicore_};
+    if (hit) {
+      ++c1.hits;
+      return true;
+    }
+    ++c1.misses;
+    if (l1.last_evicted() != obs::kNoEviction) {
+      ++c1.evictions;
+      memo_drop(core, l1.last_evicted());
+    }
+    return false;
+  }
+
+  /// Sharer bookkeeping after `core`'s L1 missed on `blk1` and evicted
+  /// `victim` (obs::kNoEviction = none).  Multicore machines only.
+  /// Returns true when `core` is now the block's sole sharer.
+  bool miss_shared(std::uint32_t core, std::uint64_t blk1, bool write,
+                   std::uint64_t victim);
+
+  /// Walks the levels above `core`'s L1 for `blk1` until one hits,
+  /// counting at each; `on_miss(level, idx, block, evicted)` runs at every
+  /// miss.  `run_memo` as for touch_block().
+  template <class OnMiss>
+  void walk_upper(std::uint32_t core, std::uint64_t blk1,
+                  std::uint64_t* run_memo, OnMiss&& on_miss) {
+    const std::uint64_t word0 = blk1 * b1_;
+    const std::uint32_t L = cfg_.cache_levels();
+    for (std::uint32_t lvl = 2; lvl <= L; ++lvl) {
+      const std::uint64_t blk = block_of(word0, lvl);
+      const std::uint32_t idx = cache_idx_[lvl - 1][core];
+      CacheCounters& ctr = counters_[lvl - 1][idx];
+      if (run_memo != nullptr) {
+        if (run_memo[lvl - 1] == blk) {
+          // Touched earlier in this run with nothing since at this level:
+          // still present and most recently used, so a hit that changes
+          // no recency.
+          ++ctr.hits;
+          return;
+        }
+        run_memo[lvl - 1] = blk;
+      }
+      LruCache& cache = caches_[lvl - 1][idx];
+      if (cache.touch(blk)) {
+        ++ctr.hits;
+        return;
+      }
+      ++ctr.misses;
+      on_miss(lvl, idx, blk, cache.last_evicted());
+      if (cache.last_evicted() != obs::kNoEviction) ++ctr.evictions;
+    }
+  }
 
   /// Write-path coherence: invalidate other sharers (counting one
   /// ping-pong if any existed) and make `core` the sole sharer.
   void coherence_write(std::uint32_t core, std::uint64_t blk1);
 
-  /// Clears `blk1` from `core`'s L0 set if present (block left the L1).
-  void l0_drop(std::uint32_t core, std::uint64_t blk1);
+  /// Clears `core`'s memo slot for `blk1` if it holds it (the block left
+  /// the L1).
+  void memo_drop(std::uint32_t core, std::uint64_t blk1) {
+    MemoEntry& m = memo_[memo_index(core, blk1)];
+    if (m.block == blk1) m.block = ~0ull;
+  }
 
   /// Block id of `word` at `level` (1-based).
   std::uint64_t block_of(std::uint64_t word, std::uint32_t level) const {
@@ -299,11 +386,14 @@ class CacheSim {
   MachineConfig cfg_;
   bool multicore_ = false;
   // Hot copies for the inline fast path: B_1 and its log2 (or kNoShift),
-  // and the raw row of L1 counters (counters_[0].data(); vectors never
-  // resize after construction, and moves keep heap buffers, so the pointer
-  // stays valid -- copying is deleted below to keep that true).
+  // log2 of the per-core memo size, and the raw rows of L1 caches and L1
+  // counters (caches_[0].data(), counters_[0].data(); vectors never resize
+  // after construction, and moves keep heap buffers, so the pointers stay
+  // valid -- copying is deleted above to keep that true).
   std::uint64_t b1_ = 1;
   std::uint8_t b1_shift_ = 0;
+  std::uint8_t memo_bits_ = 4;
+  LruCache* l1_ = nullptr;
   CacheCounters* counters1_ = nullptr;
   // caches_[level-1][idx]
   std::vector<std::vector<LruCache>> caches_;
@@ -312,11 +402,8 @@ class CacheSim {
   std::vector<std::vector<std::uint32_t>> cache_idx_;
   // log2(B_i) when B_i is a power of two, else kNoShift.
   std::vector<std::uint8_t> shift_;
-  // l0_[core * kL0Ways + k]: core's L0 filter slots in MRU order.
-  std::vector<L0Entry> l0_;
-  // l0_dirty_[core]: nonzero when L0 slot order has diverged from the L1's
-  // LRU-list order (moves deferred by L0 hits; settled before any install).
-  std::vector<std::uint8_t> l0_dirty_;
+  // memo_[memo_index(core, blk)]: each core's 2^memo_bits_ memo slots.
+  std::vector<MemoEntry> memo_;
   // Scratch for access_run(): last block touched per level in the current
   // run (index level-1; ~0 = none).  Member to avoid per-call allocation.
   std::vector<std::uint64_t> run_memo_;

@@ -207,96 +207,19 @@ void ShardedCacheSim::run_shard(std::uint32_t core) {
   }
 }
 
-// The private-cache half of CacheSim::touch_block, verbatim semantics:
-// L0 probe with deferred LRU rotation, reverse-order settle, L1 touch +
-// install, hit/miss/eviction counting, and L0 drop of the victim.  Every
-// shared-level side effect becomes a ShardEvent instead.  (The inline
-// 2-way fast path of access_run is subsumed: for slots 0/1 it performs
-// the same rotation and counting as the probe loop here.)
+// CacheSim's own private path, with every shared-level side effect turned
+// into a ShardEvent.  A write that needs the coherence protocol would call
+// coherence_write in a serial run; condition 2 guarantees no other
+// sharers, so its only effect is mask = {core}, applied at merge.  The
+// victim's sharer-mask bit clears at merge too (kEvMiss).
 void ShardedCacheSim::shard_touch(std::uint32_t core, std::uint64_t blk,
                                   bool write, std::uint32_t seq, Shard& sh) {
-  CacheSim::L0Entry* set = &sim_.l0_[core * CacheSim::kL0Ways];
-  CacheCounters& c1 = sim_.counters1_[core];
-  LruCache& l1 = sim_.caches_[0][core];
-  for (std::uint32_t k = 0; k < CacheSim::kL0Ways; ++k) {
-    if (set[k].block != blk) continue;
-    if (write && !set[k].exclusive) {
-      sh.events.push_back(ShardEvent{blk, ~0ull, seq, kEvWriteTouch, 1});
-      set[k].exclusive = true;
-    }
-    if (k != 0) {
-      const CacheSim::L0Entry hit = set[k];
-      for (std::uint32_t j = k; j > 0; --j) set[j] = set[j - 1];
-      set[0] = hit;
-      sim_.l0_dirty_[core] = 1;
-    }
-    ++c1.hits;
-    return;
-  }
-  if (sim_.l0_dirty_[core]) {
-    sim_.l0_dirty_[core] = 0;
-    for (std::uint32_t k = CacheSim::kL0Ways; k-- > 0;) {
-      if (set[k].block != ~0ull) l1.touch_known(set[k].node);
-    }
-  }
-  if (write) {
-    // Serial would coherence_write here; condition 2 guarantees no other
-    // sharers, so the only effect is mask = {core}, applied at merge.
+  const bool hit = sim_.touch_private(core, blk, write, [&] {
     sh.events.push_back(ShardEvent{blk, ~0ull, seq, kEvWriteTouch, 1});
-  }
-  const bool hit = l1.touch(blk);
-  for (std::uint32_t j = CacheSim::kL0Ways - 1; j > 0; --j) {
-    set[j] = set[j - 1];
-  }
-  // A write made the block exclusive (mask becomes exactly {core} at
-  // merge); a read may gain co-sharers, same as the serial path.
-  set[0] = CacheSim::L0Entry{blk, l1.last_node(), write};
-  if (hit) {
-    ++c1.hits;
-    return;
-  }
-  ++c1.misses;
-  const std::uint64_t victim = l1.last_evicted();
-  sh.events.push_back(ShardEvent{blk, victim, seq, kEvMiss,
-                                 static_cast<std::uint8_t>(write)});
-  if (victim != ~0ull) {
-    ++c1.evictions;
-    sim_.l0_drop(core, victim);
-    // The victim's sharer-mask bit clears at merge (kEvMiss).
-  }
-}
-
-void ShardedCacheSim::walk_upper(std::uint32_t core, std::uint64_t blk,
-                                 std::uint64_t* memo, std::uint64_t ts,
-                                 std::uint64_t task) {
-  const std::uint64_t word0 = blk * b1_;
-  const std::uint32_t L = sim_.cfg_.cache_levels();
-  for (std::uint32_t lvl = 2; lvl <= L; ++lvl) {
-    const std::uint64_t b = sim_.block_of(word0, lvl);
-    const std::uint32_t idx = sim_.cache_idx_[lvl - 1][core];
-    CacheCounters& ctr = sim_.counters_[lvl - 1][idx];
-    if (memo != nullptr) {
-      if (memo[lvl - 1] == b) {
-        ++ctr.hits;
-        return;
-      }
-      memo[lvl - 1] = b;
-    }
-    LruCache& cache = sim_.caches_[lvl - 1][idx];
-    if (cache.touch(b)) {
-      ++ctr.hits;
-      return;
-    }
-    ++ctr.misses;
-    if constexpr (obs::kTracingCompiledIn) {
-      if (tracer_ != nullptr) {
-        tracer_->emit_prestamped(
-            0, obs::Event{ts, b, cache.last_evicted(), task,
-                          obs::cache_lane(lvl, idx), obs::EventKind::kMiss,
-                          static_cast<std::uint8_t>(lvl)});
-      }
-    }
-    if (cache.last_evicted() != ~0ull) ++ctr.evictions;
+  });
+  if (!hit) {
+    sh.events.push_back(ShardEvent{blk, sim_.l1_[core].last_evicted(), seq,
+                                   kEvMiss, static_cast<std::uint8_t>(write)});
   }
 }
 
@@ -340,28 +263,26 @@ void ShardedCacheSim::merge_epoch() {
                           obs::cache_lane(1, e.core), obs::EventKind::kMiss,
                           1});
       }
-      if (ev.victim != ~0ull) {
-        if (std::uint64_t* m = sim_.sharers_.find(ev.victim)) {
-          *m &= ~me;
-        }
-      }
-      if (!ev.write) {
-        std::uint64_t& mask = sim_.sharers_.get(ev.blk);
-        // Gaining a second sharer revokes the sole owner's L0 exclusivity.
-        // Mutating another core's L0 here is safe: shards have joined, and
-        // within this epoch no shard write consults that stale exclusive
-        // bit (it would be a condition-1 conflict).
-        if (mask != 0 && mask != me && (mask & (mask - 1)) == 0) {
-          const std::uint32_t w =
-              static_cast<std::uint32_t>(std::countr_zero(mask));
-          CacheSim::L0Entry* ws = &sim_.l0_[w * CacheSim::kL0Ways];
-          for (std::uint32_t j = 0; j < CacheSim::kL0Ways; ++j) {
-            if (ws[j].block == ev.blk) ws[j].exclusive = false;
-          }
-        }
-        mask |= me;
-      }
-      walk_upper(e.core, ev.blk, memo, e.ts, e.task);
+      // Gaining a second sharer revokes the sole owner's memo exclusivity.
+      // Mutating another core's memo here is safe: shards have joined, and
+      // within this epoch no shard write consults that stale exclusive bit
+      // (it would be a condition-1 conflict).  Unlike the serial path, the
+      // merge never *grants* exclusivity: the shard has already run past
+      // this access, so its memo may hold a later state of the block.
+      // Exclusivity only saves coherence probes; it never changes a count.
+      sim_.miss_shared(e.core, ev.blk, ev.write != 0, ev.victim);
+      sim_.walk_upper(
+          e.core, ev.blk, memo,
+          [&](std::uint32_t lvl, std::uint32_t idx, std::uint64_t b,
+              std::uint64_t evicted) {
+            if (tracing) {
+              tracer_->emit_prestamped(
+                  0, obs::Event{e.ts, b, evicted, e.task,
+                                obs::cache_lane(lvl, idx),
+                                obs::EventKind::kMiss,
+                                static_cast<std::uint8_t>(lvl)});
+            }
+          });
     }
   }
 }

@@ -6,7 +6,7 @@
 // SimExecutor executes parallel siblings sequentially in DFS order, so its
 // access stream is a concatenation of contiguous per-core runs; within any
 // contiguous chunk of that stream ("epoch"), each core's subsequence only
-// touches the core's own L0 filter and L1 cache -- unless a coherence
+// touches the core's own block memo and L1 cache -- unless a coherence
 // interaction couples two cores.  The engine exploits exactly that:
 //
 //   1. Accesses are buffered instead of simulated; the buffer is cut into
@@ -22,19 +22,19 @@
 //      perturbing L1 occupancy).  Conflict-free epochs provably produce
 //      zero ping-pongs and zero invalidations.
 //   3. Shard replay (parallel): one task per active core on a
-//      work-stealing pool replays the core's subsequence against ONLY its
-//      private L0 set, l0_dirty flag, L1 LruCache, and L1 counters --
-//      all disjoint arrays indexed by core, so there are no data races --
-//      replicating CacheSim::touch_block's private-path semantics
-//      instruction for instruction.  Shared-level effects (sharer-mask
-//      updates, upper-level walks, miss events) are not applied; instead
-//      each L1 miss / coherence-relevant write is recorded as a queue
-//      entry keyed by the access's epoch sequence number.
+//      work-stealing pool replays the core's subsequence through
+//      CacheSim::touch_private -- the serial engine's own private path,
+//      which reads and writes ONLY the core's block memo, L1 LruCache and
+//      L1 counters (disjoint per core, so there are no data races).
+//      Shared-level effects (sharer-mask updates, upper-level walks, miss
+//      events) are not applied; instead each L1 miss / coherence-relevant
+//      write is recorded as a queue entry keyed by the access's epoch
+//      sequence number.
 //   4. Epoch-ordered merge (serial): walk the epoch's accesses in original
 //      trace order -- which IS the canonical (epoch, core, seq) order,
 //      since each core's queue drains monotonically -- and apply each
-//      queued event against the shared sharer table and upper-level
-//      caches exactly as the serial simulator would have, including the
+//      queued event through CacheSim::miss_shared and CacheSim::walk_upper,
+//      the routines the serial simulator itself runs, including the
 //      run-memoised upper walk and deferred obs-event emission.
 //
 // Shard outputs depend only on the private start state and the core's own
@@ -176,8 +176,6 @@ class ShardedCacheSim {
   void merge_epoch();
   void fallback_epoch();
   void drain_sched(std::uint64_t upto);
-  void walk_upper(std::uint32_t core, std::uint64_t blk, std::uint64_t* memo,
-                  std::uint64_t ts, std::uint64_t task);
   void emit_epoch_mark(bool fallback);
   void reset_epoch_state();
 

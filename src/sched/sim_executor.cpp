@@ -30,6 +30,35 @@ Result<SimExecutor> SimExecutor::make(hm::MachineConfig cfg,
   }
 }
 
+void SimExecutor::access_hooked(std::uint64_t addr, std::uint32_t words,
+                                bool write) {
+  if constexpr (obs::kTracingCompiledIn) {
+    // Access-run-length distribution (how effective PR 3's run batching
+    // is for this workload); recorded at capture time so serial and
+    // sharded replay produce identical registries.
+    if (tracer_ != nullptr) hist_access_words_->record(words);
+  }
+  if (trace_ != nullptr) {
+    trace_->push_back(TraceEntry{addr, words,
+                                 static_cast<std::uint8_t>(ctx_.core),
+                                 static_cast<std::uint8_t>(write)});
+  }
+  if (psim_buf_ != nullptr) {
+    // Sharded engine: buffer the access (with the obs context a live
+    // emission would have used) instead of simulating it now.  ts is
+    // work_ *before* tick, matching when cache_.access would emit.
+    psim_buf_->push_back(hm::PsimAccess{
+        addr, words, static_cast<std::uint8_t>(ctx_.core),
+        static_cast<std::uint8_t>(write), work_,
+        tracer_ != nullptr ? tracer_->current_task() : 0});
+    if (psim_buf_->size() >= psim_cap_) psim_->flush();
+    tick(words);
+    return;
+  }
+  cache_.access(ctx_.core, addr, words, write);
+  tick(words);
+}
+
 void SimExecutor::set_tracer(obs::Tracer* tracer) {
   tracer_ = tracer;
   cache_.set_tracer(tracer);

@@ -119,35 +119,18 @@ class SimExecutor {
 
   /// Records a memory access of `words` words at simulated address `addr`
   /// by the current core and charges one unit of work/span per word.
-  /// Inline so the CacheSim L0 fast path reaches into SimRef::load/store.
+  /// Inline so the CacheSim memo fast path reaches into SimRef::load/store;
+  /// the capture hooks (tracer histogram, trace recording, sharded-engine
+  /// buffering) live out of line, which keeps this body small enough for
+  /// the compiler to inline.
   /// A single batched call over `words` words is equivalent, in every
   /// observable counter, to per-element calls covering the same range:
   /// work/span charge `words` either way, and the cache walk collapses
   /// repeat touches of a B_1 block exactly (see hm/cache_sim.hpp).
   void access(std::uint64_t addr, std::uint32_t words, bool write) {
-    if constexpr (obs::kTracingCompiledIn) {
-      // Access-run-length distribution (how effective PR 3's run batching
-      // is for this workload); recorded at capture time so serial and
-      // sharded replay produce identical registries.
-      if (tracer_ != nullptr) [[unlikely]] {
-        hist_access_words_->record(words);
-      }
-    }
-    if (trace_ != nullptr) [[unlikely]] {
-      trace_->push_back(TraceEntry{addr, words,
-                                   static_cast<std::uint8_t>(ctx_.core),
-                                   static_cast<std::uint8_t>(write)});
-    }
-    if (psim_buf_ != nullptr) [[unlikely]] {
-      // Sharded engine: buffer the access (with the obs context a live
-      // emission would have used) instead of simulating it now.  ts is
-      // work_ *before* tick, matching when cache_.access would emit.
-      psim_buf_->push_back(hm::PsimAccess{
-          addr, words, static_cast<std::uint8_t>(ctx_.core),
-          static_cast<std::uint8_t>(write), work_,
-          tracer_ != nullptr ? tracer_->current_task() : 0});
-      if (psim_buf_->size() >= psim_cap_) psim_->flush();
-      tick(words);
+    if (trace_ != nullptr || psim_buf_ != nullptr ||
+        (obs::kTracingCompiledIn && tracer_ != nullptr)) [[unlikely]] {
+      access_hooked(addr, words, write);
       return;
     }
     cache_.access(ctx_.core, addr, words, write);
@@ -248,6 +231,10 @@ class SimExecutor {
 
   std::uint32_t cores_under_ctx() const;
   std::uint32_t first_core_under_ctx() const;
+
+  /// access() while a tracer, a trace recording or the sharded engine is
+  /// attached.
+  void access_hooked(std::uint64_t addr, std::uint32_t words, bool write);
 
   // ---- obs emission helpers (no-ops when tracing is compiled out) ---------
 

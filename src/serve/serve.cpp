@@ -19,7 +19,6 @@
 #include "algo/transpose.hpp"
 #include "fault/fault.hpp"
 #include "sched/views.hpp"
-#include "util/bits.hpp"
 #include "workload/kinds.hpp"
 
 namespace obliv::serve {
@@ -74,7 +73,37 @@ Family family_of(const Request& req) {
       req);
 }
 
+namespace {
+
+/// The request's size argument n to workload::size_ok and
+/// workload::space_words.
+std::uint64_t request_size(const Request& req) {
+  return std::visit(
+      Overloaded{
+          [](const ScanRequest& r) -> std::uint64_t { return r.data.size(); },
+          [](const SortRequest& r) -> std::uint64_t { return r.keys.size(); },
+          [](const FftRequest& r) -> std::uint64_t { return r.data.size(); },
+          [](const TransposeRequest& r) -> std::uint64_t { return r.n; },
+          [](const GepRequest& r) -> std::uint64_t { return r.n; },
+          [](const ListRankRequest& r) -> std::uint64_t {
+            return r.succ.size();
+          },
+          [](const SpmdvRequest& r) -> std::uint64_t { return r.y.size(); },
+      },
+      req);
+}
+
+}  // namespace
+
 Status validate(const Request& req) {
+  // The size rule first: the shape checks below multiply n by itself.
+  const auto kind = static_cast<workload::Kind>(family_of(req));
+  const std::uint64_t n = request_size(req);
+  if (!workload::size_ok(kind, n)) {
+    return invalid(std::string(workload::name(kind)) + ": size " +
+                   std::to_string(n) + " rejected, it must be " +
+                   std::string(workload::size_rule(kind)));
+  }
   return std::visit(
       Overloaded{
           [](const ScanRequest& r) {
@@ -87,10 +116,6 @@ Status validate(const Request& req) {
           },
           [](const FftRequest& r) {
             if (!view_ok(r.data)) return invalid("fft: null data view");
-            if (r.data.size() != 0 && !util::is_pow2(r.data.size())) {
-              return invalid("fft: size must be a power of two, got " +
-                             std::to_string(r.data.size()));
-            }
             return Status();
           },
           [](const TransposeRequest& r) {
@@ -98,10 +123,6 @@ Status validate(const Request& req) {
               return invalid("transpose: null matrix view");
             }
             if (r.n == 0) return Status();
-            if (!util::is_pow2(r.n)) {
-              return invalid("transpose: side must be a power of two, got " +
-                             std::to_string(r.n));
-            }
             if (r.in.size() < r.n * r.n || r.out.size() < r.n * r.n) {
               return invalid("transpose: views shorter than n*n");
             }
@@ -132,17 +153,17 @@ Status validate(const Request& req) {
                 !view_ok(r.y)) {
               return invalid("spmdv: null view");
             }
-            const std::uint64_t n = r.y.size();
-            if (n == 0) return Status();
-            if (r.a0.size() != n + 1) {
+            const std::uint64_t rows = r.y.size();
+            if (rows == 0) return Status();
+            if (r.a0.size() != rows + 1) {
               return invalid("spmdv: a0 must hold y.size()+1 offsets");
             }
-            if (r.x.size() < n) {
+            if (r.x.size() < rows) {
               return invalid("spmdv: x shorter than the row count");
             }
             // Cheap endpoint checks; per-row monotonicity is the caller's
             // contract (validating it would read the whole offset array).
-            if (r.a0.load(0) != 0 || r.a0.load(n) > r.av.size()) {
+            if (r.a0.load(0) != 0 || r.a0.load(rows) > r.av.size()) {
               return invalid("spmdv: a0 endpoints inconsistent with av");
             }
             return Status();
@@ -152,22 +173,9 @@ Status validate(const Request& req) {
 }
 
 std::uint64_t space_estimate_words(const Request& req) {
-  // The request's size argument to S(n) (see workload::space_words).
-  const std::uint64_t n = std::visit(
-      Overloaded{
-          [](const ScanRequest& r) -> std::uint64_t { return r.data.size(); },
-          [](const SortRequest& r) -> std::uint64_t { return r.keys.size(); },
-          [](const FftRequest& r) -> std::uint64_t { return r.data.size(); },
-          [](const TransposeRequest& r) -> std::uint64_t { return r.n; },
-          [](const GepRequest& r) -> std::uint64_t { return r.n; },
-          [](const ListRankRequest& r) -> std::uint64_t {
-            return r.succ.size();
-          },
-          [](const SpmdvRequest& r) -> std::uint64_t { return r.y.size(); },
-      },
-      req);
   const auto* spmdv = std::get_if<SpmdvRequest>(&req);
-  return workload::space_words(static_cast<workload::Kind>(family_of(req)), n,
+  return workload::space_words(static_cast<workload::Kind>(family_of(req)),
+                               request_size(req),
                                spmdv != nullptr ? spmdv->av.size() : 0);
 }
 

@@ -148,10 +148,12 @@ using Request = std::variant<ScanRequest, SortRequest, FftRequest,
 
 Family family_of(const Request& req);
 
-/// Structural validation, applied at submit time: null views with nonzero
-/// lengths, non-power-of-two FFT/transpose sizes, aliased transpose
-/// buffers, short matrices, mismatched list-rank arrays, inconsistent
-/// (A_v, A_0) shapes.  kOk means the request is safe to execute.
+/// Structural validation, applied at submit time: sizes the algorithm does
+/// not take (workload::size_ok, e.g. a non-power-of-two FFT or a gep side
+/// that does not halve evenly), null views with nonzero lengths, aliased
+/// transpose buffers, short matrices, mismatched list-rank arrays,
+/// inconsistent (A_v, A_0) shapes.  kOk means the request is safe to
+/// execute.
 Status validate(const Request& req);
 
 /// The admission-control working-set estimate: the family's SB space bound

@@ -80,4 +80,17 @@ constexpr bool size_ok(Kind k, std::uint64_t n) {
   }
 }
 
+/// size_ok's rule for `k`, in words, for error messages.
+constexpr std::string_view size_rule(Kind k) {
+  switch (k) {
+    case Kind::kFft: return "zero or a power of two";
+    case Kind::kTranspose: return "zero or a power of two below 2^32";
+    case Kind::kGep:
+    case Kind::kMatmul:
+      return "a side below 2^32 that halves evenly down to at most 8";
+    case Kind::kSpmdv: return "a side below 2^32";
+    default: return "any size";
+  }
+}
+
 }  // namespace obliv::workload

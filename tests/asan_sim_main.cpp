@@ -9,10 +9,12 @@
 //
 // The scenarios target the manually-managed memory in the fast paths: the
 // open-addressing table's grow/rehash with live tombstones, Node::slot
-// backpointer resync, epoch-recycled sharer slots, the per-core L0 filter's
-// deferred LRU flush, and SimRef run accessors crossing block boundaries.
-// A last scenario drives the sparse-matrix generators (algo/graphgen.hpp),
-// whose counting-sort scatter and in-place duplicate compaction index A_v
+// backpointer resync, epoch-recycled sharer slots, the LRU victim ring's
+// compaction and stamp renumbering, node recycling after an invalidation,
+// the per-core block memo's drops, 1-line caches, clear() between runs,
+// and SimRef run accessors crossing block boundaries.  A last scenario
+// drives the sparse-matrix generators (algo/graphgen.hpp), whose
+// counting-sort scatter and in-place duplicate compaction index A_v
 // through computed offsets.
 //
 // A full ASan build of the whole suite is available via
@@ -29,6 +31,7 @@
 #include "algo/sort.hpp"
 #include "hm/cache_sim.hpp"
 #include "hm/config.hpp"
+#include "obs/trace.hpp"
 #include "sched/sim_executor.hpp"
 #include "util/rng.hpp"
 
@@ -56,7 +59,6 @@ void lru_churn() {
         c.erase(b);
       } else {
         c.touch(b);
-        c.touch_known(c.last_node());
       }
     }
     check(c.size() <= 64, "lru_churn: size bounded by lines");
@@ -65,8 +67,122 @@ void lru_churn() {
   }
 }
 
+/// Hit-heavy stream on a cache that never fills: every retouch queues a
+/// use and nothing pops, so the victim ring compacts over and over and the
+/// stamps pass the renumbering threshold several times.  The first
+/// eviction afterwards must still pick the least recently used block.
+void queue_compaction() {
+  obliv::hm::LruCache c(64);
+  obliv::util::Xoshiro256 rng(5);
+  std::map<std::uint64_t, int> last_use;  // block -> op of its last touch
+  std::vector<std::uint32_t> node(48);
+  for (std::uint64_t b = 0; b < 48; ++b) {
+    c.touch(b);
+    node[b] = c.last_node();
+    last_use[b] = -1;
+  }
+  for (int op = 0; op < 3'000'000; ++op) {
+    const std::uint64_t b = rng() % 48;
+    if (op % 2 == 0) {
+      c.touch(b);
+    } else {
+      c.touch_known(node[b]);
+    }
+    last_use[b] = op;
+  }
+  for (std::uint64_t b = 48; b < 64; ++b) c.touch(b);  // fills, no victim
+  check(c.last_evicted() == obliv::obs::kNoEviction,
+        "queue_compaction: no eviction before full");
+  std::uint64_t lru = 0;
+  for (const auto& [b, op] : last_use) {
+    if (op < last_use[lru]) lru = b;
+  }
+  c.touch(1000);
+  check(c.last_evicted() == lru, "queue_compaction: LRU victim after churn");
+}
+
+/// Coherence invalidations free L1 nodes that later installs recycle: core
+/// 1's writes invalidate core 0's copies, core 0 installs fresh blocks into
+/// the freed nodes, then re-reads the invalidated ones.  Every invalidation
+/// is counted once and every re-read misses.
+void node_recycling() {
+  obliv::hm::CacheSim sim(obliv::hm::MachineConfig::shared_l2(4));
+  const std::uint64_t b1 = 8;
+  for (int round = 0; round < 50; ++round) {
+    const std::uint64_t base = std::uint64_t(round) * 4096;
+    for (std::uint64_t k = 0; k < 64; ++k) sim.access(0, base + k * b1, 1, false);
+    for (std::uint64_t k = 0; k < 64; ++k) sim.access(1, base + k * b1, 1, true);
+    for (std::uint64_t k = 0; k < 64; ++k) {
+      sim.access(0, base + 2048 + k * b1, 1, false);  // recycled nodes
+    }
+    for (std::uint64_t k = 0; k < 64; ++k) sim.access(0, base + k * b1, 1, false);
+  }
+  check(sim.counters(1, 0).invalidations == 50 * 64,
+        "node_recycling: one invalidation per written block");
+  check(sim.counters(1, 0).misses == 50 * 3 * 64,
+        "node_recycling: re-reads after invalidation miss");
+}
+
+/// A 9-block cycle through an 8-line L1 misses on every access: a memo slot
+/// that outlived its block's eviction would turn those into hits.  Writes
+/// from a second core, and a 1-line L1 on both cores, cover the same drop
+/// after an invalidation and the smallest cache.
+void memo_drop_and_one_line() {
+  obliv::hm::CacheSim seq(obliv::hm::MachineConfig::sequential(64, 8));
+  for (int op = 0; op < 9000; ++op) {
+    seq.access(0, std::uint64_t(op % 9) * 8, 1, false);
+  }
+  check(seq.counters(1, 0).misses == 9000, "memo: evicted blocks miss");
+
+  const obliv::hm::MachineConfig tiny(
+      "one_line", {obliv::hm::LevelSpec{1, 1, 1}, obliv::hm::LevelSpec{4, 1, 2}});
+  obliv::hm::CacheSim sim(tiny);
+  obliv::util::Xoshiro256 rng(3);
+  for (int op = 0; op < 100000; ++op) {
+    sim.access(rng() % 2, rng() % 6, 1 + rng() % 3, rng() % 3 == 0);
+  }
+  for (std::uint32_t core = 0; core < 2; ++core) {
+    const auto& c = sim.counters(1, core);
+    check(c.misses - c.evictions - c.invalidations <= 1,
+          "one_line: L1 holds at most one block");
+  }
+  for (int op = 0; op < 1000; ++op) sim.access(0, op % 2, 1, false);
+  check(sim.counters(1, 0).hits + sim.counters(1, 0).misses > 0,
+        "one_line: counted");
+}
+
+/// clear() must leave no trace of the previous run: the same storm after a
+/// clear() counts exactly what it counts on a fresh simulator.
+void clear_between_runs() {
+  const obliv::hm::MachineConfig cfg = obliv::hm::MachineConfig::figure1();
+  auto storm = [&](obliv::hm::CacheSim& sim, std::uint64_t seed) {
+    obliv::util::Xoshiro256 rng(seed);
+    for (int op = 0; op < 50000; ++op) {
+      sim.access(rng() % cfg.cores(), rng() % 20000, 1 + rng() % 24,
+                 rng() % 4 == 0);
+    }
+  };
+  auto counts = [&](const obliv::hm::CacheSim& sim) {
+    std::vector<std::uint64_t> v{sim.pingpong_events(), sim.total_accesses()};
+    for (std::uint32_t lvl = 1; lvl <= cfg.cache_levels(); ++lvl) {
+      for (std::uint32_t i = 0; i < cfg.caches_at(lvl); ++i) {
+        const auto& c = sim.counters(lvl, i);
+        v.insert(v.end(), {c.hits, c.misses, c.evictions, c.invalidations});
+      }
+    }
+    return v;
+  };
+  obliv::hm::CacheSim reused(cfg);
+  storm(reused, 1);
+  reused.clear();
+  storm(reused, 2);
+  obliv::hm::CacheSim fresh(cfg);
+  storm(fresh, 2);
+  check(counts(reused) == counts(fresh), "clear: same counts as fresh");
+}
+
 /// Multicore access storm straight at CacheSim: all cores hammer a shared
-/// region (ping-pong + invalidation paths) and private regions (L0 fast
+/// region (ping-pong + invalidation paths) and private regions (memo fast
 /// path), with run accesses spanning many blocks.
 void sim_storm(const obliv::hm::MachineConfig& cfg) {
   obliv::hm::CacheSim sim(cfg);
@@ -199,6 +315,10 @@ void generator_assembly() {
 
 int main() {
   lru_churn();
+  queue_compaction();
+  node_recycling();
+  memo_drop_and_one_line();
+  clear_between_runs();
   sim_storm(obliv::hm::MachineConfig::shared_l2(4));
   sim_storm(obliv::hm::MachineConfig::figure1());
   executor_workloads(obliv::hm::MachineConfig::shared_l2(4));

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <numbers>
 #include <vector>
 
 #include "hm/config.hpp"
@@ -103,6 +105,22 @@ TEST(Fft, ParsevalHolds) {
   double freq_energy = 0;
   for (auto& v : buf.raw()) freq_energy += std::norm(v);
   EXPECT_NEAR(freq_energy, time_energy * n, 1e-6 * n);
+}
+
+TEST(Fft, SharedTwiddlesMatchPolarBitwise) {
+  // MO-FFT reads w_m^j from one table of w_M^k; every (j, m) it can ask
+  // for must give the bits the direct expression gives, through the table
+  // (m <= M) and past it (m > M).
+  for (std::uint64_t m = 1; m <= 4 * detail::kTwiddleTableSize; m *= 2) {
+    for (std::uint64_t j = 0; j < m; ++j) {
+      const cplx want = std::polar(
+          1.0, -2.0 * std::numbers::pi * static_cast<double>(j) /
+                   static_cast<double>(m));
+      const cplx got = detail::twiddle(j, m);
+      ASSERT_EQ(std::memcmp(&want, &got, sizeof(cplx)), 0)
+          << "j = " << j << ", m = " << m;
+    }
+  }
 }
 
 TEST(Fft, IterativeBaselineMatchesMoFft) {

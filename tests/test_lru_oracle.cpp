@@ -3,12 +3,14 @@
 // A std::list + linear-search reference implements the fully-associative
 // LRU policy the HM model specifies.  Long random operation streams --
 // touches, coherence erases, known-node retouches, clears -- are applied to
-// both; every hit/miss verdict, eviction victim, and size must match.  The
-// streams are tuned to cross the open-addressing table's grow threshold
-// repeatedly and to churn tombstones (erase + reinsert), so the
-// find_or_slot / erase_at / rehash_now paths and the Node::slot
-// backpointer resync all get exercised, including with power-of-two-strided
-// block ids (the adversarial pattern for multiplicative hashing).
+// both; every hit/miss verdict, eviction victim, and size must match.  One
+// stream runs long enough without a clear for the victim queue to
+// renumber its recency stamps.  The streams are tuned to cross the
+// open-addressing table's grow threshold repeatedly and to churn
+// tombstones (erase + reinsert), so the find_or_slot / erase_at /
+// rehash_now paths and the Node::slot backpointer resync all get
+// exercised, including with power-of-two-strided block ids (the
+// adversarial pattern for multiplicative hashing).
 #include "hm/cache_sim.hpp"
 
 #include <gtest/gtest.h>
@@ -73,7 +75,8 @@ class RefLru {
 /// One adversarial stream against one cache geometry.  `stride` shapes the
 /// block-id distribution (1 = dense, power of two = hash-adversarial).
 void run_stream(std::size_t lines, std::uint64_t key_range,
-                std::uint64_t stride, std::uint64_t seed, int ops) {
+                std::uint64_t stride, std::uint64_t seed, int ops,
+                bool clears = true) {
   LruCache dut(lines);
   RefLru ref(lines);
   // block -> node index captured at touch() time; stays valid until the
@@ -95,7 +98,7 @@ void run_stream(std::size_t lines, std::uint64_t key_range,
       const bool ref_had = ref.erase(block);
       ASSERT_EQ(dut.erase(block), ref_had) << "op " << op;
       node_of.erase(block);
-    } else if (kind < 15) {  // known-node LRU move of a random resident block
+    } else if (kind < 15 || !clears) {  // known-node move of a resident block
       if (!node_of.empty()) {
         auto it = node_of.begin();
         std::advance(it, rng() % node_of.size());
@@ -131,6 +134,13 @@ TEST(LruOracle, PowerOfTwoStrides) {
 }
 
 TEST(LruOracle, LargeGeometry) { run_stream(1024, 4096, 16, 9, 60000); }
+
+TEST(LruOracle, StampRenumbering) {
+  // No clear(), so recency stamps climb past the point where the victim
+  // queue renumbers them (2^20), twice; a key range just above the line
+  // count keeps most touches hits, with an eviction every few.
+  run_stream(8, 10, 1, 4, 2'500'000, /*clears=*/false);
+}
 
 }  // namespace
 }  // namespace obliv::hm

@@ -90,6 +90,19 @@ TEST(ServeParity, GepMatchesDirect) {
   expect_served_matches_direct(workload::Kind::kGep, 48, 505);
 }
 
+TEST(ServeErrors, GepSideMustHalveEvenly) {
+  // Side 17 does not halve down to I-GEP's 8 x 8 base case, and gep_rec
+  // asserts equal halves; 24 = 3 * 8 does halve down.
+  Server srv(small_server());
+  std::vector<double> m(17 * 17, 1.0);
+  auto r = srv.submit(GepRequest{ref_of(m), 17});
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(validate(GepRequest{ref_of(m), 17}).code(),
+            ErrorCode::kInvalidArgument);
+  expect_served_matches_direct(workload::Kind::kGep, 24, 506);
+}
+
 TEST(ServeParity, ListRankMatchesDirect) {
   expect_served_matches_direct(workload::Kind::kListRank, 4000, 606);
 }
