@@ -13,6 +13,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algo/spmdv.hpp"
@@ -104,6 +105,33 @@ inline std::vector<KernelBench> kernel_benches(bool smoke) {
                                     r % 2 == 0 ? 1e-3 : -1e-3, n);
                    }
                  }});
+  }
+  // 2-D tile kernels on 64 leaves of 8 x 8 x 8, laid out either packed
+  // (ld 8) or side by side in 8-row strips at ld 512 (the 4 KiB row stride
+  // of an n = 512 matrix).  n counts element updates: 512 per tile.
+  for (const std::uint64_t ld : {std::uint64_t{8}, std::uint64_t{512}}) {
+    const std::uint64_t tiles = 64, step = ld == 8 ? 64 : 8;
+    const std::string suffix = ld == 8 ? "" : "_ld512";
+    auto y = std::make_shared<std::vector<double>>(tiles * 64);
+    auto u = std::make_shared<std::vector<double>>(tiles * 64);
+    auto v = std::make_shared<std::vector<double>>(tiles * 64);
+    for (auto& x : *y) x = rng.uniform() + 1.0;
+    for (auto& x : *u) x = rng.uniform();
+    for (auto& x : *v) x = rng.uniform();
+    // min-updates converge, as for gep:fw_min.
+    for (const auto& [name, tile] :
+         {std::pair{"matmul:tile", &simd::tile_matmul_f64},
+          std::pair{"gep:tile_minplus", &simd::tile_minplus_f64}}) {
+      k.push_back({name + suffix, tiles * 512, iters,
+                   [tile, y, u, v, ld, tiles, step, iters] {
+                     for (std::uint64_t r = 0; r < iters; ++r) {
+                       for (std::uint64_t t = 0; t < tiles; ++t) {
+                         tile(y->data() + t * step, ld, u->data() + t * step,
+                              ld, v->data() + t * step, ld, 8, 8, 8);
+                       }
+                     }
+                   }});
+    }
   }
   {
     auto e = std::make_shared<std::vector<algo::SpmEntry>>(n);

@@ -67,6 +67,13 @@ struct FloydWarshallInstance {
                          std::size_t n) {
     simd::fw_min_f64(y, v, u, n);
   }
+  // Native function-D tile (I, J, K pairwise disjoint, so no store can
+  // change an operand): the whole leaf in one register-blocked call.
+  static void tile_kernel(double* y, std::size_t ldy, const double* u,
+                          std::size_t ldu, const double* v, std::size_t ldv,
+                          std::size_t m, std::size_t n, std::size_t k) {
+    simd::tile_minplus_f64(y, ldy, u, ldu, v, ldv, m, n, k);
+  }
 };
 
 /// Gaussian elimination / LU decomposition without pivoting:
@@ -170,19 +177,42 @@ inline constexpr bool gep_row_kernel_v =
       Inst::sigma_j(i, k, J);
     };
 
+/// True when the instance also exposes a function-D tile kernel.
+template <class Inst, class Ref>
+inline constexpr bool gep_tile_kernel_v =
+    gep_row_kernel_v<Inst, Ref> &&
+    requires(double* y, const double* c, std::size_t s) {
+      Inst::tile_kernel(y, s, c, s, c, s, s, s, s);
+    };
+
+inline bool disjoint(const Interval& a, const Interval& b) {
+  return a.hi <= b.lo || b.hi <= a.lo;
+}
+
 /// Sequential base case: the Figure-5 triple loop restricted to the tile
 /// I x J x K.  Equivalent to full recursion for instances satisfying the
 /// I-GEP correctness conditions.
 template <class Inst, class Ref>
 void gep_base(sched::MatView<Ref> x, Interval I, Interval J, Interval K) {
   if constexpr (gep_row_kernel_v<Inst, Ref>) {
-    // Gated on vector_active(), not use_kernels(): the row kernels pay an
-    // out-of-line dispatch per (k, i) row, which only pays off when real
-    // lanes amortize it.  Scalar mode (== an OBLIV_SIMD=OFF build) keeps
-    // the generic triple loop -- results are bit-identical either way
-    // (same per-element arithmetic and order; goldened in
-    // test_simd_kernels.cpp), so this is purely a speed decision.
+    // Gated on vector_active(), not use_kernels(): the kernels pay an
+    // out-of-line dispatch per call (per leaf for a function-D tile, per
+    // (k, i) row otherwise), which only pays off when real lanes amortize
+    // it.  Scalar mode (== an OBLIV_SIMD=OFF build) keeps the generic
+    // triple loop -- results are bit-identical either way (same
+    // per-element arithmetic and order; goldened in test_simd_kernels.cpp),
+    // so this is purely a speed decision.
     if (simd::vector_active()) {
+      if constexpr (gep_tile_kernel_v<Inst, Ref>) {
+        // Function D: x[I,J] shares no element with x[I,K] or x[K,J].
+        if (disjoint(I, K) && disjoint(J, K) && I.len() && J.len()) {
+          Inst::tile_kernel(x.row(I.lo).raw() + J.lo, x.ld(),
+                            x.row(I.lo).raw() + K.lo, x.ld(),
+                            x.row(K.lo).raw() + J.lo, x.ld(), I.len(),
+                            J.len(), K.len());
+          return;
+        }
+      }
       for (std::uint64_t k = K.lo; k < K.hi; ++k) {
         const double* v = x.row(k).raw();
         for (std::uint64_t i = I.lo; i < I.hi; ++i) {
@@ -250,6 +280,7 @@ void gep_rec(Exec& ex, sched::MatView<Ref> x, Interval I, Interval J,
   };
   auto par = [&](std::initializer_list<Child> children) {
     std::vector<sched::SbTask> tasks;
+    tasks.reserve(children.size());
     for (Child ch : children) {
       const GepFn fn = classify(Ih[ch.a], Jh[ch.b], Kh[ch.c]);
       tasks.push_back(
@@ -361,15 +392,13 @@ void matmul_rec(Exec& ex, sched::MatView<Ref> c, sched::MatView<Ref> a,
   if (m <= base_cutoff) {
     if constexpr (sched::is_direct_ref_v<Ref> &&
                   std::is_same_v<typename Ref::value_type, double>) {
-      // vector_active(), not use_kernels(): see gep_base -- the axpy rows
-      // only beat the inlined triple loop when lanes are real.
+      // vector_active(), not use_kernels(): see gep_base -- the tile
+      // kernel only beats the inlined triple loop when lanes are real.
       if (simd::vector_active()) {
-        // c is disjoint from a and b, so a(i,k) is loop-invariant per row.
-        for (std::uint64_t k = 0; k < m; ++k) {
-          const double* bk = b.row(k).raw();
-          for (std::uint64_t i = 0; i < m; ++i) {
-            simd::axpy_f64(c.row(i).raw(), bk, a.load(i, k), m);
-          }
+        // c is disjoint from a and b: the tile kernel's one precondition.
+        if (m > 0) {
+          simd::tile_matmul_f64(c.row(0).raw(), c.ld(), a.row(0).raw(),
+                                a.ld(), b.row(0).raw(), b.ld(), m, m, m);
         }
         return;
       }
@@ -386,6 +415,7 @@ void matmul_rec(Exec& ex, sched::MatView<Ref> c, sched::MatView<Ref> a,
   const std::uint64_t space = 4 * (m / 2) * (m / 2);
   auto round = [&](int kq) {
     std::vector<sched::SbTask> tasks;
+    tasks.reserve(4);
     for (int i = 0; i < 2; ++i) {
       for (int j = 0; j < 2; ++j) {
         tasks.push_back(sched::SbTask{space, [&, i, j, kq] {

@@ -126,6 +126,26 @@ void axpy_f64(double* y, const double* v, double a, std::size_t n) noexcept {
   for (std::size_t j = 0; j < n; ++j) y[j] = y[j] + a * v[j];
 }
 
+void tile_matmul_f64(double* y, std::size_t ldy, const double* u,
+                     std::size_t ldu, const double* v, std::size_t ldv,
+                     std::size_t m, std::size_t n, std::size_t k) noexcept {
+  for (std::size_t l = 0; l < k; ++l) {
+    for (std::size_t i = 0; i < m; ++i) {
+      axpy_f64(y + i * ldy, v + l * ldv, u[i * ldu + l], n);
+    }
+  }
+}
+
+void tile_minplus_f64(double* y, std::size_t ldy, const double* u,
+                      std::size_t ldu, const double* v, std::size_t ldv,
+                      std::size_t m, std::size_t n, std::size_t k) noexcept {
+  for (std::size_t l = 0; l < k; ++l) {
+    for (std::size_t i = 0; i < m; ++i) {
+      fw_min_f64(y + i * ldy, v + l * ldv, u[i * ldu + l], n);
+    }
+  }
+}
+
 double dot_strided_f64(const std::uint64_t* cols, const double* vals,
                        std::size_t stride_words, const double* x,
                        std::size_t n) noexcept {
@@ -203,6 +223,16 @@ void gauss_update_f64(double* y, const double* v, double f,
 }
 void axpy_f64(double* y, const double* v, double a, std::size_t n) noexcept {
   OBLIV_SIMD_DISPATCH(axpy_f64(y, v, a, n));
+}
+void tile_matmul_f64(double* y, std::size_t ldy, const double* u,
+                     std::size_t ldu, const double* v, std::size_t ldv,
+                     std::size_t m, std::size_t n, std::size_t k) noexcept {
+  OBLIV_SIMD_DISPATCH(tile_matmul_f64(y, ldy, u, ldu, v, ldv, m, n, k));
+}
+void tile_minplus_f64(double* y, std::size_t ldy, const double* u,
+                      std::size_t ldu, const double* v, std::size_t ldv,
+                      std::size_t m, std::size_t n, std::size_t k) noexcept {
+  OBLIV_SIMD_DISPATCH(tile_minplus_f64(y, ldy, u, ldu, v, ldv, m, n, k));
 }
 double dot_strided_f64(const std::uint64_t* cols, const double* vals,
                        std::size_t stride_words, const double* x,

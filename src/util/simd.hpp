@@ -13,11 +13,17 @@
 //   * a vector implementation (GNU vector extensions, 256-bit lanes when the
 //     translation unit is built with AVX2, 128-bit lowering otherwise),
 //   * a scalar fallback that is BIT-IDENTICAL to the vector path on every
-//     input (elementwise kernels are trivially so; the one reduction,
+//     input (elementwise kernels are trivially so, and the 2-D tile
+//     kernels keep each element's k order; the one reduction,
 //     `dot_strided_f64`, fixes a 4-accumulator combine order that both
 //     implementations share), and
 //   * the caller's pre-existing generic loop (`Mode::kGeneric` skips the
 //     kernels entirely), kept as the reference semantics.
+//
+// NaN is the one exception to bit identity: a NaN result is NaN on every
+// path, but its sign and payload are unspecified.  When both operands of
+// an add are NaN, x86 keeps the first, and operand order is the
+// compiler's choice.
 //
 // Both kernel TUs are compiled with -ffp-contract=off so FMA contraction
 // cannot split the vector and scalar paths apart.  `OBLIV_SIMD=OFF`
@@ -161,6 +167,30 @@ void gauss_update_f64(double* y, const double* v, double f,
                       std::size_t n) noexcept;
 void axpy_f64(double* y, const double* v, double a, std::size_t n) noexcept;
 
+// 2-D tile kernels over row-major tiles with leading dimensions (in
+// doubles) ldy/ldu/ldv, for any m x n output and inner extent k:
+//   matmul:   Y[i][j] = Y[i][j] + U[i][l] * V[l][j]
+//   min-plus: Y[i][j] = (U[i][l] + V[l][j] < Y[i][j]) ? U[i][l] + V[l][j]
+//                                                     : Y[i][j]
+// for l = 0, 1, ..., k-1 in ascending order.  The vector path holds a
+// 4-row x 8-column block of Y in registers across the whole k walk (4-wide
+// and scalar edges for other shapes); the scalar fallback runs the
+// k-outer row loop.  Each element of Y is updated independently, through
+// the same operation sequence in the same l order as one axpy_f64 /
+// fw_min_f64 call per (l, i) row, so both paths are bit-identical to that
+// row loop and to each other -- only the order *across* elements changes.
+// CONTRACT: Y must not overlap U or V.  The register block reads U and V
+// long after earlier stores to Y, so an aliased operand (an I-GEP A/B/C
+// tile, where row or column k lies inside Y) would see stale values; only
+// function-D tiles (I, J and K pairwise disjoint) and C += A * B with
+// separate matrices qualify.
+void tile_matmul_f64(double* y, std::size_t ldy, const double* u,
+                     std::size_t ldu, const double* v, std::size_t ldv,
+                     std::size_t m, std::size_t n, std::size_t k) noexcept;
+void tile_minplus_f64(double* y, std::size_t ldy, const double* u,
+                      std::size_t ldu, const double* v, std::size_t ldv,
+                      std::size_t m, std::size_t n, std::size_t k) noexcept;
+
 // SPMDV row kernel over AoS entries {u64 col; f64 val} addressed as two
 // strided streams (stride in 8-byte words, i.e. 2 for SpmEntry):
 //   acc[l] += vals[i*stride] * x[cols[i*stride]]   (lane l = i % 4)
@@ -206,6 +236,12 @@ void fw_min_f64(double* y, const double* v, double u, std::size_t n) noexcept;
 void gauss_update_f64(double* y, const double* v, double f,
                       std::size_t n) noexcept;
 void axpy_f64(double* y, const double* v, double a, std::size_t n) noexcept;
+void tile_matmul_f64(double* y, std::size_t ldy, const double* u,
+                     std::size_t ldu, const double* v, std::size_t ldv,
+                     std::size_t m, std::size_t n, std::size_t k) noexcept;
+void tile_minplus_f64(double* y, std::size_t ldy, const double* u,
+                      std::size_t ldu, const double* v, std::size_t ldv,
+                      std::size_t m, std::size_t n, std::size_t k) noexcept;
 double dot_strided_f64(const std::uint64_t* cols, const double* vals,
                        std::size_t stride_words, const double* x,
                        std::size_t n) noexcept;
@@ -235,6 +271,12 @@ void fw_min_f64(double* y, const double* v, double u, std::size_t n) noexcept;
 void gauss_update_f64(double* y, const double* v, double f,
                       std::size_t n) noexcept;
 void axpy_f64(double* y, const double* v, double a, std::size_t n) noexcept;
+void tile_matmul_f64(double* y, std::size_t ldy, const double* u,
+                     std::size_t ldu, const double* v, std::size_t ldv,
+                     std::size_t m, std::size_t n, std::size_t k) noexcept;
+void tile_minplus_f64(double* y, std::size_t ldy, const double* u,
+                      std::size_t ldu, const double* v, std::size_t ldv,
+                      std::size_t m, std::size_t n, std::size_t k) noexcept;
 double dot_strided_f64(const std::uint64_t* cols, const double* vals,
                        std::size_t stride_words, const double* x,
                        std::size_t n) noexcept;

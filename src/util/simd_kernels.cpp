@@ -242,6 +242,108 @@ void axpy_f64(double* y, const double* v, double a, std::size_t n) noexcept {
   scalar::axpy_f64(y + j, v + j, a, n - j);
 }
 
+namespace {
+// Each tile kernel's step on a 4-lane column group, y op (u, v), and the
+// scalar fallback that finishes the last n % 4 columns.
+struct MulAdd {
+  static f64x4 step(f64x4 y, f64x4 u, f64x4 v) { return y + u * v; }
+  static constexpr auto edge = &scalar::tile_matmul_f64;
+};
+struct MinPlus {
+  static f64x4 step(f64x4 y, f64x4 u, f64x4 v) {
+    f64x4 cand = u + v;
+#if defined(__AVX2__)
+    // vminpd(a, b) is exactly `a < b ? a : b`, NaNs and signed zeros
+    // included, and compilers keep the intrinsic's operand order: one
+    // instruction where blend() takes four.
+    __m256d r = _mm256_min_pd(reinterpret_cast<__m256d&>(cand),
+                              reinterpret_cast<__m256d&>(y));
+    return reinterpret_cast<f64x4&>(r);
+#else
+    return blend(cand < y, cand, y);
+#endif
+  }
+  static constexpr auto edge = &scalar::tile_minplus_f64;
+};
+
+// R rows x W four-column groups of Y held in registers over the whole k
+// walk; each element sees l = 0..k-1 in order, as in the row loop.
+template <class Op, int R, int W>
+inline void tile_block(double* y, std::size_t ldy, const double* u,
+                       std::size_t ldu, const double* v, std::size_t ldv,
+                       std::size_t k) {
+  f64x4 acc[R][W];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int w = 0; w < W; ++w) acc[r][w] = load_u<f64x4>(y + r * ldy + 4 * w);
+  }
+  for (std::size_t l = 0; l < k; ++l) {
+    f64x4 vv[W];
+#pragma GCC unroll 2
+    for (int w = 0; w < W; ++w) vv[w] = load_u<f64x4>(v + l * ldv + 4 * w);
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const f64x4 uu = splat(u[r * ldu + l]);
+#pragma GCC unroll 2
+      for (int w = 0; w < W; ++w) acc[r][w] = Op::step(acc[r][w], uu, vv[w]);
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int w = 0; w < W; ++w) store_u(y + r * ldy + 4 * w, acc[r][w]);
+  }
+}
+
+// R rows of Y across all n columns: 8-wide blocks, one 4-wide block, then
+// the scalar fallback for the last n % 4 columns.
+template <class Op, int R>
+inline void tile_rows(double* y, std::size_t ldy, const double* u,
+                      std::size_t ldu, const double* v, std::size_t ldv,
+                      std::size_t n, std::size_t k) {
+  std::size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    tile_block<Op, R, 2>(y + j, ldy, u, ldu, v + j, ldv, k);
+  }
+  if (j + 4 <= n) {
+    tile_block<Op, R, 1>(y + j, ldy, u, ldu, v + j, ldv, k);
+    j += 4;
+  }
+  if (j < n) Op::edge(y + j, ldy, u, ldu, v + j, ldv, R, n - j, k);
+}
+
+template <class Op>
+void tile_kernel(double* y, std::size_t ldy, const double* u, std::size_t ldu,
+                 const double* v, std::size_t ldv, std::size_t m,
+                 std::size_t n, std::size_t k) {
+  std::size_t i = 0;
+  for (; i + 4 <= m; i += 4) {
+    tile_rows<Op, 4>(y + i * ldy, ldy, u + i * ldu, ldu, v, ldv, n, k);
+  }
+  y += i * ldy;
+  u += i * ldu;
+  switch (m - i) {
+    case 3: tile_rows<Op, 3>(y, ldy, u, ldu, v, ldv, n, k); break;
+    case 2: tile_rows<Op, 2>(y, ldy, u, ldu, v, ldv, n, k); break;
+    case 1: tile_rows<Op, 1>(y, ldy, u, ldu, v, ldv, n, k); break;
+    default: break;
+  }
+}
+}  // namespace
+
+void tile_matmul_f64(double* y, std::size_t ldy, const double* u,
+                     std::size_t ldu, const double* v, std::size_t ldv,
+                     std::size_t m, std::size_t n, std::size_t k) noexcept {
+  tile_kernel<MulAdd>(y, ldy, u, ldu, v, ldv, m, n, k);
+}
+
+void tile_minplus_f64(double* y, std::size_t ldy, const double* u,
+                      std::size_t ldu, const double* v, std::size_t ldv,
+                      std::size_t m, std::size_t n, std::size_t k) noexcept {
+  tile_kernel<MinPlus>(y, ldy, u, ldu, v, ldv, m, n, k);
+}
+
 double dot_strided_f64(const std::uint64_t* cols, const double* vals,
                        std::size_t stride_words, const double* x,
                        std::size_t n) noexcept {
@@ -338,6 +440,16 @@ void gauss_update_f64(double* y, const double* v, double f,
 }
 void axpy_f64(double* y, const double* v, double a, std::size_t n) noexcept {
   scalar::axpy_f64(y, v, a, n);
+}
+void tile_matmul_f64(double* y, std::size_t ldy, const double* u,
+                     std::size_t ldu, const double* v, std::size_t ldv,
+                     std::size_t m, std::size_t n, std::size_t k) noexcept {
+  scalar::tile_matmul_f64(y, ldy, u, ldu, v, ldv, m, n, k);
+}
+void tile_minplus_f64(double* y, std::size_t ldy, const double* u,
+                      std::size_t ldu, const double* v, std::size_t ldv,
+                      std::size_t m, std::size_t n, std::size_t k) noexcept {
+  scalar::tile_minplus_f64(y, ldy, u, ldu, v, ldv, m, n, k);
 }
 double dot_strided_f64(const std::uint64_t* cols, const double* vals,
                        std::size_t stride_words, const double* x,

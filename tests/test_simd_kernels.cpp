@@ -6,7 +6,9 @@
 //     scalar:: fallback over randomized sizes, alignments and odd tails
 //     (on builds/hosts without vector support vec:: forwards to scalar::
 //     and the checks pass trivially).  scalar:: itself is checked against
-//     independent naive references written here.
+//     independent naive references written here.  The tile kernels are
+//     also fed NaN and infinities, so their checks let a NaN match any
+//     NaN (SameValues).
 //
 //  2. Mode-identity goldens: each native algorithm family produces
 //     bit-identical results under Mode::kAuto and Mode::kScalar (kScalar is
@@ -21,7 +23,10 @@
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <numbers>
+#include <string>
 #include <vector>
 
 #include "algo/fft.hpp"
@@ -65,6 +70,26 @@ template <class T>
       if (std::memcmp(&a[i], &b[i], sizeof(T)) != 0) {
         return ::testing::AssertionFailure() << "first mismatch at " << i;
       }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// BitsEqual, except that a NaN matches any NaN.  When both operands of an
+// add are NaN, x86 returns the first one, and which operand comes first is
+// the compiler's register-allocation choice -- C++ and IEEE 754 leave the
+// payload unspecified, so only NaN-ness is part of the kernels' contract.
+::testing::AssertionResult SameValues(const std::vector<double>& a,
+                                      const std::vector<double>& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure() << "size " << a.size() << " vs "
+                                         << b.size();
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::isnan(a[i]) && std::isnan(b[i])) continue;
+    if (std::memcmp(&a[i], &b[i], sizeof(double)) != 0) {
+      return ::testing::AssertionFailure()
+             << "first mismatch at " << i << ": " << a[i] << " vs " << b[i];
     }
   }
   return ::testing::AssertionSuccess();
@@ -230,6 +255,99 @@ TEST(SimdKernels, RowUpdateParity) {
       EXPECT_TRUE(BitsEqual(y1, y2));
     }
   }
+}
+
+// Tile operands at leading dimension ld, filled with finite values plus a
+// sprinkling of NaN, +-inf, -0.0 and subnormals.
+std::vector<double> rand_tile(Xoshiro256& g, std::size_t rows, std::size_t ld) {
+  static constexpr double kSpecial[] = {
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      -3.0 * std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min() / 4.0};
+  std::vector<double> t(rows * ld);
+  for (auto& x : t) {
+    x = g() % 16 == 0 ? kSpecial[g() % std::size(kSpecial)] : rnd(g);
+  }
+  return t;
+}
+
+TEST(SimdKernels, TileParity) {
+  // Every m x n x k in 1..13 (so each of the 4-row and 4/8-column edge
+  // paths runs), at leading dimensions from tight to 520 words, including
+  // 512: the 4 KiB stride the n = 512 leaves use.  Bitwise on every
+  // non-NaN result (SameValues), including -0.0, infinities and subnormals.
+  Xoshiro256 g(8);
+  const std::size_t kLds[] = {8, 13, 16, 37, 512, 520};
+  for (std::size_t m = 1; m <= 13; ++m) {
+    for (std::size_t n = 1; n <= 13; ++n) {
+      for (std::size_t k = 1; k <= 13; ++k) {
+        std::vector<std::size_t> lds;  // every ld that fits the tile
+        for (std::size_t ld : kLds) {
+          if (ld >= std::max(n, k)) lds.push_back(ld);
+        }
+        const std::size_t ld = lds[(7 * m + 3 * n + k) % lds.size()];
+        const auto y0 = rand_tile(g, m, ld);
+        const auto u = rand_tile(g, m, ld);
+        const auto v = rand_tile(g, k, ld);
+        // Per-element reference: ascending l, the row loop's operations.
+        auto ref_mm = y0, ref_mp = y0;
+        for (std::size_t i = 0; i < m; ++i) {
+          for (std::size_t j = 0; j < n; ++j) {
+            double& a = ref_mm[i * ld + j];
+            double& b = ref_mp[i * ld + j];
+            for (std::size_t l = 0; l < k; ++l) {
+              a = a + u[i * ld + l] * v[l * ld + j];
+              const double cand = u[i * ld + l] + v[l * ld + j];
+              b = cand < b ? cand : b;
+            }
+          }
+        }
+        auto y1 = y0, y2 = y0;
+        simd::scalar::tile_matmul_f64(y1.data(), ld, u.data(), ld, v.data(),
+                                      ld, m, n, k);
+        simd::vec::tile_matmul_f64(y2.data(), ld, u.data(), ld, v.data(), ld,
+                                   m, n, k);
+        EXPECT_TRUE(SameValues(y1, ref_mm)) << m << "x" << n << "x" << k;
+        EXPECT_TRUE(SameValues(y1, y2)) << m << "x" << n << "x" << k;
+        y1 = y0, y2 = y0;
+        simd::scalar::tile_minplus_f64(y1.data(), ld, u.data(), ld, v.data(),
+                                       ld, m, n, k);
+        simd::vec::tile_minplus_f64(y2.data(), ld, u.data(), ld, v.data(),
+                                    ld, m, n, k);
+        EXPECT_TRUE(SameValues(y1, ref_mp)) << m << "x" << n << "x" << k;
+        EXPECT_TRUE(SameValues(y1, y2)) << m << "x" << n << "x" << k;
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, TileKernelsNeedDisjointOperands) {
+  // Unlike the row kernels (RowUpdateParity's y == v case), the tile
+  // kernels are only legal when Y overlaps neither U nor V: the register
+  // block reads U long before its stores to Y land.  With Y == U (an
+  // I-GEP A/B tile) the vector path departs from the row loop, which is
+  // why gep_base routes only function-D tiles here.
+  if (!simd::vec::available()) GTEST_SKIP() << "no vector path in this build";
+  Xoshiro256 g(9);
+  const std::size_t n = 8;
+  auto y0 = rand_vec(g, n * n);
+  auto v = rand_vec(g, n * n);
+  for (auto& x : v) x = -1.0 - std::abs(x);  // every min-plus step updates
+  auto y1 = y0, y2 = y0;
+  simd::scalar::tile_matmul_f64(y1.data(), n, y1.data(), n, v.data(), n, n, n,
+                                n);
+  simd::vec::tile_matmul_f64(y2.data(), n, y2.data(), n, v.data(), n, n, n, n);
+  EXPECT_FALSE(BitsEqual(y1, y2)) << "matmul with Y == U";
+  y1 = y0, y2 = y0;
+  simd::scalar::tile_minplus_f64(y1.data(), n, y1.data(), n, v.data(), n, n,
+                                 n, n);
+  simd::vec::tile_minplus_f64(y2.data(), n, y2.data(), n, v.data(), n, n, n,
+                              n);
+  EXPECT_FALSE(BitsEqual(y1, y2)) << "min-plus with Y == U";
 }
 
 TEST(SimdKernels, DotStridedParity) {
@@ -431,57 +549,74 @@ TEST(SimdGolden, SortWithDuplicates) {
   });
 }
 
-TEST(SimdGolden, GepInstancesAndMatmul) {
-  expect_all_modes_identical([] {
-    const std::uint64_t n = 32;
-    sched::NativeExecutor ex(4);
-    auto x = ex.make_buf<double>(n * n);
-    Xoshiro256 g(51);
-    for (auto& v : x.raw()) v = std::abs(rnd(g)) + 0.01;
-    auto m = sched::MatView<decltype(x.ref())>::full(x.ref(), n, n);
-    algo::igep<algo::FloydWarshallInstance>(ex, m);
-    return x.raw();
-  });
-  expect_all_modes_identical([] {
-    const std::uint64_t n = 32;
-    sched::NativeExecutor ex(4);
-    auto x = ex.make_buf<double>(n * n);
-    Xoshiro256 g(52);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      for (std::uint64_t j = 0; j < n; ++j) {
-        x.raw()[i * n + j] = rnd(g) + (i == j ? 2.0 * n : 0.0);  // dominant
-      }
+// Every mode at 1 and at 4 workers: all six results must match bitwise.
+template <class F>
+void expect_modes_and_threads_identical(F&& f) {
+  const auto ref = with_mode(simd::Mode::kAuto, [&] { return f(4u); });
+  for (const unsigned threads : {1u, 4u}) {
+    for (const simd::Mode m :
+         {simd::Mode::kAuto, simd::Mode::kScalar, simd::Mode::kGeneric}) {
+      EXPECT_TRUE(BitsEqual(ref, with_mode(m, [&] { return f(threads); })))
+          << "threads=" << threads << " mode=" << static_cast<int>(m);
     }
-    auto m = sched::MatView<decltype(x.ref())>::full(x.ref(), n, n);
-    algo::igep<algo::GaussianInstance>(ex, m);
-    return x.raw();
-  });
-  expect_all_modes_identical([] {
-    const std::uint64_t half = 16, n = 2 * half;
-    sched::NativeExecutor ex(4);
-    auto x = ex.make_buf<double>(n * n);
-    Xoshiro256 g(53);
-    for (auto& v : x.raw()) v = rnd(g);
-    algo::MatMulEmbedInstance::half = half;
-    auto m = sched::MatView<decltype(x.ref())>::full(x.ref(), n, n);
-    algo::igep<algo::MatMulEmbedInstance>(ex, m);
-    return x.raw();
-  });
-  expect_all_modes_identical([] {
-    const std::uint64_t n = 32;
-    sched::NativeExecutor ex(4);
-    auto c = ex.make_buf<double>(n * n);
-    auto a = ex.make_buf<double>(n * n);
-    auto b = ex.make_buf<double>(n * n);
-    Xoshiro256 g(54);
-    for (auto& v : a.raw()) v = rnd(g);
-    for (auto& v : b.raw()) v = rnd(g);
-    using Ref = decltype(c.ref());
-    algo::mo_matmul(ex, sched::MatView<Ref>::full(c.ref(), n, n),
-                    sched::MatView<Ref>::full(a.ref(), n, n),
-                    sched::MatView<Ref>::full(b.ref(), n, n));
-    return c.raw();
-  });
+  }
+}
+
+TEST(SimdGolden, GepInstancesAndMatmul) {
+  // n = 32 has 8 x 8 leaves; n = 24 has 6 x 6 leaves, which take the tile
+  // kernels' 4-row and 4-column edge paths; n = 128 runs FW and matmul
+  // through many rounds of function-D tiles.
+  for (const std::uint64_t n : {32u, 24u, 128u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    expect_modes_and_threads_identical([n](unsigned threads) {
+      sched::NativeExecutor ex(threads);
+      auto x = ex.make_buf<double>(n * n);
+      Xoshiro256 g(51);
+      for (auto& v : x.raw()) v = std::abs(rnd(g)) + 0.01;
+      auto m = sched::MatView<decltype(x.ref())>::full(x.ref(), n, n);
+      algo::igep<algo::FloydWarshallInstance>(ex, m);
+      return x.raw();
+    });
+    expect_modes_and_threads_identical([n](unsigned threads) {
+      sched::NativeExecutor ex(threads);
+      auto c = ex.make_buf<double>(n * n);
+      auto a = ex.make_buf<double>(n * n);
+      auto b = ex.make_buf<double>(n * n);
+      Xoshiro256 g(54);
+      for (auto& v : a.raw()) v = rnd(g);
+      for (auto& v : b.raw()) v = rnd(g);
+      using Ref = decltype(c.ref());
+      algo::mo_matmul(ex, sched::MatView<Ref>::full(c.ref(), n, n),
+                      sched::MatView<Ref>::full(a.ref(), n, n),
+                      sched::MatView<Ref>::full(b.ref(), n, n));
+      return c.raw();
+    });
+    if (n == 128) continue;
+    expect_modes_and_threads_identical([n](unsigned threads) {
+      sched::NativeExecutor ex(threads);
+      auto x = ex.make_buf<double>(n * n);
+      Xoshiro256 g(52);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        for (std::uint64_t j = 0; j < n; ++j) {
+          // Diagonally dominant, so no pivot is near zero.
+          x.raw()[i * n + j] = rnd(g) + (i == j ? 2.0 * n : 0.0);
+        }
+      }
+      auto m = sched::MatView<decltype(x.ref())>::full(x.ref(), n, n);
+      algo::igep<algo::GaussianInstance>(ex, m);
+      return x.raw();
+    });
+    expect_modes_and_threads_identical([n](unsigned threads) {
+      sched::NativeExecutor ex(threads);
+      auto x = ex.make_buf<double>(n * n);
+      Xoshiro256 g(53);
+      for (auto& v : x.raw()) v = rnd(g);
+      algo::MatMulEmbedInstance::half = n / 2;
+      auto m = sched::MatView<decltype(x.ref())>::full(x.ref(), n, n);
+      algo::igep<algo::MatMulEmbedInstance>(ex, m);
+      return x.raw();
+    });
+  }
 }
 
 TEST(SimdGolden, NgepHostPath) {

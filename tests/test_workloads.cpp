@@ -2,11 +2,12 @@
 // kind on every execution path that can run it, at edge sizes.
 //
 // Paths: the simulator (shared_l2(4)), the native executor at 1 and 4
-// workers, and a serve::Server (the seven served kinds).  Every output must
-// pass the kind's serial reference check, the native paths must agree bit
-// for bit, and the simulator must match them bit for bit too -- except
-// spmdv, whose native leaf kernel sums rows in another order than the
-// simulator's generic loop, so there the two agree within 1e-12.
+// workers under both simd::Mode::kAuto and kScalar, and a serve::Server
+// (the seven served kinds).  Every output must pass the kind's serial
+// reference check, the native paths must agree bit for bit, and the
+// simulator must match them bit for bit too -- except spmdv, whose native
+// leaf kernel sums rows in another order than the simulator's generic
+// loop, so there the two agree within 1e-12.
 #include "workload/workloads.hpp"
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 
 #include "hm/config.hpp"
 #include "serve/serve.hpp"
+#include "util/simd.hpp"
 
 namespace obliv::workload {
 
@@ -83,6 +85,19 @@ TEST_P(Registry, EveryPathPassesTheReferenceAndAgrees) {
     wide.run(four);
     EXPECT_TRUE(wide.check());
     EXPECT_TRUE(bits_equal(base.output(), wide.output())) << "4 workers";
+
+    // SIMD axis: the scalar kernels (what an OBLIV_SIMD=OFF build runs)
+    // reproduce the default vector dispatch bit for bit, for every kind.
+    {
+      simd::ScopedMode scalar(simd::Mode::kScalar);
+      Native s1(one, k, n, seed);
+      s1.run(one);
+      EXPECT_TRUE(bits_equal(base.output(), s1.output())) << "kScalar";
+      Native s4(four, k, n, seed);
+      s4.run(four);
+      EXPECT_TRUE(bits_equal(base.output(), s4.output()))
+          << "kScalar, 4 workers";
+    }
 
     sched::SimExecutor ex(hm::MachineConfig::shared_l2(4));
     Sim sim(ex, k, n, seed);

@@ -307,6 +307,33 @@ void simd_kernel_sweep() {
     simd::vec::dft_pow2_f64(re.data(), im.data(), r2.data(), i2.data(), m);
     parity &= eq(r1.data(), r2.data(), m * 8) && eq(i1.data(), i2.data(), m * 8);
   }
+  // 2-D tile kernels on exact-size operands: each buffer ends at its tile's
+  // last element, so a read or write past a row edge is an overflow.
+  for (std::size_t m : {std::size_t{1}, std::size_t{3}, std::size_t{4},
+                        std::size_t{6}, std::size_t{9}}) {
+    for (std::size_t n : {std::size_t{1}, std::size_t{5}, std::size_t{8},
+                          std::size_t{13}}) {
+      for (std::size_t k : {std::size_t{1}, std::size_t{7}}) {
+        const std::size_t ld = 16;
+        std::vector<double> y1((m - 1) * ld + n), u((m - 1) * ld + k),
+            v((k - 1) * ld + n);
+        for (auto& x : y1) x = rd();
+        for (auto& x : u) x = rd();
+        for (auto& x : v) x = rd();
+        auto y2 = y1;
+        simd::scalar::tile_matmul_f64(y1.data(), ld, u.data(), ld, v.data(),
+                                      ld, m, n, k);
+        simd::vec::tile_matmul_f64(y2.data(), ld, u.data(), ld, v.data(), ld,
+                                   m, n, k);
+        parity &= eq(y1.data(), y2.data(), y1.size() * 8);
+        simd::scalar::tile_minplus_f64(y1.data(), ld, u.data(), ld, v.data(),
+                                       ld, m, n, k);
+        simd::vec::tile_minplus_f64(y2.data(), ld, u.data(), ld, v.data(), ld,
+                                    m, n, k);
+        parity &= eq(y1.data(), y2.data(), y1.size() * 8);
+      }
+    }
+  }
   check(parity, "simd_kernel_sweep: vec/scalar parity");
 }
 
