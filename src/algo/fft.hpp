@@ -13,6 +13,12 @@
 //
 // Theorem 2: O((n/p + B_1) log n) parallel steps and
 // O((n/(q_i B_i)) log_{C_i} n) level-i cache misses, both optimal.
+//
+// Native serial leaf (DESIGN.md §5f): on direct-memory refs, a transform of
+// 8 < n and 2n <= sched::kNativeLeafWords words runs Lines 1-10 serially
+// in detail::fft_leaf, on one 2n-element scratch buffer and with no
+// scheduler construct.  It performs the same arithmetic on every element,
+// so its output is bit-identical to the recursion's.
 #pragma once
 
 #include <cassert>
@@ -71,6 +77,24 @@ inline cplx twiddle(std::uint64_t j, std::uint64_t m) {
                              static_cast<double>(m));
 }
 
+/// DFT of the m <= 8 points in[0], in[s_in], ... written to out[0],
+/// out[s_out], ... (`in` may equal `out`), through the split re/im kernel.
+/// The kernel uses dft_base's twiddle expression and accumulation order, so
+/// the result is bit-identical to its generic loop.
+inline void dft_small(const cplx* in, std::uint64_t s_in, cplx* out,
+                      std::uint64_t s_out, std::uint64_t m) {
+  assert(m <= 8);
+  double re_in[8] = {}, im_in[8] = {}, re_out[8], im_out[8];
+  for (std::uint64_t t = 0; t < m; ++t) {
+    re_in[t] = in[t * s_in].real();
+    im_in[t] = in[t * s_in].imag();
+  }
+  simd::dft_pow2_f64(re_in, im_in, re_out, im_out, static_cast<unsigned>(m));
+  for (std::uint64_t f = 0; f < m; ++f) {
+    out[f * s_out] = cplx(re_out[f], im_out[f]);
+  }
+}
+
 /// Direct O(m^2) DFT used at the recursion base (m is a small constant, so
 /// this does not affect asymptotics).  Convention: Y[f] = sum_t x[t] *
 /// exp(-2*pi*i*f*t/m).
@@ -81,21 +105,7 @@ void dft_base(Exec& ex, Ref x) {
   assert(m <= 8);
   if constexpr (fft_kernel_v<Ref>) {
     if (simd::use_kernels()) {
-      // Split re/im base case; the kernel uses the same twiddle expression
-      // and accumulation order, so the result is bit-identical.
-      double re_in[8] = {}, im_in[8] = {}, re_out[8], im_out[8];
-      const double* xs = reinterpret_cast<const double*>(x.raw());
-      for (std::uint64_t t = 0; t < m; ++t) {
-        re_in[t] = xs[2 * t];
-        im_in[t] = xs[2 * t + 1];
-      }
-      simd::dft_pow2_f64(re_in, im_in, re_out, im_out,
-                         static_cast<unsigned>(m));
-      double* xd = reinterpret_cast<double*>(x.raw());
-      for (std::uint64_t f = 0; f < m; ++f) {
-        xd[2 * f] = re_out[f];
-        xd[2 * f + 1] = im_out[f];
-      }
+      dft_small(x.raw(), 1, x.raw(), 1, m);
       return;
     }
   }
@@ -109,6 +119,46 @@ void dft_base(Exec& ex, Ref x) {
     out[f] = acc;
   }
   for (std::uint64_t f = 0; f < m; ++f) x.store(f, out[f]);
+}
+
+/// Native serial leaf: Lines 1-10 of Figure 3, serially on raw memory,
+/// transforming the n points in[0], in[s_in], ... into out[0], out[s_out],
+/// ... (`in` may equal `out`).  Every output sees mo_fft's arithmetic -- the
+/// same sub-transforms, the same twiddle products and the same dft_small at
+/// m <= 8.  Only the data movement differs: the sub-transforms read and
+/// write with strides, which replaces the three transposes and the copies
+/// in and out.  `scratch` holds 2n elements, neither overlapping `in` nor
+/// `out`: the n2 x n1 matrix T, then the sub-transforms' scratch (n1 <= n/2
+/// for n >= 16, so n + 2*n1 <= 2n).
+inline void fft_leaf(const cplx* in, std::uint64_t s_in, cplx* out,
+                     std::uint64_t s_out, std::uint64_t n, cplx* scratch) {
+  if (n <= 8) {
+    dft_small(in, s_in, out, s_out, n);
+    return;
+  }
+  const unsigned k = util::ilog2(n);
+  const std::uint64_t n1 = std::uint64_t{1} << ((k + 1) / 2);
+  const std::uint64_t n2 = std::uint64_t{1} << (k / 2);
+  cplx* t = scratch;
+  cplx* sub = scratch + n;
+  // Lines 3-5: row j of T is the FFT of column j of X viewed as n1 x n2,
+  // i.e. of X[i*n2 + j] for i < n1.
+  for (std::uint64_t j = 0; j < n2; ++j) {
+    fft_leaf(in + j * s_in, n2 * s_in, t + j * n1, 1, n1, sub);
+  }
+  // Line 6: entry (b, c) is scaled by w_n^{b*c} = twiddle((b*c) % n, n),
+  // read straight from the table (b*c < n <= kTwiddleTableSize).
+  const cplx* w = twiddle_table();
+  const std::uint64_t stride = kTwiddleTableSize / n;
+  for (std::uint64_t b = 0; b < n2; ++b) {
+    for (std::uint64_t c = 0; c < n1; ++c) {
+      t[b * n1 + c] = t[b * n1 + c] * w[b * c * stride];
+    }
+  }
+  // Lines 7-10: X[b*n1 + c] is entry b of the FFT of column c of T.
+  for (std::uint64_t c = 0; c < n1; ++c) {
+    fft_leaf(t + c, n1, out + c * s_out, n1 * s_out, n2, sub);
+  }
 }
 
 }  // namespace detail
@@ -125,6 +175,13 @@ void mo_fft(Exec& ex, Ref x) {
   if (n <= 8) {
     detail::dft_base(ex, x);
     return;
+  }
+  if constexpr (detail::fft_kernel_v<Ref>) {
+    if (simd::use_kernels() && n * W <= sched::kNativeLeafWords) {
+      auto scratch = ex.template make_buf<cplx>(2 * n);
+      detail::fft_leaf(x.raw(), 1, x.raw(), 1, n, scratch.ref().raw());
+      return;
+    }
   }
 
   // Line 2: n1 = 2^ceil(k/2), n2 = 2^floor(k/2).

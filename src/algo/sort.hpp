@@ -21,6 +21,14 @@
 // guarantee with high probability on non-adversarial inputs -- which is what
 // the Theorem 3 bench sweeps use -- while correctness here is unconditional
 // (oversized buckets simply recurse further).
+//
+// Native serial leaf (DESIGN.md §5f): on direct-memory refs, a subproblem of
+// at most sched::kNativeLeafWords words is one std::sort, with no scheduler
+// construct and no allocation.  Output contract: every sort returns the
+// unique sorted permutation when elements that compare equivalent are
+// bitwise equal, so the leaf and the recursion agree bit for bit.  Every
+// in-repo key meets it (u64 keys and arcs, records ordered by a unique
+// (key, src) or a unique key); -0.0 vs +0.0 doubles would not.
 #pragma once
 
 #include <algorithm>
@@ -41,9 +49,8 @@ namespace detail {
 constexpr std::uint64_t kSortBase = 64;
 constexpr std::uint64_t kSamplesPerChunk = 4;
 
-/// Native refs over trivially-copyable keys may take the partition-rank /
-/// bulk-copy leaves (binary searches on the already-sorted chunks replace
-/// the merge-scan; both produce identical counts and a stable scatter).
+/// Native refs over trivially-copyable keys may bulk-copy a merge's
+/// remainder.
 template <class Ref>
 inline constexpr bool sort_kernel_v =
     sched::is_direct_ref_v<Ref> &&
@@ -76,6 +83,15 @@ void spms_sort(Exec& ex, Ref v) {
   using T = typename Ref::value_type;
   constexpr std::uint64_t W = (sizeof(T) + 7) / 8;
   const std::uint64_t n = v.size();
+  if constexpr (sched::is_direct_ref_v<Ref>) {
+    // Native serial leaf: the whole subproblem in one std::sort.  It gives
+    // the recursion's output whenever equivalent keys are bitwise equal
+    // (see the header comment).
+    if (simd::use_kernels() && n * W <= sched::kNativeLeafWords) {
+      std::sort(v.raw(), v.raw() + n);
+      return;
+    }
+  }
   if (n <= detail::kSortBase) {
     detail::sort_base(ex, v);
     return;
@@ -128,33 +144,6 @@ void spms_sort(Exec& ex, Ref v) {
                 for (std::uint64_t z = lo; z < hi; ++z) counts.store(z, 0);
               });
   ex.cgc_pfor_each(0, k, c * W, [&](std::uint64_t i) {
-    if constexpr (detail::sort_kernel_v<Ref> &&
-                  sched::is_direct_ref_v<decltype(splitters)>) {
-      // Size floor: nbuckets lower_bounds only beat one linear merge-scan
-      // when buckets average at least a lane stride of elements.  In the
-      // balanced sqrt(n) geometry (nbuckets ~ chunk len) they do not, and
-      // the generic scan is the faster leaf.  The rule is size-based and
-      // mode-independent, so counts are identical either way.
-      if (simd::use_kernels() &&
-          chunk_len(i) >= nbuckets * simd::kMaxLaneWords) {
-        // Partition-rank scan: the chunk is sorted (round 1), so bucket b
-        // holds rank(splitter[b]) - rank(splitter[b-1]) elements, where
-        // rank is lower_bound -- the same `e < splitter` predicate the
-        // merge-scan below advances on.
-        const T* ch = v.raw() + chunk_lo(i);
-        const std::uint64_t len = chunk_len(i);
-        const T* sp = splitters.raw();
-        std::uint64_t prev = 0;
-        for (std::uint64_t b = 0; b + 1 < nbuckets; ++b) {
-          const std::uint64_t r = static_cast<std::uint64_t>(
-              std::lower_bound(ch + prev, ch + len, sp[b]) - ch);
-          counts.store(i * nbuckets + b, r - prev);
-          prev = r;
-        }
-        counts.store(i * nbuckets + (nbuckets - 1), len - prev);
-        return;
-      }
-    }
     std::uint64_t b = 0;
     std::uint64_t run = 0;
     T next_split = b + 1 < nbuckets ? splitters.load(b) : T{};
@@ -187,37 +176,6 @@ void spms_sort(Exec& ex, Ref v) {
   auto out_buf = ex.template make_buf<T>(n);
   auto out = out_buf.ref();
   ex.cgc_pfor_each(0, k, c * W, [&](std::uint64_t i) {
-    if constexpr (detail::sort_kernel_v<Ref> &&
-                  sched::is_direct_ref_v<decltype(splitters)> &&
-                  sched::is_direct_ref_v<decltype(out)>) {
-      // Same size floor as step C: bulk copies of ~1-element runs lose to
-      // the cursor loop; placement is identical either way.
-      if (simd::use_kernels() &&
-          chunk_len(i) >= nbuckets * simd::kMaxLaneWords) {
-        // Bulk scatter: each bucket's share of the sorted chunk is one
-        // contiguous run; move it with a single copy (stable, identical
-        // placement to the cursor loop below).
-        const T* ch = v.raw() + chunk_lo(i);
-        T* op = out.raw();
-        const std::uint64_t len = chunk_len(i);
-        const T* sp = splitters.raw();
-        std::uint64_t prev = 0;
-        for (std::uint64_t b = 0; b < nbuckets && prev < len; ++b) {
-          const std::uint64_t r =
-              b + 1 < nbuckets
-                  ? static_cast<std::uint64_t>(
-                        std::lower_bound(ch + prev, ch + len, sp[b]) - ch)
-                  : len;
-          if (r > prev) {
-            const std::uint64_t start =
-                flat.load(b * k + i) - counts.load(i * nbuckets + b);
-            simd::copy_elems(ch + prev, op + start, r - prev);
-            prev = r;
-          }
-        }
-        return;
-      }
-    }
     std::uint64_t b = 0;
     T next_split = b + 1 < nbuckets ? splitters.load(b) : T{};
     const std::uint64_t len = chunk_len(i);

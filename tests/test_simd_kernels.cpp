@@ -15,6 +15,10 @@
 //     exactly what an OBLIV_SIMD=OFF build runs, so this is the ON/OFF
 //     identity), and -- except spmdv, whose kernel fixes a different
 //     reduction order than the serial loop -- under Mode::kGeneric too.
+//
+//  3. Native serial leaves (sched::kNativeLeafWords): native SPMS sort and
+//     MO-FFT on both sides of the leaf size reproduce the simulator, which
+//     never takes a leaf.
 #include "util/simd.hpp"
 
 #include <gtest/gtest.h>
@@ -32,10 +36,12 @@
 #include "algo/fft.hpp"
 #include "algo/gep.hpp"
 #include "algo/graphgen.hpp"
+#include "algo/listrank.hpp"
 #include "algo/scan.hpp"
 #include "algo/sort.hpp"
 #include "algo/spmdv.hpp"
 #include "algo/transpose.hpp"
+#include "hm/config.hpp"
 #include "no/machine.hpp"
 #include "no/ngep.hpp"
 #include "sched/native_executor.hpp"
@@ -657,6 +663,164 @@ TEST(SimdGolden, SpmdvKernelModesMatchAndGenericClose) {
   ASSERT_EQ(au.size(), ge.size());
   for (std::size_t i = 0; i < au.size(); ++i) {
     EXPECT_NEAR(au[i], ge[i], 1e-12) << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Native serial leaves: native results on both sides of kNativeLeafWords
+// must equal the simulator's, which runs the full recursion.
+// ---------------------------------------------------------------------------
+
+/// Runs `algo` on a fresh buffer holding `in` and returns the buffer.
+template <class Exec, class T, class Algo>
+std::vector<T> run_on(Exec& ex, const std::vector<T>& in, Algo&& algo) {
+  auto buf = ex.template make_buf<T>(in.size());
+  buf.raw() = in;
+  algo(buf.ref());
+  return buf.raw();
+}
+
+/// Native results at 1 and 4 workers, under kAuto and kScalar.
+template <class T, class Algo>
+std::vector<std::vector<T>> native_runs(const std::vector<T>& in,
+                                        Algo&& algo) {
+  std::vector<std::vector<T>> out;
+  for (const simd::Mode m : {simd::Mode::kAuto, simd::Mode::kScalar}) {
+    simd::ScopedMode sm(m);
+    for (const unsigned threads : {1u, 4u}) {
+      sched::NativeExecutor ex(threads);
+      out.push_back(run_on(ex, in, [&](auto ref) { algo(ex, ref); }));
+    }
+  }
+  return out;
+}
+
+template <class T, class Algo>
+std::vector<T> sim_run(const std::vector<T>& in, std::uint64_t space,
+                       Algo&& algo) {
+  sched::SimExecutor ex(hm::MachineConfig::shared_l2(4));
+  return run_on(ex, in, [&](auto ref) {
+    ex.run(space, [&] { algo(ex, ref); });
+  });
+}
+
+std::vector<double> flat_doubles(const std::vector<algo::cplx>& v) {
+  std::vector<double> d(2 * v.size());
+  std::memcpy(d.data(), v.data(), d.size() * sizeof(double));
+  return d;
+}
+
+TEST(NativeLeaf, FftMatchesSim) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kSub = std::numeric_limits<double>::denorm_min();
+  auto fft = [](auto& ex, auto ref) { algo::mo_fft(ex, ref); };
+  Xoshiro256 g(81);
+  for (std::uint64_t n = 2; n <= 4096; n *= 2) {
+    // Random values, then with signed zeros and subnormals, then with one
+    // infinity, then with one NaN.
+    std::vector<std::vector<algo::cplx>> inputs(4);
+    for (auto& in : inputs) {
+      in.resize(n);
+      for (auto& v : in) v = {rnd(g), rnd(g)};
+    }
+    for (std::uint64_t i = 0; i < n; i += 3) {
+      inputs[1][i] = {i % 2 ? -0.0 : 0.0, i % 4 < 2 ? kSub : -kSub * 3};
+    }
+    inputs[2][n / 2] = {-kInf, 1.0};
+    inputs[2][n - 1] = {0.5, kInf};
+    inputs[3][n / 3] = {kNaN, -0.0};
+    for (std::size_t s = 0; s < inputs.size(); ++s) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " input " + std::to_string(s));
+      const auto runs = native_runs(inputs[s], fft);
+      // With an infinity the simulator is not the reference: its generic
+      // complex products recover infinities where both parts come out NaN
+      // (C Annex G), and the native split re/im dft_pow2_f64 kernel below
+      // every leaf does not, so from n = 16 up the two differ with or
+      // without the leaf.  The native paths must still agree.
+      const auto want = s == 2 ? flat_doubles(runs.front())
+                               : flat_doubles(sim_run(inputs[s], 6 * n, fft));
+      for (const auto& got : runs) {
+        EXPECT_TRUE(SameValues(want, flat_doubles(got)));
+      }
+    }
+  }
+}
+
+/// Key patterns: uniform, 64 distinct values, all equal, sorted, reversed.
+std::vector<std::uint64_t> key_pattern(int p, std::size_t n, Xoshiro256& g) {
+  std::vector<std::uint64_t> k(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (p) {
+      case 0: k[i] = g(); break;
+      case 1: k[i] = g.below(64); break;
+      case 2: k[i] = 7; break;
+      case 3: k[i] = i; break;
+      default: k[i] = n - i; break;
+    }
+  }
+  return k;
+}
+
+/// Records keyed by `keys`, with unique shuffled srcs and random payloads.
+template <class Rec>
+std::vector<Rec> records(const std::vector<std::uint64_t>& keys,
+                         Xoshiro256& g) {
+  std::vector<Rec> r(keys.size());
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    r[i].key = keys[i];
+    r[i].src = i;
+    const std::uint64_t payload = g();
+    std::memcpy(&r[i].val, &payload, sizeof payload);
+  }
+  for (std::size_t i = r.size(); i > 1; --i) {
+    std::swap(r[i - 1].src, r[g.below(i)].src);
+  }
+  return r;
+}
+
+/// Sizes whose n * W sit at L - 1, L, L + 1 and 3L + 1 words for
+/// L = kNativeLeafWords, rounded to the side of L the word count is on.
+template <class T>
+std::vector<std::size_t> leaf_edge_sizes() {
+  constexpr std::size_t W = (sizeof(T) + 7) / 8;
+  constexpr std::size_t L = sched::kNativeLeafWords;
+  std::vector<std::size_t> out;
+  for (const std::size_t w : {L - 1, L, L + 1, 3 * L + 1}) {
+    const std::size_t n = w <= L ? w / W : (w + W - 1) / W;
+    if (out.empty() || out.back() != n) out.push_back(n);
+  }
+  return out;
+}
+
+template <class T>
+void expect_sort_matches_sim(const std::vector<T>& in) {
+  auto sort = [](auto& ex, auto ref) { algo::spms_sort(ex, ref); };
+  const std::uint64_t words = in.size() * ((sizeof(T) + 7) / 8);
+  const auto want = sim_run(in, 4 * words, sort);
+  for (const auto& got : native_runs(in, sort)) {
+    EXPECT_TRUE(BitsEqual(want, got));
+  }
+}
+
+TEST(NativeLeaf, SortMatchesSim) {
+  Xoshiro256 g(82);
+  for (int p = 0; p < 5; ++p) {
+    SCOPED_TRACE("key pattern " + std::to_string(p));
+    for (const std::size_t n : leaf_edge_sizes<std::uint64_t>()) {
+      SCOPED_TRACE("u64 n=" + std::to_string(n));
+      expect_sort_matches_sim(key_pattern(p, n, g));
+    }
+    for (const std::size_t n : leaf_edge_sizes<algo::detail::PullRec>()) {
+      SCOPED_TRACE("PullRec n=" + std::to_string(n));
+      expect_sort_matches_sim(
+          records<algo::detail::PullRec>(key_pattern(p, n, g), g));
+    }
+    for (const std::size_t n : leaf_edge_sizes<algo::detail::PullRec3>()) {
+      SCOPED_TRACE("PullRec3 n=" + std::to_string(n));
+      expect_sort_matches_sim(
+          records<algo::detail::PullRec3>(key_pattern(p, n, g), g));
+    }
   }
 }
 

@@ -33,7 +33,9 @@ using Native = Instance<sched::NativeExecutor>;
 using Sim = Instance<sched::SimExecutor>;
 
 /// n in {0, 1, 2, 3, 5, 8, 17}, each replaced by the nearest size the kind
-/// takes (ties upward) where it takes no other.
+/// takes (ties upward) where it takes no other.  The kinds with a native
+/// serial leaf (sched::kNativeLeafWords) add one size above it, so every
+/// native path also runs the recursion above the leaf.
 std::vector<std::uint64_t> edge_sizes(Kind k) {
   std::vector<std::uint64_t> out;
   for (const std::uint64_t want : {0, 1, 2, 3, 5, 8, 17}) {
@@ -42,6 +44,12 @@ std::vector<std::uint64_t> edge_sizes(Kind k) {
       n = size_ok(k, want + d) ? want + d : want - d;
     }
     if (out.empty() || out.back() != n) out.push_back(n);
+  }
+  switch (k) {
+    case Kind::kSort: out.push_back(2053); break;
+    case Kind::kFft: out.push_back(2048); break;
+    case Kind::kListRank: out.push_back(701); break;  // 3-word records
+    default: break;
   }
   return out;
 }
