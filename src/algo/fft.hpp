@@ -46,6 +46,16 @@ inline constexpr bool fft_kernel_v =
     sched::is_direct_ref_v<Ref> &&
     std::is_same_v<typename Ref::value_type, cplx>;
 
+/// The complex product as plain IEEE arithmetic, (ac - bd, ad + bc): what
+/// the split re/im simd kernels compute.  std::complex's operator* agrees
+/// on finite operands but also recovers infinities where both parts come
+/// out NaN (C Annex G), which the kernels do not; every twiddle product of
+/// mo_fft goes through this helper so all paths share one contract.
+inline cplx cmul(const cplx& a, const cplx& b) {
+  return cplx(a.real() * b.real() - a.imag() * b.imag(),
+              a.real() * b.imag() + a.imag() * b.real());
+}
+
 /// Size of the shared twiddle table: the largest power of two whose
 /// table of complex doubles fits in 64 KiB.
 inline constexpr std::uint64_t kTwiddleTableSize = 4096;
@@ -113,7 +123,7 @@ void dft_base(Exec& ex, Ref x) {
   for (std::uint64_t f = 0; f < m; ++f) {
     cplx acc{0.0, 0.0};
     for (std::uint64_t t = 0; t < m; ++t) {
-      acc += in[t] * twiddle((f * t) % m, m);
+      acc += cmul(in[t], twiddle((f * t) % m, m));
       ex.tick(4);
     }
     out[f] = acc;
@@ -152,7 +162,7 @@ inline void fft_leaf(const cplx* in, std::uint64_t s_in, cplx* out,
   const std::uint64_t stride = kTwiddleTableSize / n;
   for (std::uint64_t b = 0; b < n2; ++b) {
     for (std::uint64_t c = 0; c < n1; ++c) {
-      t[b * n1 + c] = t[b * n1 + c] * w[b * c * stride];
+      t[b * n1 + c] = cmul(t[b * n1 + c], w[b * c * stride]);
     }
   }
   // Lines 7-10: X[b*n1 + c] is entry b of the FFT of column c of T.
@@ -228,7 +238,8 @@ void mo_fft(Exec& ex, Ref x) {
   ex.cgc_pfor(0, n, W, [&](std::uint64_t lo, std::uint64_t hi) {
     for (std::uint64_t z = lo; z < hi; ++z) {
       const std::uint64_t b = z / n1, c = z % n1;
-      A.store(b, c, A.load(b, c) * detail::twiddle((b * c) % n, n));
+      A.store(b, c,
+              detail::cmul(A.load(b, c), detail::twiddle((b * c) % n, n)));
       ex.tick(8);
     }
   });

@@ -12,13 +12,19 @@
 // which a parallelization of the recursive cache-oblivious transposition
 // cannot achieve (it needs Theta(log n) depth).  Per Theorem 1 the level-i
 // cache misses are O(n^2/(q_i B_i) + B_i) given tall caches.
+//
+// Native tile leaf (DESIGN.md §5f): Morton block t of I, of s x s
+// elements, is tile deinterleave_bits(t) of A.  On direct-memory refs one
+// CGC pass over the Morton tile indices therefore moves each tile of A
+// straight to its transposed place, with no n^2 intermediate.  The tile
+// side s is the largest power of two with a source and a destination tile
+// in sched::kNativeLeafWords words.  Transposition is pure data movement,
+// so the output is bit-identical by construction.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
-#include <complex>
 #include <cstdint>
-#include <type_traits>
 
 #include "sched/hints.hpp"
 #include "sched/views.hpp"
@@ -29,53 +35,69 @@ namespace obliv::algo {
 
 namespace detail {
 
-/// Native leaf for the two Morton passes: indices are computed scalar into
-/// a small block, the element movement is one contiguous-store gather per
-/// block.  IndexFn maps a flat z to the source offset.
-template <class IndexFn>
-void gather_tile_f64(const double* src, double* dst, std::uint64_t lo,
-                     std::uint64_t hi, IndexFn&& index_of) {
-  constexpr std::uint64_t kBlk = 256;  // index staging fits in L1
-  std::uint64_t idx[kBlk];
-  for (std::uint64_t z0 = lo; z0 < hi; z0 += kBlk) {
-    const std::uint64_t cnt = std::min(kBlk, hi - z0);
-    for (std::uint64_t k = 0; k < cnt; ++k) idx[k] = index_of(z0 + k);
-    simd::gather_f64(src, idx, dst + z0, cnt);
+/// Native tile side for elements of `words` words: the largest power of
+/// two s with 2 s^2 words (a source and a destination tile) <=
+/// kNativeLeafWords -- 32 for double, 16 for complex<double>.
+constexpr std::uint64_t transpose_tile_side(std::uint64_t words) {
+  std::uint64_t s = 1;
+  while (2 * (2 * s) * (2 * s) * words <= sched::kNativeLeafWords) s *= 2;
+  return s;
+}
+template <class T>
+inline constexpr std::uint64_t kTileSide =
+    transpose_tile_side((sizeof(T) + 7) / 8);
+
+/// dst[r][c] = src[c][r] for an s x s tile (leading dimensions lds and
+/// ldd).  It writes rows of dst and reads down the columns of src: on
+/// power-of-two leading dimensions that measured about twice as fast as
+/// reading rows and writing columns.
+template <class T>
+void transpose_tile(const T* src, std::uint64_t lds, T* dst, std::uint64_t ldd,
+                    std::uint64_t s) {
+  for (std::uint64_t r = 0; r < s; ++r) {
+    for (std::uint64_t c = 0; c < s; ++c) dst[r * ldd + c] = src[c * lds + r];
   }
 }
 
-template <class Ref>
-inline constexpr bool transpose_kernel_v =
-    sched::is_direct_ref_v<Ref> &&
-    (std::is_same_v<typename Ref::value_type, double> ||
-     std::is_same_v<typename Ref::value_type, std::complex<double>>);
-
-/// Type-dispatched tile gather: complex<double> elements move as two-word
-/// units (reinterpreting complex<double>* as double* is sanctioned by the
-/// standard's array-compatibility guarantee for std::complex).
-template <class T, class IndexFn>
-void gather_tile(const T* src, T* dst, std::uint64_t lo, std::uint64_t hi,
-                 IndexFn&& index_of) {
-  if constexpr (std::is_same_v<T, double>) {
-    gather_tile_f64(src, dst, lo, hi, index_of);
-  } else {
-    constexpr std::uint64_t kBlk = 256;
-    std::uint64_t idx[kBlk];
-    const double* s = reinterpret_cast<const double*>(src);
-    double* d = reinterpret_cast<double*>(dst);
-    for (std::uint64_t z0 = lo; z0 < hi; z0 += kBlk) {
-      const std::uint64_t cnt = std::min(kBlk, hi - z0);
-      for (std::uint64_t k = 0; k < cnt; ++k) idx[k] = index_of(z0 + k);
-      simd::gather_2f64(s, idx, d + 2 * z0, cnt);
+/// Native MO-MT leaf: out = a^T for n x n matrices (n a power of two) with
+/// leading dimensions lda and ldo, one CGC pass over the Morton tile
+/// indices.  With out == a (then lda == ldo) it transposes in place: the
+/// index with bi <= bj saves tile (bi, bj) in a stack tile, overwrites it
+/// with the transpose of tile (bj, bi), then writes the saved tile's
+/// transpose into (bj, bi); the index with bi > bj does nothing.
+template <class Exec, class T>
+void transpose_tiles(Exec& ex, T* a, std::uint64_t lda, T* out,
+                     std::uint64_t ldo, std::uint64_t n) {
+  constexpr std::uint64_t W = (sizeof(T) + 7) / 8;
+  if (n == 0) return;
+  const std::uint64_t s = std::min(n, kTileSide<T>);
+  const std::uint64_t nb = n / s;
+  ex.cgc_pfor(0, nb * nb, 2 * s * s * W,
+              [&](std::uint64_t lo, std::uint64_t hi) {
+    T x[kTileSide<T> * kTileSide<T>];
+    for (std::uint64_t t = lo; t < hi; ++t) {
+      const auto [bi, bj] = util::deinterleave_bits(t);
+      T* p = a + (bi * lda + bj) * s;
+      T* q = out + (bj * ldo + bi) * s;
+      if (a != out) {
+        transpose_tile(p, lda, q, ldo, s);
+      } else if (bi <= bj) {
+        for (std::uint64_t r = 0; r < s; ++r) {
+          std::copy(p + r * lda, p + r * lda + s, x + r * s);
+        }
+        if (bi != bj) transpose_tile(q, ldo, p, lda, s);
+        transpose_tile(x, s, q, ldo, s);
+      }
     }
-  }
+  });
 }
 
 }  // namespace detail
 
 /// MO-MT.  `a` is an n x n row-major input, `out` receives the transpose
 /// (row-major).  n must be a power of two (the bit-interleaving map requires
-/// equal index widths).  Space bound: 3 n^2.
+/// equal index widths).  Space bound: 3 n^2 (2 n^2 on the native tile
+/// leaf, which needs no intermediate).
 template <class Exec, class Ref>
 void mo_transpose(Exec& ex, Ref a, Ref out, std::uint64_t n) {
   assert(util::is_pow2(n));
@@ -83,20 +105,18 @@ void mo_transpose(Exec& ex, Ref a, Ref out, std::uint64_t n) {
   using T = typename Ref::value_type;
   constexpr std::uint64_t W = (sizeof(T) + 7) / 8;
 
+  if constexpr (sched::is_direct_ref_v<Ref>) {
+    if (simd::use_kernels()) {
+      detail::transpose_tiles(ex, a.raw(), n, out.raw(), n, n);
+      return;
+    }
+  }
+
   auto ibuf = ex.template make_buf<T>(n * n);
   auto I = ibuf.ref();
 
   // Step 1 [CGC]: gather A into bit-interleaved order.
   ex.cgc_pfor(0, n * n, W, [&](std::uint64_t lo, std::uint64_t hi) {
-    if constexpr (detail::transpose_kernel_v<Ref>) {
-      if (simd::use_kernels()) {
-        detail::gather_tile(a.raw(), I.raw(), lo, hi, [n](std::uint64_t z) {
-          const auto [i, j] = util::deinterleave_bits(z);
-          return i * n + j;
-        });
-        return;
-      }
-    }
     for (std::uint64_t z = lo; z < hi; ++z) {
       const auto [i, j] = util::deinterleave_bits(z);
       I.store(z, a.load(i * n + j));
@@ -105,15 +125,6 @@ void mo_transpose(Exec& ex, Ref a, Ref out, std::uint64_t n) {
 
   // Step 2 [CGC]: scatter out of bit-interleaved order, transposed.
   ex.cgc_pfor(0, n * n, W, [&](std::uint64_t lo, std::uint64_t hi) {
-    if constexpr (detail::transpose_kernel_v<Ref>) {
-      if (simd::use_kernels()) {
-        detail::gather_tile(I.raw(), out.raw(), lo, hi,
-                            [n](std::uint64_t z) {
-                              return util::interleave_bits(z % n, z / n);
-                            });
-        return;
-      }
-    }
     for (std::uint64_t z = lo; z < hi; ++z) {
       const std::uint64_t i = z / n, j = z % n;
       out.store(z, I.load(util::interleave_bits(j, i)));
@@ -123,8 +134,9 @@ void mo_transpose(Exec& ex, Ref a, Ref out, std::uint64_t n) {
 
 /// In-place transposition of a square MatView via MO-MT semantics is not
 /// needed by MO-FFT; MO-FFT transposes the full backing matrix.  This
-/// overload transposes view `m` (must be square, power-of-two side, and
-/// contiguous: ld == cols) into itself using a scratch buffer.
+/// overload transposes view `m` (must be square, power-of-two side, any
+/// leading dimension) into itself using a scratch buffer; the native tile
+/// leaf needs none.
 template <class Exec, class Ref>
 void mo_transpose_inplace(Exec& ex, sched::MatView<Ref> m) {
   const std::uint64_t n = m.rows();
@@ -132,41 +144,24 @@ void mo_transpose_inplace(Exec& ex, sched::MatView<Ref> m) {
   using T = typename Ref::value_type;
   constexpr std::uint64_t W = (sizeof(T) + 7) / 8;
 
+  if constexpr (sched::is_direct_ref_v<Ref>) {
+    if (simd::use_kernels()) {
+      T* base = m.row(0).raw();
+      detail::transpose_tiles(ex, base, m.ld(), base, m.ld(), n);
+      return;
+    }
+  }
+
   auto ibuf = ex.template make_buf<T>(n * n);
   auto I = ibuf.ref();
 
   ex.cgc_pfor(0, n * n, W, [&](std::uint64_t lo, std::uint64_t hi) {
-    if constexpr (detail::transpose_kernel_v<Ref>) {
-      if (simd::use_kernels()) {
-        const std::uint64_t ld = m.ld();
-        detail::gather_tile(m.row(0).raw(), I.raw(), lo, hi,
-                            [ld](std::uint64_t z) {
-                              const auto [i, j] = util::deinterleave_bits(z);
-                              return i * ld + j;
-                            });
-        return;
-      }
-    }
     for (std::uint64_t z = lo; z < hi; ++z) {
       const auto [i, j] = util::deinterleave_bits(z);
       I.store(z, m.load(i, j));
     }
   });
   ex.cgc_pfor(0, n * n, W, [&](std::uint64_t lo, std::uint64_t hi) {
-    if constexpr (detail::transpose_kernel_v<Ref>) {
-      if (simd::use_kernels()) {
-        // Inverse direction: the *destination* walks (i, j) row-major while
-        // the source is Morton-ordered, so stores are only contiguous when
-        // the view itself is (ld == n, which mo_fft's full views are).
-        if (m.ld() == n) {
-          detail::gather_tile(I.raw(), m.row(0).raw(), lo, hi,
-                              [n](std::uint64_t z) {
-                                return util::interleave_bits(z % n, z / n);
-                              });
-          return;
-        }
-      }
-    }
     for (std::uint64_t z = lo; z < hi; ++z) {
       const std::uint64_t i = z / n, j = z % n;
       m.store(i, j, I.load(util::interleave_bits(j, i)));

@@ -205,7 +205,7 @@ double dot_strided_f64(const std::uint64_t* cols, const double* vals,
                        std::size_t stride_words, const double* x,
                        std::size_t n) noexcept;
 
-// Contiguous-store gather: dst[i] = base[idx[i]] (Morton transpose tiles).
+// Contiguous-store gather: dst[i] = base[idx[i]].
 void gather_f64(const double* base, const std::uint64_t* idx, double* dst,
                 std::size_t n) noexcept;
 

@@ -121,16 +121,18 @@ void fuzz_native(workload::Kind kind, std::uint64_t n, std::uint64_t seed) {
   }
 }
 
+// Each size sits well above its family's native leaf (sched::
+// kNativeLeafWords): a native leaf consults no scheduler, and a CGC pass
+// over fewer than four leaves runs as one chunk, so a smaller run would
+// never see the plan.  Scan takes 32 blocks plus a tail, transpose 64 tiles.
 TEST(FaultFuzz, NativeScan) {
-  fuzz_native(workload::Kind::kScan, 4096, 97);
+  fuzz_native(workload::Kind::kScan, 65541, 97);
 }
 
 TEST(FaultFuzz, NativeTranspose) {
-  fuzz_native(workload::Kind::kTranspose, 64, 3);
+  fuzz_native(workload::Kind::kTranspose, 256, 3);
 }
 
-// The fft and sort sizes sit above sched::kNativeLeafWords: a native leaf
-// consults no scheduler, so a one-leaf run would never see the plan.
 TEST(FaultFuzz, NativeFft) {
   fuzz_native(workload::Kind::kFft, 4096, 4242);
 }

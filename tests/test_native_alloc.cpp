@@ -1,0 +1,101 @@
+// Allocation as a property: the test-only counting operator new
+// (alloc_counter.hpp) checks what the native leaves allocate, independent
+// of timing.  Every native run here uses one worker, so all of its
+// scheduler constructs run on the counting thread.
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <cstdint>
+#include <new>
+#include <memory>
+#include <thread>
+#include <vector>
+
+#include "algo/fft.hpp"
+#include "algo/scan.hpp"
+#include "algo/transpose.hpp"
+#include "alloc_counter.hpp"
+#include "sched/native_executor.hpp"
+
+namespace obliv {
+namespace {
+
+using testing::AllocCounter;
+
+/// Allocates and frees `n` bytes through a call the optimizer may not
+/// elide (a new-expression whose pointer does not escape may be removed).
+void alloc_and_free(std::size_t n) { ::operator delete(::operator new(n)); }
+
+TEST(AllocCounter, CountsOnlyItsThreadAndScope) {
+  alloc_and_free(1000);  // before any scope
+  std::uint64_t count, bytes, largest, big, inner_count, inner_bytes;
+  {
+    AllocCounter outer(64);
+    alloc_and_free(16);
+    alloc_and_free(100);
+    std::thread t([] { alloc_and_free(5000); });
+    t.join();
+    {
+      AllocCounter inner;
+      alloc_and_free(8);
+      inner_count = inner.count();
+      inner_bytes = inner.bytes();
+    }
+    alloc_and_free(64);
+    // Snapshot before any assertion: gtest's messages allocate too.
+    count = outer.count();
+    bytes = outer.bytes();
+    largest = outer.largest();
+    big = outer.big();
+  }
+  EXPECT_EQ(inner_count, 1u);
+  EXPECT_EQ(inner_bytes, 8u);
+  // std::thread's launch state is allocated on this thread; the 5000
+  // bytes allocated on the new thread are not seen.
+  EXPECT_GE(count, 3u);
+  EXPECT_GE(bytes, 180u);
+  EXPECT_LT(largest, 5000u);
+  EXPECT_GE(big, 2u);  // 100 and 64 bytes
+}
+
+/// Bytes the native mo_prefix_sum allocates for n elements of T.
+template <class T>
+std::uint64_t prefix_sum_bytes(std::uint64_t n) {
+  sched::NativeExecutor ex(1);
+  std::vector<T> v(n, T{1});
+  AllocCounter count;
+  algo::mo_prefix_sum(ex, sched::NatRef<T>(v.data(), n));
+  EXPECT_EQ(v.back(), static_cast<T>(n));
+  return count.bytes();
+}
+
+TEST(NativeLeaf, PrefixSumAllocatesOnlyBlockSums) {
+  constexpr std::uint64_t n = 1 << 20;
+  // The block leaf keeps one sum per 2048 elements (512 words here); the
+  // recursion's n-word scratch would be 256 times the bound.
+  EXPECT_LT(prefix_sum_bytes<std::int64_t>(n), n / 256 * 8);
+  EXPECT_LT(prefix_sum_bytes<double>(n), n / 256 * 8);
+  EXPECT_LT(prefix_sum_bytes<std::uint64_t>(n), n / 256 * 8);
+}
+
+TEST(NativeLeaf, TransposesAllocateNoIntermediate) {
+  sched::NativeExecutor ex(1);
+  {
+    constexpr std::uint64_t side = 512;
+    std::vector<double> a(side * side, 1.0), out(side * side);
+    AllocCounter count(side * side * sizeof(double));
+    algo::mo_transpose(ex, sched::NatRef<double>(a.data(), a.size()),
+                       sched::NatRef<double>(out.data(), out.size()), side);
+    EXPECT_EQ(count.big(), 0u) << "largest " << count.largest() << " bytes";
+  }
+  // MO-FFT(2^16) works on one n1 x n1 matrix, n1 = 256, allocated once;
+  // its three transposes of that matrix must allocate nothing that large.
+  constexpr std::uint64_t n = 1 << 16, n1 = 256;
+  std::vector<algo::cplx> x(n, algo::cplx(1.0, -1.0));
+  AllocCounter count(n1 * n1 * sizeof(algo::cplx));
+  algo::mo_fft(ex, sched::NatRef<algo::cplx>(x.data(), n));
+  EXPECT_EQ(count.big(), 1u) << "largest " << count.largest() << " bytes";
+}
+
+}  // namespace
+}  // namespace obliv

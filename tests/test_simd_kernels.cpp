@@ -16,9 +16,9 @@
 //     identity), and -- except spmdv, whose kernel fixes a different
 //     reduction order than the serial loop -- under Mode::kGeneric too.
 //
-//  3. Native serial leaves (sched::kNativeLeafWords): native SPMS sort and
-//     MO-FFT on both sides of the leaf size reproduce the simulator, which
-//     never takes a leaf.
+//  3. Native leaves (sched::kNativeLeafWords): native SPMS sort, MO-FFT,
+//     prefix scan and MO-MT on both sides of the leaf size reproduce the
+//     simulator, which never takes a leaf.
 #include "util/simd.hpp"
 
 #include <gtest/gtest.h>
@@ -680,20 +680,30 @@ std::vector<T> run_on(Exec& ex, const std::vector<T>& in, Algo&& algo) {
   return buf.raw();
 }
 
-/// Native results at 1 and 4 workers, under kAuto and kScalar.
-template <class T, class Algo>
-std::vector<std::vector<T>> native_runs(const std::vector<T>& in,
-                                        Algo&& algo) {
-  std::vector<std::vector<T>> out;
+/// Each native run (kAuto/kScalar x 1/4 workers) must equal `want` under
+/// `eq`; runs are compared as they finish, so that at most two copies of a
+/// large input are alive.
+template <class T, class Algo, class Eq>
+void expect_native_runs(const std::vector<T>& in, const std::vector<T>& want,
+                        Algo&& algo, Eq&& eq) {
   for (const simd::Mode m : {simd::Mode::kAuto, simd::Mode::kScalar}) {
     simd::ScopedMode sm(m);
     for (const unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE("mode " + std::to_string(static_cast<int>(m)) + ", " +
+                   std::to_string(threads) + " workers");
       sched::NativeExecutor ex(threads);
-      out.push_back(run_on(ex, in, [&](auto ref) { algo(ex, ref); }));
+      EXPECT_TRUE(eq(want, run_on(ex, in, [&](auto ref) { algo(ex, ref); })));
     }
   }
-  return out;
 }
+
+/// gtest assertion results as callables for expect_native_runs.
+const auto kBitsEqual = [](const auto& a, const auto& b) {
+  return BitsEqual(a, b);
+};
+const auto kSameValues = [](const auto& a, const auto& b) {
+  return SameValues(a, b);
+};
 
 template <class T, class Algo>
 std::vector<T> sim_run(const std::vector<T>& in, std::uint64_t space,
@@ -732,17 +742,10 @@ TEST(NativeLeaf, FftMatchesSim) {
     inputs[3][n / 3] = {kNaN, -0.0};
     for (std::size_t s = 0; s < inputs.size(); ++s) {
       SCOPED_TRACE("n=" + std::to_string(n) + " input " + std::to_string(s));
-      const auto runs = native_runs(inputs[s], fft);
-      // With an infinity the simulator is not the reference: its generic
-      // complex products recover infinities where both parts come out NaN
-      // (C Annex G), and the native split re/im dft_pow2_f64 kernel below
-      // every leaf does not, so from n = 16 up the two differ with or
-      // without the leaf.  The native paths must still agree.
-      const auto want = s == 2 ? flat_doubles(runs.front())
-                               : flat_doubles(sim_run(inputs[s], 6 * n, fft));
-      for (const auto& got : runs) {
-        EXPECT_TRUE(SameValues(want, flat_doubles(got)));
-      }
+      expect_native_runs(inputs[s], sim_run(inputs[s], 6 * n, fft), fft,
+                         [](const auto& a, const auto& b) {
+                           return SameValues(flat_doubles(a), flat_doubles(b));
+                         });
     }
   }
 }
@@ -797,10 +800,7 @@ template <class T>
 void expect_sort_matches_sim(const std::vector<T>& in) {
   auto sort = [](auto& ex, auto ref) { algo::spms_sort(ex, ref); };
   const std::uint64_t words = in.size() * ((sizeof(T) + 7) / 8);
-  const auto want = sim_run(in, 4 * words, sort);
-  for (const auto& got : native_runs(in, sort)) {
-    EXPECT_TRUE(BitsEqual(want, got));
-  }
+  expect_native_runs(in, sim_run(in, 4 * words, sort), sort, kBitsEqual);
 }
 
 TEST(NativeLeaf, SortMatchesSim) {
@@ -821,6 +821,139 @@ TEST(NativeLeaf, SortMatchesSim) {
       expect_sort_matches_sim(
           records<algo::detail::PullRec3>(key_pattern(p, n, g), g));
     }
+  }
+}
+
+/// Inputs whose scan depends on the association tree: random exponents
+/// over +-2^40, with signed zeros and subnormals sprinkled in; `inf` adds
+/// one infinity of either sign in the last quarter.
+std::vector<double> scan_doubles(std::size_t n, bool inf, Xoshiro256& g) {
+  constexpr double kSub = std::numeric_limits<double>::denorm_min();
+  std::vector<double> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (g.below(8)) {
+      case 0: v[i] = g.below(2) ? 0.0 : -0.0; break;
+      case 1: v[i] = kSub * static_cast<double>(g.below(5)) * rnd(g); break;
+      default:
+        v[i] = std::ldexp(rnd(g), static_cast<int>(g.below(81)) - 40);
+    }
+  }
+  if (inf && n > 0) {
+    v[n - 1 - n / 8] = (g.below(2) ? 1.0 : -1.0) *
+                       std::numeric_limits<double>::infinity();
+  }
+  return v;
+}
+
+/// Signed keys whose running sums stay far from overflow at any test size
+/// (the simulator's reference is a signed addition).
+std::vector<std::int64_t> scan_int64s(std::size_t n, Xoshiro256& g) {
+  std::vector<std::int64_t> v(n);
+  for (auto& x : v) {
+    x = static_cast<std::int64_t>(g() >> 24) - (std::int64_t{1} << 39);
+  }
+  return v;
+}
+
+/// Native scans on both entry points against the full recursion: the
+/// simulator up to 2^14 elements, native kGeneric above.
+template <class T, class Eq>
+void expect_scan_matches(const std::vector<T>& in, Eq&& eq) {
+  auto prefix = [](auto& ex, auto ref) { algo::mo_prefix_sum(ex, ref); };
+  auto inclusive = [](auto& ex, auto ref) {
+    // The smallest scratch the contract allows.
+    auto scratch =
+        ex.template make_buf<T>(algo::scan_scratch_words(ref.size()));
+    algo::mo_scan_inclusive(ex, ref, scratch.ref(), algo::AddOp<T>{});
+  };
+  std::vector<T> want;
+  if (in.size() <= (1u << 14)) {
+    want = sim_run(in, 2 * in.size(), prefix);
+  } else {
+    simd::ScopedMode sm(simd::Mode::kGeneric);
+    sched::NativeExecutor ex(1);
+    want = run_on(ex, in, [&](auto ref) { algo::mo_prefix_sum(ex, ref); });
+  }
+  {
+    SCOPED_TRACE("mo_prefix_sum");
+    expect_native_runs(in, want, prefix, eq);
+  }
+  SCOPED_TRACE("mo_scan_inclusive, minimum scratch");
+  expect_native_runs(in, want, inclusive, eq);
+}
+
+TEST(NativeLeaf, ScanMatchesSim) {
+  constexpr std::size_t L = sched::kNativeLeafWords;
+  Xoshiro256 g(83);
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{3},
+        std::size_t{4}, std::size_t{5}, L - 1, L, L + 1, 5 * L + 3,
+        L * L - 1, L * L, L * L + L + 1}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    for (const bool inf : {false, true}) {
+      SCOPED_TRACE(inf ? "double with an infinity" : "double");
+      expect_scan_matches(scan_doubles(n, inf, g), kSameValues);
+    }
+    std::vector<std::uint64_t> u(n);
+    for (auto& x : u) x = g();  // wraps
+    {
+      SCOPED_TRACE("u64");
+      expect_scan_matches(u, kBitsEqual);
+    }
+    SCOPED_TRACE("int64");
+    expect_scan_matches(scan_int64s(n, g), kBitsEqual);
+  }
+}
+
+/// MO-MT on both entry points, and in place on a view whose leading
+/// dimension is twice its side (the padding columns must stay untouched),
+/// against the simulator.
+template <class T>
+void expect_transposes_match_sim(std::uint64_t n, Xoshiro256& g) {
+  std::vector<T> in(2 * n * n);
+  for (auto& x : in) {
+    if constexpr (std::is_same_v<T, double>) {
+      x = rnd(g);
+    } else {
+      x = T(rnd(g), rnd(g));
+    }
+  }
+  constexpr std::uint64_t W = (sizeof(T) + 7) / 8;
+  auto out_of_place = [n](auto& ex, auto ref) {
+    algo::mo_transpose(ex, ref.slice(0, n * n), ref.slice(n * n, n * n), n);
+  };
+  auto full = [n](auto& ex, auto ref) {
+    algo::mo_transpose_inplace(
+        ex, sched::MatView<decltype(ref)>::full(ref.slice(0, n * n), n, n));
+  };
+  auto padded = [n](auto& ex, auto ref) {
+    algo::mo_transpose_inplace(
+        ex, sched::MatView<decltype(ref)>(ref, 2 * n, 0, 0, n, n));
+  };
+  const std::uint64_t space = 4 * n * n * W;
+  {
+    SCOPED_TRACE("mo_transpose");
+    expect_native_runs(in, sim_run(in, space, out_of_place), out_of_place,
+                       kBitsEqual);
+  }
+  {
+    SCOPED_TRACE("mo_transpose_inplace");
+    expect_native_runs(in, sim_run(in, space, full), full, kBitsEqual);
+  }
+  SCOPED_TRACE("mo_transpose_inplace, ld = 2n");
+  expect_native_runs(in, sim_run(in, space, padded), padded, kBitsEqual);
+}
+
+TEST(NativeLeaf, TransposeMatchesSim) {
+  Xoshiro256 g(84);
+  for (std::uint64_t n = 1; n <= 512; n *= 2) {
+    SCOPED_TRACE("side " + std::to_string(n));
+    {
+      SCOPED_TRACE("double");
+      expect_transposes_match_sim<double>(n, g);
+    }
+    SCOPED_TRACE("complex");
+    expect_transposes_match_sim<algo::cplx>(n, g);
   }
 }
 

@@ -34,8 +34,8 @@ using Sim = Instance<sched::SimExecutor>;
 
 /// n in {0, 1, 2, 3, 5, 8, 17}, each replaced by the nearest size the kind
 /// takes (ties upward) where it takes no other.  The kinds with a native
-/// serial leaf (sched::kNativeLeafWords) add one size above it, so every
-/// native path also runs the recursion above the leaf.
+/// leaf (sched::kNativeLeafWords) add one size above it, so every native
+/// path also runs the recursion, or the CGC pass over leaves, above it.
 std::vector<std::uint64_t> edge_sizes(Kind k) {
   std::vector<std::uint64_t> out;
   for (const std::uint64_t want : {0, 1, 2, 3, 5, 8, 17}) {
@@ -46,8 +46,10 @@ std::vector<std::uint64_t> edge_sizes(Kind k) {
     if (out.empty() || out.back() != n) out.push_back(n);
   }
   switch (k) {
+    case Kind::kScan: out.push_back(10243); break;  // 5 blocks and a tail
     case Kind::kSort: out.push_back(2053); break;
     case Kind::kFft: out.push_back(2048); break;
+    case Kind::kTranspose: out.push_back(128); break;  // 16 tiles
     case Kind::kListRank: out.push_back(701); break;  // 3-word records
     default: break;
   }
