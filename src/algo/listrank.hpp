@@ -9,9 +9,16 @@
 //
 // All inter-node communication ("what is my successor's color / rank?") is
 // done with O(1) sorts and scans per step -- the mo_pull primitive below --
-// scheduled CGC=>SB (inside SPMS) and CGC, exactly as the paper prescribes;
-// pointer-chasing random access never happens outside the constant-size
-// base case.
+// scheduled CGC=>SB (inside SPMS) and CGC, exactly as the paper prescribes.
+// On the model path (SimRef, NoRef, and NatRef under simd::Mode::kGeneric)
+// pointer-chasing random access therefore never happens outside the
+// constant-size base case.
+//
+// Native pull (DESIGN.md §5f): the routing exists to meet Theorem 7's
+// cache bound on the model, where misses are what is counted.  A pull's
+// output is fully defined by its inputs, so on direct-memory refs mo_pull
+// and mo_pull3 are one CGC gather, out[v] = field[target[v]], with no
+// record buffer and no sort; the results are bit-identical.
 //
 // Substitution note (DESIGN.md): Figure 6 iterates over the O(log log n)
 // color classes, inserting duplicate records to block neighbors.  We apply
@@ -24,12 +31,18 @@
 #pragma once
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <string>
 #include <vector>
 
 #include "algo/scan.hpp"
 #include "algo/sort.hpp"
+#include "fault/status.hpp"
 #include "sched/cancel.hpp"
+#include "sched/hints.hpp"
+#include "util/simd.hpp"
 
 namespace obliv::algo {
 
@@ -47,18 +60,88 @@ struct PullRec {
   }
 };
 
+/// True if the element ranges of `a` and `b` share an address.
+template <class Ref>
+bool overlaps(const Ref& a, const Ref& b) {
+  using T = typename Ref::value_type;
+  const auto a0 = reinterpret_cast<std::uintptr_t>(a.raw());
+  const auto b0 = reinterpret_cast<std::uintptr_t>(b.raw());
+  return a0 < b0 + b.size() * sizeof(T) && b0 < a0 + a.size() * sizeof(T);
+}
+
+/// The pull precondition, checked in O(1) before any write: every output
+/// holds target.size() elements, no output overlaps `target` or a field,
+/// and two outputs are either the same array or disjoint (a pull writes
+/// its outputs in argument order, so on the same array the last one
+/// wins).  Throws obliv::Error(kInvalidArgument) otherwise.
+template <class RefU64>
+void check_pull(const char* who, const RefU64& target,
+                std::initializer_list<RefU64> fields,
+                std::initializer_list<RefU64> outs) {
+  auto fail = [who](const char* what) {
+    throw Error(ErrorCode::kInvalidArgument, std::string(who) + ": " + what);
+  };
+  for (const RefU64* o = outs.begin(); o != outs.end(); ++o) {
+    if (o->size() < target.size()) fail("an output is shorter than target");
+    if (overlaps(*o, target)) fail("an output overlaps target");
+    for (const RefU64& f : fields) {
+      if (overlaps(*o, f)) fail("an output overlaps a field");
+    }
+    for (const RefU64* p = outs.begin(); p != o; ++p) {
+      if (p->raw() != o->raw() && overlaps(*o, *p)) {
+        fail("two outputs overlap without being the same array");
+      }
+    }
+  }
+}
+
+/// Native pull of K fields: out[k][v] = target[v] == kNil ? dflt[k] :
+/// field[k][target[v]], as one CGC gather on raw pointers.  Passed by
+/// reference so the loop body fits std::function's inline storage.
+template <std::size_t K>
+struct Gather {
+  const std::uint64_t* target;
+  const std::uint64_t* field[K];
+  std::uint64_t* out[K];
+  std::uint64_t dflt[K];
+};
+
+template <std::size_t K, class Exec>
+void pull_gather(Exec& ex, std::uint64_t n, const Gather<K>& g) {
+  ex.cgc_pfor(0, n, 1 + 2 * K, [&g](std::uint64_t lo, std::uint64_t hi) {
+    for (std::uint64_t v = lo; v < hi; ++v) {
+      const std::uint64_t s = g.target[v];
+      for (std::size_t k = 0; k < K; ++k) {
+        g.out[k][v] = s == kNil ? g.dflt[k] : g.field[k][s];
+      }
+    }
+  });
+}
+
 }  // namespace detail
 
 /// out[v] = field[target[v]] for every v with target[v] != kNil, else
-/// out[v] = dflt.  Implemented with two SPMS sorts and three CGC scans (the
-/// "O(1) sorts and scans" pattern of Section VI); field reads happen in
-/// sorted key order, so they form a near-sequential sweep.
+/// out[v] = dflt.  `out` holds at least target.size() elements and
+/// overlaps neither `target` nor `field` (`field` may be `target`);
+/// otherwise obliv::Error(kInvalidArgument) is thrown before any write.
+/// Implemented with two SPMS sorts and three CGC scans (the "O(1) sorts
+/// and scans" pattern of Section VI); field reads happen in sorted key
+/// order, so they form a near-sequential sweep.  On direct-memory refs it
+/// is one CGC gather instead (see the file comment).
 template <class Exec, class RefU64>
 void mo_pull(Exec& ex, RefU64 target, RefU64 field, RefU64 out,
              std::uint64_t dflt) {
   using detail::PullRec;
+  detail::check_pull("mo_pull", target, {field}, {out});
   const std::uint64_t n = target.size();
   if (n == 0) return;
+  if constexpr (sched::is_direct_ref_v<RefU64>) {
+    if (simd::use_kernels()) {
+      detail::pull_gather<1>(
+          ex, n, {target.raw(), {field.raw()}, {out.raw()}, {dflt}});
+      return;
+    }
+  }
   auto recs_buf = ex.template make_buf<PullRec>(n);
   auto recs = recs_buf.ref();
   ex.cgc_pfor_each(0, n, 3, [&](std::uint64_t v) {
@@ -98,14 +181,27 @@ struct PullRec3 {
 }  // namespace detail
 
 /// Batched pull: out_k[v] = field_k[target[v]] for k = 0, 1, 2 (dflt_k when
-/// target[v] == kNil).  Two SPMS sorts total, like mo_pull.
+/// target[v] == kNil).  Two SPMS sorts total, like mo_pull, and the same
+/// precondition (checked the same way); two outputs may also be the same
+/// array, in which case the later one's value is stored.
 template <class Exec, class RefU64>
 void mo_pull3(Exec& ex, RefU64 target, RefU64 f0, RefU64 f1, RefU64 f2,
               RefU64 o0, RefU64 o1, RefU64 o2, std::uint64_t d0,
               std::uint64_t d1, std::uint64_t d2) {
   using detail::PullRec3;
+  detail::check_pull("mo_pull3", target, {f0, f1, f2}, {o0, o1, o2});
   const std::uint64_t n = target.size();
   if (n == 0) return;
+  if constexpr (sched::is_direct_ref_v<RefU64>) {
+    if (simd::use_kernels()) {
+      detail::pull_gather<3>(ex, n,
+                             {target.raw(),
+                              {f0.raw(), f1.raw(), f2.raw()},
+                              {o0.raw(), o1.raw(), o2.raw()},
+                              {d0, d1, d2}});
+      return;
+    }
+  }
   auto recs_buf = ex.template make_buf<PullRec3>(n);
   auto recs = recs_buf.ref();
   ex.cgc_pfor_each(0, n, 5, [&](std::uint64_t v) {
@@ -231,7 +327,8 @@ void lr_rec(Exec& ex, RefU64 succ, RefU64 pred, RefU64 len, RefU64 dist,
   auto ins_s = ins_s_buf.ref(), succ2 = succ2_buf.ref(),
        lens = lens_buf.ref(), ins_p = ins_p_buf.ref(),
        pred2 = pred2_buf.ref();
-  // Batched: one routed sort pair per direction instead of three/two.
+  // Batched: one pull per direction instead of three/two (on the model
+  // path, one routed sort pair).
   mo_pull3(ex, succ, in_s, succ, len, ins_s, succ2, lens, 0, kNil, 0);
   mo_pull3(ex, pred, in_s, pred, pred, ins_p, pred2, pred2, 0, kNil, kNil);
 

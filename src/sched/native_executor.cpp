@@ -757,9 +757,12 @@ void NativeExecutor::cgc_pfor(
   // Keep segments at or above the grain so fork overhead stays negligible --
   // the native analogue of the B_1 lower bound on CGC segment length.  The
   // lane clamp keeps every leaf at least one vector stride wide so the
-  // simd:: kernels never degenerate to all-tail chunks.
-  const std::uint64_t min_iters = std::max<std::uint64_t>(
-      simd::kMaxLaneWords, grain_ / wpi);
+  // simd:: kernels never degenerate to all-tail chunks.  A loop whose
+  // iteration is a whole native leaf (a scan block, a transpose tile) runs
+  // its kernels inside one iteration, so it splits at any iteration.
+  const std::uint64_t lanes =
+      wpi >= kNativeLeafWords ? 1 : simd::kMaxLaneWords;
+  const std::uint64_t min_iters = std::max<std::uint64_t>(lanes, grain_ / wpi);
   if (threads() == 1 || t <= min_iters) {
     body(lo, hi);  // single chunk: no queue round-trip, no task storage
     return;
@@ -783,7 +786,7 @@ void NativeExecutor::cgc_pfor(
     return;
   }
   const RangeSplit split =
-      make_split(t, min_iters, ws_->threads(), simd::kMaxLaneWords);
+      make_split(t, min_iters, ws_->threads(), lanes);
   RangeTask root(*ws_, body, lo, hi, split);
   ws_->run_root(root);
 }

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "algo/graphgen.hpp"
+#include "fault/status.hpp"
 #include "hm/config.hpp"
 #include "sched/native_executor.hpp"
 #include "sched/sim_executor.hpp"
@@ -79,6 +81,77 @@ TEST(Pull, RoutesFieldThroughTargets) {
   for (std::uint64_t v = 0; v < n; ++v) {
     const std::uint64_t t = target.raw()[v];
     EXPECT_EQ(out.raw()[v], t == kNil ? 777 : 1000 + t) << v;
+  }
+}
+
+/// Runs `f` inside a simulator run, or directly on a native executor.
+template <class F>
+void in_run(SimExecutor& ex, F&& f) {
+  ex.run(1 << 12, f);
+}
+template <class F>
+void in_run(sched::NativeExecutor&, F&& f) {
+  f();
+}
+
+/// The pull precondition on one executor: each rejected call throws
+/// kInvalidArgument before any write; a field that is the target and two
+/// outputs that are the same array (lr_rec's mo_pull3 shape) are accepted.
+template <class Exec>
+void expect_pull_aliasing_checked(Exec& ex) {
+  constexpr std::uint64_t n = 64;
+  auto buf = ex.template make_buf<std::uint64_t>(4 * n);
+  for (std::uint64_t i = 0; i < 4 * n; ++i) buf.raw()[i] = i * 7 % n;
+  const auto all = buf.ref();
+  const auto t = all.slice(0, n), f = all.slice(n, n), o = all.slice(2 * n, n),
+             p = all.slice(3 * n, n);
+  const std::vector<std::uint64_t> before = buf.raw();
+  auto rejects = [&](const char* what, auto&& call) {
+    in_run(ex, [&] {
+      try {
+        call();
+        ADD_FAILURE() << what << " was accepted";
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << what;
+      }
+    });
+    EXPECT_EQ(buf.raw(), before) << what << " wrote before the check";
+  };
+  rejects("out == target", [&] { mo_pull(ex, t, f, t, 0); });
+  rejects("out == field", [&] { mo_pull(ex, t, f, f, 0); });
+  rejects("out sharing the field's last element",
+          [&] { mo_pull(ex, t, f, all.slice(2 * n - 1, n), 0); });
+  rejects("out shorter than target",
+          [&] { mo_pull(ex, t, f, o.slice(0, n - 1), 0); });
+  rejects("mo_pull3 output == a field",
+          [&] { mo_pull3(ex, t, f, f, p, o, o, p, 0, 0, 0); });
+  rejects("mo_pull3 output == target",
+          [&] { mo_pull3(ex, t, f, f, f, o, p, t, 0, 0, 0); });
+  rejects("mo_pull3 outputs overlapping in part", [&] {
+    mo_pull3(ex, t, f, f, f, o, all.slice(2 * n + 1, n), o, 0, 0, 0);
+  });
+
+  in_run(ex, [&] {
+    mo_pull(ex, t, t, o, 0);
+    mo_pull3(ex, t, f, t, t, o, p, p, 0, kNil, kNil);
+  });
+  for (std::uint64_t v = 0; v < n; ++v) {
+    const std::uint64_t s = before[v];
+    EXPECT_EQ(buf.raw()[2 * n + v], before[n + s]) << v;
+    EXPECT_EQ(buf.raw()[3 * n + v], before[s]) << v;
+  }
+}
+
+TEST(Pull, RejectsOutputAliasingAnInput) {
+  {
+    SCOPED_TRACE("simulator");
+    SimExecutor ex(hm::MachineConfig::shared_l2(4));
+    expect_pull_aliasing_checked(ex);
+  }
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("native, " + std::to_string(threads) + " workers");
+    sched::NativeExecutor ex(threads);
+    expect_pull_aliasing_checked(ex);
   }
 }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "algo/fft.hpp"
+#include "algo/listrank.hpp"
 #include "algo/scan.hpp"
 #include "algo/transpose.hpp"
 #include "alloc_counter.hpp"
@@ -95,6 +96,39 @@ TEST(NativeLeaf, TransposesAllocateNoIntermediate) {
   AllocCounter count(n1 * n1 * sizeof(algo::cplx));
   algo::mo_fft(ex, sched::NatRef<algo::cplx>(x.data(), n));
   EXPECT_EQ(count.big(), 1u) << "largest " << count.largest() << " bytes";
+}
+
+TEST(NativeLeaf, PullAllocatesNothing) {
+  constexpr std::uint64_t n = 1 << 14;
+  sched::NativeExecutor ex(1);
+  std::vector<std::uint64_t> target(n), field(3 * n), out(3 * n);
+  for (std::uint64_t v = 0; v < n; ++v) {
+    target[v] = v % 9 == 0 ? algo::kNil : (v * 5 + 3) % n;
+    field[v] = field[n + v] = field[2 * n + v] = v;
+  }
+  using Ref = sched::NatRef<std::uint64_t>;
+  auto part = [](std::vector<std::uint64_t>& x, std::uint64_t k) {
+    return Ref(x.data() + k * n, n);
+  };
+  const Ref t(target.data(), n);
+  std::uint64_t pull, pull3;
+  {
+    AllocCounter count;
+    algo::mo_pull(ex, t, part(field, 0), part(out, 0), 7);
+    pull = count.count();
+  }
+  {
+    AllocCounter count;
+    algo::mo_pull3(ex, t, part(field, 0), part(field, 1), part(field, 2),
+                   part(out, 0), part(out, 1), part(out, 2), 7, 8, 9);
+    pull3 = count.count();
+  }
+  EXPECT_EQ(pull, 0u);
+  EXPECT_EQ(pull3, 0u);
+  for (std::uint64_t v = 0; v < n; ++v) {
+    const std::uint64_t s = target[v];
+    EXPECT_EQ(out[2 * n + v], s == algo::kNil ? 9 : s) << v;
+  }
 }
 
 }  // namespace

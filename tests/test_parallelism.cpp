@@ -12,7 +12,10 @@
 
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "algo/scan.hpp"
+#include "algo/transpose.hpp"
 #include "obs/trace.hpp"
 #include "sched/native_executor.hpp"
 #include "workload/workloads.hpp"
@@ -75,6 +78,46 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::size_t>& param_info) {
       return std::string(workload::name(static_cast<Kind>(param_info.param)));
     });
+
+/// Loop halves forked while `run` executes on a 4-worker pool with grain
+/// 128, one fork-grain histogram sample each.
+template <class F>
+std::uint64_t forks_during(F&& run) {
+  NativeExecutor ex(4, /*sequential_grain_words=*/128,
+                    sched::SchedMode::kWorkSteal);
+  obs::Tracer tracer(4);
+  tracer.set_events_enabled(false);
+  ex.set_tracer(&tracer);
+  run(ex);
+  ex.set_tracer(nullptr);
+  return tracer.counters().histogram("sched.fork.grain_iters").count();
+}
+
+// A loop whose iteration is a whole native leaf (a scan block, a transpose
+// tile) splits at any iteration: four of them fork.  The root forks into
+// its own empty deque, so this needs no second core.
+TEST(NativeLeaf, FourLeafLoopForks) {
+  if (!obs::kTracingCompiledIn) {
+    GTEST_SKIP() << "fork-grain histogram compiled out (OBLIV_TRACING=OFF)";
+  }
+  std::vector<double> v(4 * sched::kNativeLeafWords, 1.0);
+  const sched::NatRef<double> vref(v.data(), v.size());
+  EXPECT_GT(forks_during(
+                [&](NativeExecutor& ex) { algo::mo_prefix_sum(ex, vref); }),
+            0u)
+      << "4-block scan";
+  EXPECT_EQ(v.back(), static_cast<double>(v.size()));
+  constexpr std::uint64_t side = 64;  // 2 x 2 tiles of 32 x 32 doubles
+  std::vector<double> a(side * side, 2.0), out(side * side);
+  EXPECT_GT(forks_during([&](NativeExecutor& ex) {
+              algo::mo_transpose(ex, sched::NatRef<double>(a.data(), a.size()),
+                                 sched::NatRef<double>(out.data(), out.size()),
+                                 side);
+            }),
+            0u)
+      << "4-tile transpose";
+  EXPECT_EQ(out, a);
+}
 
 }  // namespace
 }  // namespace obliv

@@ -30,11 +30,13 @@
 #include <iterator>
 #include <limits>
 #include <numbers>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "algo/fft.hpp"
 #include "algo/gep.hpp"
+#include "algo/graph.hpp"
 #include "algo/graphgen.hpp"
 #include "algo/listrank.hpp"
 #include "algo/scan.hpp"
@@ -954,6 +956,131 @@ TEST(NativeLeaf, TransposeMatchesSim) {
     }
     SCOPED_TRACE("complex");
     expect_transposes_match_sim<algo::cplx>(n, g);
+  }
+}
+
+/// Pull targets over n nodes: a random list's successors (one kNil), a
+/// non-injective draw with every fifth target kNil (CC's `parent` repeats
+/// targets), the identity, and all kNil.
+std::vector<std::uint64_t> pull_targets(int p, std::uint64_t n,
+                                        Xoshiro256& g) {
+  std::vector<std::uint64_t> t(n, algo::kNil);
+  if (p == 0) {
+    std::vector<std::uint64_t> pred;
+    algo::link_list(algo::random_list_order(n, g), t, pred);
+  } else if (p == 1) {
+    for (std::uint64_t v = 0; v < n; ++v) {
+      if (v % 5 != 0) t[v] = g.below(n);
+    }
+  } else if (p == 2) {
+    std::iota(t.begin(), t.end(), 0);
+  }
+  return t;
+}
+
+/// mo_pull and mo_pull3 on one buffer [target | fields | outputs]: the
+/// native gather (kAuto/kScalar x 1/4 workers) against the simulator's
+/// routed pulls, outputs and untouched inputs alike.
+TEST(NativeLeaf, PullMatchesSim) {
+  using algo::kNil;
+  auto pull = [](auto& ex, auto ref) {
+    const std::uint64_t n = ref.size() / 3;
+    algo::mo_pull(ex, ref.slice(0, n), ref.slice(n, n), ref.slice(2 * n, n),
+                  777);
+  };
+  auto pull3 = [](auto& ex, auto ref) {
+    const std::uint64_t n = ref.size() / 7;
+    auto part = [&](std::uint64_t k) { return ref.slice(k * n, n); };
+    algo::mo_pull3(ex, part(0), part(1), part(2), part(3), part(4), part(5),
+                   part(6), 1, kNil, 3);
+  };
+  // lr_rec's shape: fields 1 and 2 are the target, outputs 1 and 2 the
+  // same array.
+  auto pull3_lr = [](auto& ex, auto ref) {
+    const std::uint64_t n = ref.size() / 4;
+    auto part = [&](std::uint64_t k) { return ref.slice(k * n, n); };
+    algo::mo_pull3(ex, part(0), part(1), part(0), part(0), part(2), part(3),
+                   part(3), 0, kNil, kNil);
+  };
+  Xoshiro256 g(85);
+  for (const std::uint64_t n : {0, 1, 2, 3, 64, 65, 2047, 2048, 2049, 10000}) {
+    for (int p = 0; p < 4; ++p) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " targets " +
+                   std::to_string(p));
+      const auto target = pull_targets(p, n, g);
+      auto layout = [&](std::uint64_t fields, std::uint64_t outs) {
+        std::vector<std::uint64_t> in(target);
+        for (std::uint64_t i = 0; i < fields * n; ++i) in.push_back(g());
+        in.resize((1 + fields + outs) * n, 0xdeadbeefull);
+        return in;
+      };
+      const auto in1 = layout(1, 1), in3 = layout(3, 3), in_lr = layout(1, 2);
+      {
+        SCOPED_TRACE("mo_pull");
+        expect_native_runs(in1, sim_run(in1, 8 * n, pull), pull, kBitsEqual);
+      }
+      {
+        SCOPED_TRACE("mo_pull3");
+        expect_native_runs(in3, sim_run(in3, 12 * n, pull3), pull3,
+                           kBitsEqual);
+      }
+      SCOPED_TRACE("mo_pull3, lr_rec's call shape");
+      expect_native_runs(in_lr, sim_run(in_lr, 12 * n, pull3_lr), pull3_lr,
+                         kBitsEqual);
+    }
+  }
+}
+
+/// Every native caller of the pulls at n = 2^16, where the simulator is
+/// too slow: the gather (kAuto) against the sort-routed pulls (kGeneric),
+/// each on 1 and 4 workers.
+TEST(NativeLeaf, PullCallersMatchGeneric) {
+  constexpr std::uint64_t n = 1 << 16;
+  Xoshiro256 g(86);
+  const auto order = algo::random_list_order(n, g);
+  std::vector<std::uint64_t> succ, pred, len(n);
+  algo::link_list(order, succ, pred);
+  for (auto& w : len) w = g();  // wraps: every bit of the sums matters
+  algo::EdgeList tree{n, {}}, graph{n, {}};
+  for (std::uint64_t v = 1; v < n; ++v) {
+    tree.edges.emplace_back(static_cast<std::uint32_t>(g.below(v)),
+                            static_cast<std::uint32_t>(v));
+  }
+  for (std::uint64_t e = 0; e < n / 2; ++e) {
+    graph.edges.emplace_back(static_cast<std::uint32_t>(g.below(n)),
+                             static_cast<std::uint32_t>(g.below(n)));
+  }
+  using Out = std::vector<std::vector<std::uint64_t>>;
+  auto run = [&](simd::Mode m, unsigned threads) {
+    simd::ScopedMode sm(m);
+    sched::NativeExecutor ex(threads);
+    auto s = ex.make_buf<std::uint64_t>(n), p = ex.make_buf<std::uint64_t>(n),
+         l = ex.make_buf<std::uint64_t>(n), d = ex.make_buf<std::uint64_t>(n),
+         dw = ex.make_buf<std::uint64_t>(n);
+    s.raw() = succ;
+    p.raw() = pred;
+    l.raw() = len;
+    algo::mo_list_rank(ex, s.ref(), p.ref(), d.ref());
+    algo::mo_list_rank_weighted(ex, s.ref(), p.ref(), l.ref(), dw.ref());
+    const auto tf = algo::mo_tree_functions(ex, tree, 5);
+    std::vector<std::uint64_t> depth(tf.depth.begin(), tf.depth.end());
+    return Out{d.raw(), dw.raw(), tf.parent, depth, tf.subtree_size,
+               tf.preorder, algo::mo_connected_components(ex, graph)};
+  };
+  const Out want = run(simd::Mode::kGeneric, 1);
+  for (std::uint64_t t = 0; t < n; ++t) {
+    ASSERT_EQ(want[0][order[t]], n - 1 - t) << "rank of list position " << t;
+  }
+  for (const simd::Mode m : {simd::Mode::kAuto, simd::Mode::kGeneric}) {
+    for (const unsigned threads : {1u, 4u}) {
+      if (m == simd::Mode::kGeneric && threads == 1) continue;
+      SCOPED_TRACE("mode " + std::to_string(static_cast<int>(m)) + ", " +
+                   std::to_string(threads) + " workers");
+      const Out got = run(m, threads);
+      for (std::size_t k = 0; k < want.size(); ++k) {
+        EXPECT_TRUE(BitsEqual(want[k], got[k])) << "output " << k;
+      }
+    }
   }
 }
 
