@@ -17,9 +17,10 @@
 //
 // Substitution note (DESIGN.md): true SPMS guarantees Theta(sqrt n) buckets
 // deterministically via a more intricate sample-merge step ([15] was
-// unpublished at the paper's writing).  Regular sampling gives the same
-// guarantee with high probability on non-adversarial inputs -- which is what
-// the Theorem 3 bench sweeps use -- while correctness here is unconditional
+// unpublished at the paper's writing).  Regular sampling does not: the
+// model path takes every chunk's samples at the same quantiles, which
+// cluster on i.i.d. keys (at n = 2^19, 14 of 724 buckets hold 72% of the
+// keys), and the native path staggers them.  Correctness is unconditional
 // (oversized buckets simply recurse further).
 //
 // Native serial leaf (DESIGN.md §5f): on direct-memory refs, a subproblem of
@@ -83,14 +84,19 @@ void spms_sort(Exec& ex, Ref v) {
   using T = typename Ref::value_type;
   constexpr std::uint64_t W = (sizeof(T) + 7) / 8;
   const std::uint64_t n = v.size();
+  bool native = false;
   if constexpr (sched::is_direct_ref_v<Ref>) {
+    native = simd::use_kernels();
     // Native serial leaf: the whole subproblem in one std::sort.  It gives
     // the recursion's output whenever equivalent keys are bitwise equal
-    // (see the header comment).
-    if (simd::use_kernels() && n * W <= sched::kNativeLeafWords) {
+    // (see the header comment), and so does returning an in-order
+    // subproblem as it is -- e.g. a bucket of equal keys.  On unsorted
+    // input the check stops at the first descent.
+    if (native && n * W <= sched::kNativeLeafWords) {
       std::sort(v.raw(), v.raw() + n);
       return;
     }
+    if (native && std::is_sorted(v.raw(), v.raw() + n)) return;
   }
   if (n <= detail::kSortBase) {
     detail::sort_base(ex, v);
@@ -120,8 +126,13 @@ void spms_sort(Exec& ex, Ref v) {
   ex.cgc_pfor_each(0, m, W, [&](std::uint64_t s) {
     const std::uint64_t i = s / spc, j = s % spc;
     const std::uint64_t len = chunk_len(i);
-    // Evenly spaced positions within the sorted chunk.
-    const std::uint64_t pos = (j * len + len / 2) / spc;
+    // Evenly spaced positions within the sorted chunk: quantile
+    // (j + 1/2) / spc in every chunk.  Those stack, so on i.i.d. keys the
+    // splitters cluster and a few buckets hold most keys.  Natively the
+    // positions are staggered across chunks, quantile (j k + i) / (spc k),
+    // so the k spc samples cover spc k distinct quantiles.
+    const std::uint64_t pos = native ? ((j * k + i) * len) / (spc * k)
+                                     : (j * len + len / 2) / spc;
     samples.store(s, v.load(chunk_lo(i) + std::min(pos, len - 1)));
   });
 
@@ -199,8 +210,8 @@ void spms_sort(Exec& ex, Ref v) {
 
   // ---- Round 2 [CGC=>SB]: sort each bucket. ----
   // Bucket b occupies [flat[b*k + k-1] - size_b, flat[b*k + k-1]).
-  // Space bound: buckets are Theta(sqrt n) w.h.p.; pass the observed max so
-  // the scheduler anchors correctly even on skewed inputs.
+  // Space bound: pass the observed max bucket so the scheduler anchors
+  // correctly whatever the bucket sizes.
   std::vector<std::uint64_t> bucket_hi(nbuckets), bucket_lo(nbuckets);
   {
     std::uint64_t prev = 0;

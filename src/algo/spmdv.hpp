@@ -54,56 +54,86 @@ struct SparseMatrix {
 
 namespace detail {
 
-/// Native leaves may take the strided dot kernel: plain-memory refs over the
-/// SpmEntry / double layouts.  NOTE: the kernel's 4-accumulator reduction
-/// order differs from the serial loop below, so kernel results are
-/// bit-identical across kAuto/kScalar but not to the kGeneric path (tests
-/// compare spmdv across modes with a tolerance, not bitwise).
-template <class EntryRef, class VecRef>
-inline constexpr bool spmdv_kernel_v =
-    sched::is_direct_ref_v<EntryRef> && sched::is_direct_ref_v<VecRef> &&
+/// Native refs: plain memory over the SpmEntry / offset / double layouts.
+template <class EntryRef, class OffRef, class VecRef>
+inline constexpr bool spmdv_native_v =
+    sched::is_direct_ref_v<EntryRef> && sched::is_direct_ref_v<OffRef> &&
+    sched::is_direct_ref_v<VecRef> &&
     std::is_same_v<typename EntryRef::value_type, SpmEntry> &&
+    std::is_same_v<typename OffRef::value_type, std::uint64_t> &&
     std::is_same_v<typename VecRef::value_type, double>;
 
 static_assert(sizeof(SpmEntry) == 16, "strided dot assumes 2-word entries");
 
+/// The executor and refs of one product, held by reference in every fork
+/// so that each body fits std::function's inline storage: a native
+/// product allocates nothing.
 template <class Exec, class EntryRef, class OffRef, class VecRef>
-void spmdv_rec(Exec& ex, EntryRef av, OffRef a0, VecRef x, VecRef y,
-               std::uint64_t k1, std::uint64_t k2) {
-  if (k1 == k2) {
-    // Lines 1-3 of Figure 4: one dot product.
-    const std::uint64_t lo = a0.load(k1), hi = a0.load(k1 + 1);
-    if constexpr (spmdv_kernel_v<EntryRef, VecRef>) {
-      // Size floor: rows shorter than two lane strides (separator-reordered
-      // grid rows average ~4 nonzeros) are cheaper in the inline serial
-      // loop than through the out-of-line 4-accumulator kernel.  The rule
-      // is size-based and mode-independent, so kAuto/kScalar stay
-      // bit-identical (short rows: serial order in both; long rows: the
-      // shared 4-accumulator order in both).
-      if (simd::use_kernels() && hi - lo >= 2 * simd::kMaxLaneWords) {
-        const SpmEntry* e = av.raw() + lo;
-        y.store(k1,
-                simd::dot_strided_f64(&e->col, &e->val, 2, x.raw(), hi - lo));
-        return;
-      }
-    }
-    double acc = 0;
-    for (std::uint64_t t = lo; t < hi; ++t) {
-      const SpmEntry e = av.load(t);
-      acc += e.val * x.load(e.col);
-      ex.tick(2);
-    }
-    y.store(k1, acc);
+struct SpmdvArgs {
+  Exec& ex;
+  EntryRef av;
+  OffRef a0;
+  VecRef x, y;
+};
+
+/// Native row: the serial loop of spmdv_rec, or the strided dot kernel
+/// from two lane strides of nonzeros (shorter rows -- separator-reordered
+/// grid rows average ~4 nonzeros -- are cheaper inline).  The kernel's
+/// 4-accumulator order differs from the serial loop, so a long row is
+/// bit-identical across kAuto/kScalar (the size rule is mode-independent)
+/// but only close to the kGeneric path; a short row equals it bit for bit.
+inline void spmdv_row(const SpmEntry* av, const std::uint64_t* a0,
+                      const double* x, double* y, std::uint64_t i) {
+  const std::uint64_t lo = a0[i], hi = a0[i + 1];
+  if (hi - lo >= 2 * simd::kMaxLaneWords) {
+    y[i] = simd::dot_strided_f64(&av[lo].col, &av[lo].val, 2, x, hi - lo);
     return;
   }
-  const std::uint64_t k = (k1 + k2) / 2;
+  double acc = 0;
+  for (std::uint64_t t = lo; t < hi; ++t) acc += av[t].val * x[av[t].col];
+  y[i] = acc;
+}
+
+template <class Exec, class EntryRef, class OffRef, class VecRef>
+void spmdv_rec(const SpmdvArgs<Exec, EntryRef, OffRef, VecRef>& p,
+               std::uint64_t k1, std::uint64_t k2) {
+  if constexpr (spmdv_native_v<EntryRef, OffRef, VecRef>) {
+    // Native row-block leaf (DESIGN.md §5f): a range whose 2 nnz + 2 rows
+    // words fit in kNativeLeafWords runs row by row, each row exactly as
+    // the recursion's single-row leaf would.
+    const std::uint64_t* a0 = p.a0.raw();
+    if (simd::use_kernels() &&
+        (k1 == k2 || 2 * (a0[k2 + 1] - a0[k1]) + 2 * (k2 - k1 + 1) <=
+                         sched::kNativeLeafWords)) {
+      for (std::uint64_t i = k1; i <= k2; ++i) {
+        spmdv_row(p.av.raw(), a0, p.x.raw(), p.y.raw(), i);
+      }
+      return;
+    }
+  }
+  if (k1 == k2) {
+    // Lines 1-3 of Figure 4: one dot product.
+    const std::uint64_t lo = p.a0.load(k1), hi = p.a0.load(k1 + 1);
+    double acc = 0;
+    for (std::uint64_t t = lo; t < hi; ++t) {
+      const SpmEntry e = p.av.load(t);
+      acc += e.val * p.x.load(e.col);
+      p.ex.tick(2);
+    }
+    p.y.store(k1, acc);
+    return;
+  }
   // Line 6 [CGC=>SB]: two parallel recursive calls, space bound S(m) = 4m.
+  const struct {
+    const SpmdvArgs<Exec, EntryRef, OffRef, VecRef>& p;
+    std::uint64_t k1, k, k2;
+  } f{p, k1, (k1 + k2) / 2, k2};
   const std::uint64_t m_half = (k2 - k1 + 1 + 1) / 2;
-  ex.cgc_sb_pfor(2, 4 * m_half, [&](std::uint64_t which) {
+  p.ex.cgc_sb_pfor(2, 4 * m_half, [&f](std::uint64_t which) {
     if (which == 0) {
-      spmdv_rec(ex, av, a0, x, y, k1, k);
+      spmdv_rec(f.p, f.k1, f.k);
     } else {
-      spmdv_rec(ex, av, a0, x, y, k + 1, k2);
+      spmdv_rec(f.p, f.k + 1, f.k2);
     }
   });
 }
@@ -116,7 +146,8 @@ template <class Exec, class EntryRef, class OffRef, class VecRef>
 void mo_spmdv(Exec& ex, EntryRef av, OffRef a0, VecRef x, VecRef y) {
   const std::uint64_t n = y.size();
   if (n == 0) return;
-  ex.sb_seq(4 * n, [&] { detail::spmdv_rec(ex, av, a0, x, y, 0, n - 1); });
+  const detail::SpmdvArgs<Exec, EntryRef, OffRef, VecRef> p{ex, av, a0, x, y};
+  ex.sb_seq(4 * n, [&p, n] { detail::spmdv_rec(p, 0, n - 1); });
 }
 
 /// Baseline: flat CGC row loop, no recursive space-bound anchoring (every

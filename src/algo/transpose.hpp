@@ -69,6 +69,9 @@ template <class Exec, class T>
 void transpose_tiles(Exec& ex, T* a, std::uint64_t lda, T* out,
                      std::uint64_t ldo, std::uint64_t n) {
   constexpr std::uint64_t W = (sizeof(T) + 7) / 8;
+  static_assert(4 * 2 * kTileSide<T> * kTileSide<T> * W >
+                    sched::kNativeLeafWords,
+                "NativeExecutor::cgc_pfor splits a tile loop at any tile");
   if (n == 0) return;
   const std::uint64_t s = std::min(n, kTileSide<T>);
   const std::uint64_t nb = n / s;

@@ -758,10 +758,12 @@ void NativeExecutor::cgc_pfor(
   // the native analogue of the B_1 lower bound on CGC segment length.  The
   // lane clamp keeps every leaf at least one vector stride wide so the
   // simd:: kernels never degenerate to all-tail chunks.  A loop whose
-  // iteration is a whole native leaf (a scan block, a transpose tile) runs
-  // its kernels inside one iteration, so it splits at any iteration.
+  // iteration is a native leaf (a scan block, a transpose tile) runs its
+  // kernels inside one iteration, so it splits at any iteration.  Every
+  // MO-MT tile is more than a quarter leaf (a tile of twice the side would
+  // not fit), e.g. 1024 words for complex<double>.
   const std::uint64_t lanes =
-      wpi >= kNativeLeafWords ? 1 : simd::kMaxLaneWords;
+      4 * wpi > kNativeLeafWords ? 1 : simd::kMaxLaneWords;
   const std::uint64_t min_iters = std::max<std::uint64_t>(lanes, grain_ / wpi);
   if (threads() == 1 || t <= min_iters) {
     body(lo, hi);  // single chunk: no queue round-trip, no task storage

@@ -124,7 +124,8 @@ void fuzz_native(workload::Kind kind, std::uint64_t n, std::uint64_t seed) {
 // Each size sits well above its family's native leaf (sched::
 // kNativeLeafWords): a native leaf consults no scheduler, and a CGC pass
 // over fewer than four leaves runs as one chunk, so a smaller run would
-// never see the plan.  Scan takes 32 blocks plus a tail, transpose 64 tiles.
+// never see the plan.  Scan takes 32 blocks plus a tail, transpose 64 tiles,
+// spmdv about 24 row blocks.
 TEST(FaultFuzz, NativeScan) {
   fuzz_native(workload::Kind::kScan, 65541, 97);
 }
@@ -150,7 +151,7 @@ TEST(FaultFuzz, NativeListRank) {
 }
 
 TEST(FaultFuzz, NativeSpmdv) {
-  fuzz_native(workload::Kind::kSpmdv, 24, 2024);  // grid side
+  fuzz_native(workload::Kind::kSpmdv, 64, 2024);  // grid side
 }
 
 TEST(FaultFuzz, NativeMatmul) {

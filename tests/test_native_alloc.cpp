@@ -4,6 +4,7 @@
 // scheduler constructs run on the counting thread.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <new>
@@ -12,11 +13,15 @@
 #include <vector>
 
 #include "algo/fft.hpp"
+#include "algo/graphgen.hpp"
 #include "algo/listrank.hpp"
 #include "algo/scan.hpp"
+#include "algo/sort.hpp"
+#include "algo/spmdv.hpp"
 #include "algo/transpose.hpp"
 #include "alloc_counter.hpp"
 #include "sched/native_executor.hpp"
+#include "util/rng.hpp"
 
 namespace obliv {
 namespace {
@@ -129,6 +134,48 @@ TEST(NativeLeaf, PullAllocatesNothing) {
     const std::uint64_t s = target[v];
     EXPECT_EQ(out[2 * n + v], s == algo::kNil ? 9 : s) << v;
   }
+}
+
+TEST(NativeLeaf, SpmdvAllocatesNothing) {
+  // A heap-allocated fork body per recursion node would be 65,536 here.
+  algo::SparseMatrix a = algo::grid_matrix_reordered(256);
+  std::vector<double> x(a.n, 0.5), y(a.n);
+  sched::NativeExecutor ex(1);
+  std::uint64_t allocs;
+  {
+    AllocCounter count;
+    algo::mo_spmdv(ex, sched::NatRef<algo::SpmEntry>(a.av.data(), a.nnz()),
+                   sched::NatRef<std::uint64_t>(a.a0.data(), a.n + 1),
+                   sched::NatRef<double>(x.data(), a.n),
+                   sched::NatRef<double>(y.data(), a.n));
+    allocs = count.count();
+  }
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(y, algo::spmdv_reference(a, x));
+}
+
+TEST(NativeLeaf, SortAllocations) {
+  // Balanced buckets all fit the leaf, so one SPMS level allocates its
+  // buffers (samples, splitters, the two k x k count matrices, the output,
+  // the scan's block sums) and nothing recurses.  Clustered samples sent
+  // most keys through a second level: 320 allocations, 5.35 n words.
+  constexpr std::uint64_t n = 1 << 18;
+  std::vector<std::uint64_t> keys(n);
+  util::Xoshiro256 g(91);
+  for (auto& k : keys) k = g();
+  auto want = keys;
+  std::sort(want.begin(), want.end());
+  sched::NativeExecutor ex(1);
+  std::uint64_t allocs, bytes;
+  {
+    AllocCounter count;
+    algo::spms_sort(ex, sched::NatRef<std::uint64_t>(keys.data(), n));
+    allocs = count.count();
+    bytes = count.bytes();
+  }
+  EXPECT_LE(allocs, 16u);
+  EXPECT_LE(bytes / 8.0, 3.25 * n) << "words";
+  EXPECT_EQ(keys, want);
 }
 
 }  // namespace

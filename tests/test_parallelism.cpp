@@ -10,6 +10,7 @@
 // them wakes; a bounded number of repetitions absorbs that.
 #include <gtest/gtest.h>
 
+#include <complex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -93,9 +94,11 @@ std::uint64_t forks_during(F&& run) {
   return tracer.counters().histogram("sched.fork.grain_iters").count();
 }
 
-// A loop whose iteration is a whole native leaf (a scan block, a transpose
-// tile) splits at any iteration: four of them fork.  The root forks into
-// its own empty deque, so this needs no second core.
+// A loop whose iteration is a native leaf (a scan block, a transpose tile
+// of doubles or of complex numbers) splits at any iteration: four of them
+// fork.  A narrower loop keeps the lane floor: four iterations of a
+// quarter leaf run as one chunk.  The root forks into its own empty deque,
+// so this needs no second core.
 TEST(NativeLeaf, FourLeafLoopForks) {
   if (!obs::kTracingCompiledIn) {
     GTEST_SKIP() << "fork-grain histogram compiled out (OBLIV_TRACING=OFF)";
@@ -117,6 +120,23 @@ TEST(NativeLeaf, FourLeafLoopForks) {
             0u)
       << "4-tile transpose";
   EXPECT_EQ(out, a);
+  constexpr std::uint64_t cside = 32;  // 2 x 2 tiles of 16 x 16 complex
+  using cplx = std::complex<double>;
+  std::vector<cplx> ca(cside * cside, cplx(1.0, -2.0)), cout(ca.size());
+  EXPECT_GT(forks_during([&](NativeExecutor& ex) {
+              algo::mo_transpose(ex, sched::NatRef<cplx>(ca.data(), ca.size()),
+                                 sched::NatRef<cplx>(cout.data(), cout.size()),
+                                 cside);
+            }),
+            0u)
+      << "4-tile complex transpose";
+  EXPECT_EQ(cout, ca);
+  EXPECT_EQ(forks_during([](NativeExecutor& ex) {
+              ex.cgc_pfor(0, 4, sched::kNativeLeafWords / 4,
+                          [](std::uint64_t, std::uint64_t) {});
+            }),
+            0u)
+      << "4 quarter-leaf iterations";
 }
 
 }  // namespace

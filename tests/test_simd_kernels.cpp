@@ -32,6 +32,7 @@
 #include <numbers>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algo/fft.hpp"
@@ -822,6 +823,139 @@ TEST(NativeLeaf, SortMatchesSim) {
       SCOPED_TRACE("PullRec3 n=" + std::to_string(n));
       expect_sort_matches_sim(
           records<algo::detail::PullRec3>(key_pattern(p, n, g), g));
+    }
+  }
+}
+
+/// Above the leaf: sorted, all-equal and reversed keys at n = 2^16, and 64
+/// distinct values at 2^18 (so that each value's bucket, about 4096 u64
+/// keys, exceeds the leaf and is in order), for u64 keys and records,
+/// against the native kGeneric recursion, which takes no leaf, no in-order
+/// shortcut and the model path's sample positions.
+TEST(NativeLeaf, SortPatternsMatchGeneric) {
+  auto sort = [](auto& ex, auto ref) { algo::spms_sort(ex, ref); };
+  auto generic = [&](const auto& in) {
+    simd::ScopedMode sm(simd::Mode::kGeneric);
+    sched::NativeExecutor ex(1);
+    return run_on(ex, in, [&](auto ref) { sort(ex, ref); });
+  };
+  Xoshiro256 g(87);
+  for (const int p : {1, 2, 3, 4}) {
+    SCOPED_TRACE("key pattern " + std::to_string(p));
+    const auto keys = key_pattern(p, p == 1 ? 1 << 18 : 1 << 16, g);
+    expect_native_runs(keys, generic(keys), sort, kBitsEqual);
+    const auto recs = records<algo::detail::PullRec>(keys, g);
+    expect_native_runs(recs, generic(recs), sort, kBitsEqual);
+  }
+}
+
+/// Host matrix with rows of the given lengths: row i holds lens[i] columns,
+/// one in each of lens[i] equal slices of [0, n), with values in [-1, 1).
+algo::SparseMatrix rows_matrix(const std::vector<std::uint64_t>& lens,
+                               Xoshiro256& g) {
+  algo::SparseMatrix a;
+  a.n = lens.size();
+  a.a0.assign(1, 0);
+  for (const std::uint64_t len : lens) {
+    for (std::uint64_t t = 0; t < len; ++t) {
+      const std::uint64_t lo = t * a.n / len, hi = (t + 1) * a.n / len;
+      a.av.push_back({lo + g.below(hi - lo), rnd(g)});
+    }
+    a.a0.push_back(a.av.size());
+  }
+  return a;
+}
+
+/// The single-row leaf of the recursion, row by row: the serial loop below
+/// two lane strides of nonzeros, the strided dot kernel from there on.
+std::vector<double> row_leaf_reference(const algo::SparseMatrix& a,
+                                       const std::vector<double>& x) {
+  std::vector<double> y = algo::spmdv_reference(a, x);
+  for (std::uint64_t i = 0; i < a.n; ++i) {
+    const std::uint64_t lo = a.a0[i], len = a.a0[i + 1] - lo;
+    if (len >= 2 * simd::kMaxLaneWords) {
+      y[i] = simd::dot_strided_f64(&a.av[lo].col, &a.av[lo].val, 2, x.data(),
+                                   len);
+    }
+  }
+  return y;
+}
+
+TEST(NativeLeaf, SpmdvBlockLeafMatchesRows) {
+  constexpr std::uint64_t L = sched::kNativeLeafWords;
+  constexpr std::uint64_t kLong = 2 * simd::kMaxLaneWords;
+  Xoshiro256 g(88);
+  std::vector<std::pair<std::string, std::vector<std::uint64_t>>> cases = {
+      {"n=1, empty row", {0}},
+      {"n=1", {1}},
+  };
+  std::vector<std::uint64_t> lens(40);
+  for (std::uint64_t i = 0; i < lens.size(); ++i) lens[i] = i % 3 ? i % 5 : 0;
+  cases.emplace_back("empty rows", lens);
+  // One row of more than L/2 nonzeros: a range of one row above the leaf.
+  lens.assign(1500, 0);
+  for (std::uint64_t i = 0; i < lens.size(); ++i) lens[i] = i % 7;
+  lens[700] = L / 2 + 200;
+  cases.emplace_back("row wider than the leaf", lens);
+  // Whole matrices of 2 nnz + 2 rows = L - 2, L, L + 2 words (always even):
+  // 300 short rows, or 100 rows alternating between 3 and 15-16 nonzeros.
+  for (const std::uint64_t words : {L - 2, L, L + 2}) {
+    for (const std::uint64_t rows : {300u, 100u}) {
+      const std::uint64_t step = rows == 300 ? 1 : 2;
+      std::uint64_t nnz = words / 2 - rows;
+      lens.assign(rows, 0);
+      for (std::uint64_t i = 1; step == 2 && i < rows; i += 2) {
+        lens[i] = 3;
+        nnz -= 3;
+      }
+      for (std::uint64_t i = 0; nnz > 0; i = (i + step) % rows, --nnz) {
+        ++lens[i];
+      }
+      cases.emplace_back(std::to_string(words) + " words, " +
+                             std::to_string(rows) + " rows",
+                         lens);
+    }
+  }
+  for (const auto& [name, row_lens] : cases) {
+    SCOPED_TRACE(name);
+    const algo::SparseMatrix a = rows_matrix(row_lens, g);
+    ASSERT_TRUE(a.valid());
+    std::vector<double> x(a.n);
+    for (auto& v : x) v = rnd(g);
+    const bool all_short =
+        std::all_of(row_lens.begin(), row_lens.end(),
+                    [&](std::uint64_t len) { return len < kLong; });
+    const std::vector<double> serial = algo::spmdv_reference(a, x);
+    const std::vector<double> want = row_leaf_reference(a, x);
+    if (all_short) {
+      EXPECT_TRUE(BitsEqual(want, serial));
+    }
+    for (const simd::Mode m :
+         {simd::Mode::kAuto, simd::Mode::kScalar, simd::Mode::kGeneric}) {
+      simd::ScopedMode sm(m);
+      for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE("mode " + std::to_string(static_cast<int>(m)) + ", " +
+                     std::to_string(threads) + " workers");
+        // A small grain, so that 4 workers fork every range above the leaf.
+        sched::NativeExecutor ex(threads, /*sequential_grain_words=*/64);
+        auto av = ex.make_buf<algo::SpmEntry>(a.nnz());
+        auto a0 = ex.make_buf<std::uint64_t>(a.n + 1);
+        auto xv = ex.make_buf<double>(a.n);
+        auto yv = ex.make_buf<double>(a.n);
+        av.raw() = a.av;
+        a0.raw() = a.a0;
+        xv.raw() = x;
+        algo::mo_spmdv(ex, av.ref(), a0.ref(), xv.ref(), yv.ref());
+        if (m == simd::Mode::kGeneric) {
+          // The serial loop in every row, within 1e-12 of the kernel rows.
+          EXPECT_TRUE(BitsEqual(serial, yv.raw()));
+          for (std::uint64_t i = 0; i < a.n; ++i) {
+            EXPECT_NEAR(want[i], yv.raw()[i], 1e-12) << i;
+          }
+        } else {
+          EXPECT_TRUE(BitsEqual(want, yv.raw()));
+        }
+      }
     }
   }
 }

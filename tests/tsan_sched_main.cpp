@@ -10,7 +10,8 @@
 // deque-level churn, deep nested sb_parallel with concurrent cgc_pfor from
 // sibling tasks, repeated root entries against sleeping workers, teardown
 // under error (spawn failures injected mid-construction; destruction with
-// workers asleep), and the chaos scheduler racing a live fault plan.
+// workers asleep), the chaos scheduler racing a live fault plan, and the
+// native SpM-DV and SPMS sort leaves on a 4-worker pool.
 //
 // The same file also builds as `obliv_sched_asan` (-fsanitize=address with
 // leak detection: the teardown scenarios' "no thread / worker-state leak"
@@ -19,14 +20,18 @@
 //
 // A full sanitizer build of the whole suite is available via
 //   cmake -B build-tsan -S . -DOBLIV_SANITIZE=thread   (or address|undefined)
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <cstdlib>
 #include <functional>
 #include <new>
 #include <thread>
 #include <vector>
 
+#include "algo/sort.hpp"
+#include "algo/spmdv.hpp"
 #include "fault/fault.hpp"
 #include "sched/native_executor.hpp"
 #include "sched/ws_deque.hpp"
@@ -337,6 +342,56 @@ void simd_kernel_sweep() {
   check(parity, "simd_kernel_sweep: vec/scalar parity");
 }
 
+// Native leaves at 4 workers over exact-size heap buffers, grain 64 so
+// that every range above a leaf forks.  SpM-DV row blocks write disjoint
+// ranges of y from different workers (TSan), and no row range may read
+// past A_v or A_0 (ASan).  SPMS sort patterns take the leaf, the in-order
+// shortcut (equal-key buckets, sorted input) and the full recursion.
+void native_leaf_sweep() {
+  namespace algo = obliv::algo;
+  namespace sched = obliv::sched;
+  obliv::util::Xoshiro256 g(11);
+  sched::NativeExecutor ex1(1), ex4(4, /*grain=*/64,
+                                    sched::SchedMode::kWorkSteal);
+  // Rows of 0..11 nonzeros (serial loop and strided dot kernel) and one
+  // row wider than the leaf.
+  const std::uint64_t n = 4096;
+  std::vector<std::uint64_t> a0(n + 1, 0);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    a0[i + 1] = a0[i] + (i == n / 3 ? 1500 : i % 12);
+  }
+  std::vector<algo::SpmEntry> av(a0[n]);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const std::uint64_t len = a0[i + 1] - a0[i];
+    for (std::uint64_t t = 0; t < len; ++t) {
+      av[a0[i] + t] = {t * n / len + g() % (n / len), 1.0 / (1 + g() % 7)};
+    }
+  }
+  std::vector<double> x(n), y1(n), y4(n);
+  for (auto& v : x) v = static_cast<double>(g() % 1000) / 7;
+  auto spmdv = [&](sched::NativeExecutor& ex, std::vector<double>& y) {
+    algo::mo_spmdv(ex, sched::NatRef<algo::SpmEntry>(av.data(), av.size()),
+                   sched::NatRef<std::uint64_t>(a0.data(), a0.size()),
+                   sched::NatRef<double>(x.data(), n),
+                   sched::NatRef<double>(y.data(), n));
+  };
+  spmdv(ex1, y1);
+  spmdv(ex4, y4);
+  check(std::memcmp(y1.data(), y4.data(), n * sizeof(double)) == 0,
+        "native_leaf_sweep: spmdv 4 workers == 1 worker");
+  const std::uint64_t m = 1 << 15;
+  for (int p = 0; p < 4; ++p) {
+    std::vector<std::uint64_t> keys(m);
+    for (std::uint64_t i = 0; i < m; ++i) {
+      keys[i] = p == 0 ? g() : p == 1 ? g() % 64 : p == 2 ? i : m - i;
+    }
+    std::vector<std::uint64_t> want = keys;
+    std::sort(want.begin(), want.end());
+    algo::spms_sort(ex4, sched::NatRef<std::uint64_t>(keys.data(), m));
+    check(keys == want, "native_leaf_sweep: spms_sort at 4 workers");
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -347,6 +402,7 @@ int main() {
   failed_setup_teardown();
   chaos_storm();
   simd_kernel_sweep();
+  native_leaf_sweep();
   if (failures == 0) std::printf("obliv_sched_tsan: all scenarios passed\n");
   return failures == 0 ? 0 : 1;
 }
