@@ -158,8 +158,8 @@ int main(int argc, char** argv) {
         for (int rep = 0; rep < 20; ++rep) {
           pp[mode] += ex.run(3 * n, [&] {
             auto v = buf.ref();
-            ex.cgc_pfor_each(0, n, 1,
-                             [&](std::uint64_t k) { v.store(k, 1.0); });
+            sched::cgc_pfor_each(ex, 0, n, 1,
+                                 [&](std::uint64_t k) { v.store(k, 1.0); });
           }).pingpong;
         }
       }

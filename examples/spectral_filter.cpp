@@ -48,7 +48,7 @@ void denoise(Exec& ex, Ref sig) {
   algo::mo_fft(ex, sig);
   // Keep only coefficients above the noise floor; CGC pass.
   const double threshold = 0.25 * double(n);
-  ex.cgc_pfor_each(0, n, 2, [&](std::uint64_t f) {
+  sched::cgc_pfor_each(ex, 0, n, 2, [&](std::uint64_t f) {
     if (std::abs(sig.load(f)) < threshold) {
       sig.store(f, algo::cplx(0.0, 0.0));
     }

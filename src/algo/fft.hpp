@@ -300,7 +300,7 @@ void iterative_fft(Exec& ex, Ref x) {
   assert(util::is_pow2(n));
   const unsigned k = util::ilog2(n);
   constexpr std::uint64_t W = (sizeof(cplx) + 7) / 8;
-  ex.cgc_pfor_each(0, n, W, [&](std::uint64_t z) {
+  sched::cgc_pfor_each(ex, 0, n, W, [&](std::uint64_t z) {
     const std::uint64_t r = util::reverse_bits(z, k);
     if (r > z) {
       const cplx a = x.load(z);
@@ -364,7 +364,7 @@ void iterative_fft(Exec& ex, Ref x) {
   }
   for (std::uint64_t len = 2; len <= n; len <<= 1) {
     const std::uint64_t half = len / 2;
-    ex.cgc_pfor_each(0, n / 2, 2 * W, [&](std::uint64_t t) {
+    sched::cgc_pfor_each(ex, 0, n / 2, 2 * W, [&](std::uint64_t t) {
       const std::uint64_t blk = t / half, off = t % half;
       const std::uint64_t base = blk * len + off;
       const double ang = -2.0 * std::numbers::pi *

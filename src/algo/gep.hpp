@@ -274,55 +274,50 @@ void gep_rec(Exec& ex, sched::MatView<Ref> x, Interval I, Interval J,
   auto recurse = [&](Child ch) {
     gep_rec<Inst>(ex, x, Ih[ch.a], Jh[ch.b], Kh[ch.c], base_cutoff, sched);
   };
-  auto seq = [&](Child ch) {
-    const GepFn fn = classify(Ih[ch.a], Jh[ch.b], Kh[ch.c]);
-    ex.sb_seq(gep_space(fn, m / 2), [&, ch] { recurse(ch); });
+  auto space = [&](Child ch) {
+    return gep_space(classify(Ih[ch.a], Jh[ch.b], Kh[ch.c]), m / 2);
   };
-  auto par = [&](std::initializer_list<Child> children) {
-    std::vector<sched::SbTask> tasks;
-    tasks.reserve(children.size());
-    for (Child ch : children) {
-      const GepFn fn = classify(Ih[ch.a], Jh[ch.b], Kh[ch.c]);
-      tasks.push_back(
-          sched::SbTask{gep_space(fn, m / 2), [&, ch] { recurse(ch); }});
-    }
-    ex.sb_parallel(std::move(tasks));
+  auto seq = [&](Child ch) {
+    ex.sb_seq(space(ch), [&] { recurse(ch); });
+  };
+  auto par = [&](auto... ch) {
+    ex.sb_parallel({sched::SbTask{space(ch), [&] { recurse(ch); }}...});
   };
 
   switch (classify(I, J, K)) {
     case GepFn::kA:
       // Appendix, function A.
       seq({0, 0, 0});
-      par({{0, 1, 0}, {1, 0, 0}});
+      par(Child{0, 1, 0}, Child{1, 0, 0});
       seq({1, 1, 0});
       seq({1, 1, 1});
-      par({{1, 0, 1}, {0, 1, 1}});
+      par(Child{1, 0, 1}, Child{0, 1, 1});
       seq({0, 0, 1});
       break;
     case GepFn::kB:
       // Appendix, function B.
-      par({{0, 0, 0}, {0, 1, 0}});
-      par({{1, 0, 0}, {1, 1, 0}});
-      par({{1, 0, 1}, {1, 1, 1}});
-      par({{0, 0, 1}, {0, 1, 1}});
+      par(Child{0, 0, 0}, Child{0, 1, 0});
+      par(Child{1, 0, 0}, Child{1, 1, 0});
+      par(Child{1, 0, 1}, Child{1, 1, 1});
+      par(Child{0, 0, 1}, Child{0, 1, 1});
       break;
     case GepFn::kC:
       // Appendix, function C.
-      par({{0, 0, 0}, {1, 0, 0}});
-      par({{0, 1, 0}, {1, 1, 0}});
-      par({{0, 1, 1}, {1, 1, 1}});
-      par({{0, 0, 1}, {1, 0, 1}});
+      par(Child{0, 0, 0}, Child{1, 0, 0});
+      par(Child{0, 1, 0}, Child{1, 1, 0});
+      par(Child{0, 1, 1}, Child{1, 1, 1});
+      par(Child{0, 0, 1}, Child{1, 0, 1});
       break;
     case GepFn::kD:
       // Appendix, function D: two rounds of four parallel calls, in the
       // Table-I order selected by `sched` (D = k-major; D* = the
       // within-round permutation).
       if (sched == GepSchedule::kDstar) {
-        par({{0, 0, 0}, {0, 1, 1}, {1, 0, 1}, {1, 1, 0}});
-        par({{0, 0, 1}, {0, 1, 0}, {1, 0, 0}, {1, 1, 1}});
+        par(Child{0, 0, 0}, Child{0, 1, 1}, Child{1, 0, 1}, Child{1, 1, 0});
+        par(Child{0, 0, 1}, Child{0, 1, 0}, Child{1, 0, 0}, Child{1, 1, 1});
       } else {
-        par({{0, 0, 0}, {0, 1, 0}, {1, 0, 0}, {1, 1, 0}});
-        par({{0, 0, 1}, {0, 1, 1}, {1, 0, 1}, {1, 1, 1}});
+        par(Child{0, 0, 0}, Child{0, 1, 0}, Child{1, 0, 0}, Child{1, 1, 0});
+        par(Child{0, 0, 1}, Child{0, 1, 1}, Child{1, 0, 1}, Child{1, 1, 1});
       }
       break;
   }
@@ -355,7 +350,7 @@ template <class Inst, class Exec, class Ref>
 void gep_loop(Exec& ex, sched::MatView<Ref> x) {
   const std::uint64_t n = x.rows();
   for (std::uint64_t k = 0; k < n; ++k) {
-    ex.cgc_pfor_each(0, n, n, [&](std::uint64_t i) {
+    sched::cgc_pfor_each(ex, 0, n, n, [&](std::uint64_t i) {
       for (std::uint64_t j = 0; j < n; ++j) {
         if (!Inst::in_sigma(i, j, k)) continue;
         x.store(i, j, Inst::f(x.load(i, j), x.load(i, k), x.load(k, j),
@@ -414,18 +409,13 @@ void matmul_rec(Exec& ex, sched::MatView<Ref> c, sched::MatView<Ref> a,
   }
   const std::uint64_t space = 4 * (m / 2) * (m / 2);
   auto round = [&](int kq) {
-    std::vector<sched::SbTask> tasks;
-    tasks.reserve(4);
-    for (int i = 0; i < 2; ++i) {
-      for (int j = 0; j < 2; ++j) {
-        tasks.push_back(sched::SbTask{space, [&, i, j, kq] {
-                                        matmul_rec(ex, c.quad(i, j),
-                                                   a.quad(i, kq),
-                                                   b.quad(kq, j), base_cutoff);
-                                      }});
-      }
-    }
-    ex.sb_parallel(std::move(tasks));
+    auto quad = [&](int i, int j) {
+      matmul_rec(ex, c.quad(i, j), a.quad(i, kq), b.quad(kq, j), base_cutoff);
+    };
+    ex.sb_parallel({{space, [&] { quad(0, 0); }},
+                    {space, [&] { quad(0, 1); }},
+                    {space, [&] { quad(1, 0); }},
+                    {space, [&] { quad(1, 1); }}});
   };
   round(0);  // round 1: the four k=low-half products
   round(1);  // round 2: the four k=high-half products

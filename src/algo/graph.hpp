@@ -88,8 +88,9 @@ TreeFunctions mo_tree_functions(Exec& ex, const EdgeList& tree,
   // happen in a connected tree).
   auto first_buf = ex.template make_buf<std::uint64_t>(n);
   auto first = first_buf.ref();
-  ex.cgc_pfor_each(0, n, 1, [&](std::uint64_t v) { first.store(v, kNil); });
-  ex.cgc_pfor_each(0, m, 1, [&](std::uint64_t a) {
+  sched::cgc_pfor_each(ex, 0, n, 1,
+                       [&](std::uint64_t v) { first.store(v, kNil); });
+  sched::cgc_pfor_each(ex, 0, m, 1, [&](std::uint64_t a) {
     const std::uint64_t s = arc_src(arcs.load(a));
     if (a == 0 || arc_src(arcs.load(a - 1)) != s) first.store(s, a);
   });
@@ -102,21 +103,21 @@ TreeFunctions mo_tree_functions(Exec& ex, const EdgeList& tree,
   };
   auto twin_rec_buf = ex.template make_buf<TwinRec>(m);
   auto twin_recs = twin_rec_buf.ref();
-  ex.cgc_pfor_each(0, m, 2, [&](std::uint64_t a) {
+  sched::cgc_pfor_each(ex, 0, m, 2, [&](std::uint64_t a) {
     const std::uint64_t arc = arcs.load(a);
     twin_recs.store(a, TwinRec{pack_arc(arc_dst(arc), arc_src(arc)), a});
   });
   spms_sort(ex, twin_recs);
   auto twin_buf = ex.template make_buf<std::uint64_t>(m);
   auto twin = twin_buf.ref();
-  ex.cgc_pfor_each(0, m, 1, [&](std::uint64_t a) {
+  sched::cgc_pfor_each(ex, 0, m, 1, [&](std::uint64_t a) {
     twin.store(a, twin_recs.load(a).idx);
   });
 
   // Euler tour successor: succ[a] = arc after twin(a) around its source.
   auto succ_buf = ex.template make_buf<std::uint64_t>(m);
   auto succ = succ_buf.ref();
-  ex.cgc_pfor_each(0, m, 2, [&](std::uint64_t a) {
+  sched::cgc_pfor_each(ex, 0, m, 2, [&](std::uint64_t a) {
     const std::uint64_t t = twin.load(a);
     const std::uint64_t v = arc_src(arcs.load(t));
     std::uint64_t nxt;
@@ -129,7 +130,7 @@ TreeFunctions mo_tree_functions(Exec& ex, const EdgeList& tree,
   });
   // Break the circuit into a list starting at the root's first arc.
   const std::uint64_t start = first.load(root);
-  ex.cgc_pfor_each(0, m, 1, [&](std::uint64_t a) {
+  sched::cgc_pfor_each(ex, 0, m, 1, [&](std::uint64_t a) {
     if (succ.load(a) == start) succ.store(a, kNil);
   });
 
@@ -142,14 +143,15 @@ TreeFunctions mo_tree_functions(Exec& ex, const EdgeList& tree,
   };
   auto pred_rec_buf = ex.template make_buf<PredRec>(m);
   auto pred_recs = pred_rec_buf.ref();
-  ex.cgc_pfor_each(0, m, 2, [&](std::uint64_t a) {
+  sched::cgc_pfor_each(ex, 0, m, 2, [&](std::uint64_t a) {
     pred_recs.store(a, PredRec{succ.load(a), a});
   });
   spms_sort(ex, pred_recs);
   auto pred_buf = ex.template make_buf<std::uint64_t>(m);
   auto pred = pred_buf.ref();
-  ex.cgc_pfor_each(0, m, 1, [&](std::uint64_t a) { pred.store(a, kNil); });
-  ex.cgc_pfor_each(0, m, 2, [&](std::uint64_t r) {
+  sched::cgc_pfor_each(ex, 0, m, 1,
+                       [&](std::uint64_t a) { pred.store(a, kNil); });
+  sched::cgc_pfor_each(ex, 0, m, 2, [&](std::uint64_t r) {
     const PredRec rec = pred_recs.load(r);
     if (rec.key != kNil) pred.store(rec.key, rec.idx);
   });
@@ -163,7 +165,7 @@ TreeFunctions mo_tree_functions(Exec& ex, const EdgeList& tree,
   // Forward arc (parent -> child) iff it precedes its twin on the tour.
   auto fwd_buf = ex.template make_buf<std::uint64_t>(m);
   auto fwd = fwd_buf.ref();
-  ex.cgc_pfor_each(0, m, 2, [&](std::uint64_t a) {
+  sched::cgc_pfor_each(ex, 0, m, 2, [&](std::uint64_t a) {
     fwd.store(a, rank.load(a) > rank.load(twin.load(a)) ? 1 : 0);
   });
 
@@ -171,13 +173,13 @@ TreeFunctions mo_tree_functions(Exec& ex, const EdgeList& tree,
   auto wlen_buf = ex.template make_buf<std::uint64_t>(m);
   auto wdist_buf = ex.template make_buf<std::uint64_t>(m);
   auto wlen = wlen_buf.ref(), wdist = wdist_buf.ref();
-  ex.cgc_pfor_each(0, m, 1, [&](std::uint64_t a) {
+  sched::cgc_pfor_each(ex, 0, m, 1, [&](std::uint64_t a) {
     wlen.store(a, fwd.load(a) ? 1 : ~0ull);
   });
   mo_list_rank_weighted(ex, succ, pred, wlen, wdist);
 
   // Extract per-vertex results from the forward arcs.
-  ex.cgc_pfor_each(0, m, 4, [&](std::uint64_t a) {
+  sched::cgc_pfor_each(ex, 0, m, 4, [&](std::uint64_t a) {
     if (!fwd.load(a)) return;
     const std::uint64_t arc = arcs.load(a);
     const std::uint64_t p = arc_src(arc), c = arc_dst(arc);
@@ -214,7 +216,7 @@ std::vector<std::uint64_t> mo_connected_components(Exec& ex,
   const std::uint64_t n = g.n;
   auto comp_buf = ex.template make_buf<std::uint64_t>(n);
   auto comp = comp_buf.ref();
-  ex.cgc_pfor_each(0, n, 1, [&](std::uint64_t v) { comp.store(v, v); });
+  sched::cgc_pfor_each(ex, 0, n, 1, [&](std::uint64_t v) { comp.store(v, v); });
   if (g.edges.empty() || n == 0) return comp_buf.raw();
 
   // Current arc multiset (both directions), shrinking across rounds.
@@ -238,9 +240,9 @@ std::vector<std::uint64_t> mo_connected_components(Exec& ex,
     // Hook: parent[v] = min neighbor (first arc of each src group).
     auto parent_buf = ex.template make_buf<std::uint64_t>(n);
     auto parent = parent_buf.ref();
-    ex.cgc_pfor_each(0, n, 1,
-                     [&](std::uint64_t v) { parent.store(v, v); });
-    ex.cgc_pfor_each(0, m, 1, [&](std::uint64_t a) {
+    sched::cgc_pfor_each(ex, 0, n, 1,
+                         [&](std::uint64_t v) { parent.store(v, v); });
+    sched::cgc_pfor_each(ex, 0, m, 1, [&](std::uint64_t a) {
       const std::uint64_t arc = arcs.load(a);
       const std::uint64_t s = arc_src(arc);
       if (a == 0 || arc_src(arcs.load(a - 1)) != s) {
@@ -252,7 +254,7 @@ std::vector<std::uint64_t> mo_connected_components(Exec& ex,
     auto pp_buf = ex.template make_buf<std::uint64_t>(n);
     auto pp = pp_buf.ref();
     mo_pull(ex, parent, parent, pp, kNil);
-    ex.cgc_pfor_each(0, n, 2, [&](std::uint64_t v) {
+    sched::cgc_pfor_each(ex, 0, n, 2, [&](std::uint64_t v) {
       // In a 2-cycle (u <-> v), the smaller endpoint becomes the root; the
       // larger keeps pointing at it.
       if (pp.load(v) == v && v < parent.load(v)) parent.store(v, v);
@@ -262,7 +264,7 @@ std::vector<std::uint64_t> mo_connected_components(Exec& ex,
     for (std::uint64_t it = 0; it <= util::ceil_log2(n | 1); ++it) {
       mo_pull(ex, parent, parent, pp, kNil);
       bool changed = false;
-      ex.cgc_pfor_each(0, n, 2, [&](std::uint64_t v) {
+      sched::cgc_pfor_each(ex, 0, n, 2, [&](std::uint64_t v) {
         if (parent.load(v) != pp.load(v)) {
           parent.store(v, pp.load(v));
           changed = true;
@@ -275,7 +277,7 @@ std::vector<std::uint64_t> mo_connected_components(Exec& ex,
     auto newcomp_buf = ex.template make_buf<std::uint64_t>(n);
     auto newcomp = newcomp_buf.ref();
     mo_pull(ex, comp, parent, newcomp, kNil);
-    ex.cgc_pfor_each(0, n, 2, [&](std::uint64_t v) {
+    sched::cgc_pfor_each(ex, 0, n, 2, [&](std::uint64_t v) {
       comp.store(v, newcomp.load(v));
     });
 
@@ -287,14 +289,14 @@ std::vector<std::uint64_t> mo_connected_components(Exec& ex,
     auto ndst_buf = ex.template make_buf<std::uint64_t>(m);
     auto src = src_buf.ref(), dst = dst_buf.ref(), nsrc = nsrc_buf.ref(),
          ndst = ndst_buf.ref();
-    ex.cgc_pfor_each(0, m, 2, [&](std::uint64_t a) {
+    sched::cgc_pfor_each(ex, 0, m, 2, [&](std::uint64_t a) {
       const std::uint64_t arc = arcs.load(a);
       src.store(a, arc_src(arc));
       dst.store(a, arc_dst(arc));
     });
     mo_pull(ex, src, parent, nsrc, kNil);
     mo_pull(ex, dst, parent, ndst, kNil);
-    ex.cgc_pfor_each(0, m, 2, [&](std::uint64_t a) {
+    sched::cgc_pfor_each(ex, 0, m, 2, [&](std::uint64_t a) {
       arcs.store(a, pack_arc(nsrc.load(a), ndst.load(a)));
     });
     spms_sort(ex, arcs);
@@ -316,7 +318,7 @@ std::vector<std::uint64_t> mo_connected_components(Exec& ex,
   for (std::uint64_t it = 0; it <= util::ceil_log2(n | 1); ++it) {
     mo_pull(ex, comp, comp, tmp, kNil);
     bool changed = false;
-    ex.cgc_pfor_each(0, n, 2, [&](std::uint64_t v) {
+    sched::cgc_pfor_each(ex, 0, n, 2, [&](std::uint64_t v) {
       if (comp.load(v) != tmp.load(v)) {
         comp.store(v, tmp.load(v));
         changed = true;

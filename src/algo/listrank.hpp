@@ -96,8 +96,7 @@ void check_pull(const char* who, const RefU64& target,
 }
 
 /// Native pull of K fields: out[k][v] = target[v] == kNil ? dflt[k] :
-/// field[k][target[v]], as one CGC gather on raw pointers.  Passed by
-/// reference so the loop body fits std::function's inline storage.
+/// field[k][target[v]], as one CGC gather on raw pointers.
 template <std::size_t K>
 struct Gather {
   const std::uint64_t* target;
@@ -144,11 +143,11 @@ void mo_pull(Exec& ex, RefU64 target, RefU64 field, RefU64 out,
   }
   auto recs_buf = ex.template make_buf<PullRec>(n);
   auto recs = recs_buf.ref();
-  ex.cgc_pfor_each(0, n, 3, [&](std::uint64_t v) {
+  sched::cgc_pfor_each(ex, 0, n, 3, [&](std::uint64_t v) {
     recs.store(v, PullRec{target.load(v), v, 0});
   });
   spms_sort(ex, recs);
-  ex.cgc_pfor_each(0, n, 3, [&](std::uint64_t r) {
+  sched::cgc_pfor_each(ex, 0, n, 3, [&](std::uint64_t r) {
     PullRec rec = recs.load(r);
     rec.val = rec.key == kNil ? dflt : field.load(rec.key);
     // Re-key by source so the second sort routes the value home.
@@ -156,7 +155,7 @@ void mo_pull(Exec& ex, RefU64 target, RefU64 field, RefU64 out,
     recs.store(r, rec);
   });
   spms_sort(ex, recs);
-  ex.cgc_pfor_each(0, n, 3, [&](std::uint64_t r) {
+  sched::cgc_pfor_each(ex, 0, n, 3, [&](std::uint64_t r) {
     const PullRec rec = recs.load(r);
     assert(rec.key == r);
     out.store(r, rec.val);
@@ -204,11 +203,11 @@ void mo_pull3(Exec& ex, RefU64 target, RefU64 f0, RefU64 f1, RefU64 f2,
   }
   auto recs_buf = ex.template make_buf<PullRec3>(n);
   auto recs = recs_buf.ref();
-  ex.cgc_pfor_each(0, n, 5, [&](std::uint64_t v) {
+  sched::cgc_pfor_each(ex, 0, n, 5, [&](std::uint64_t v) {
     recs.store(v, PullRec3{target.load(v), v, {0, 0, 0}});
   });
   spms_sort(ex, recs);
-  ex.cgc_pfor_each(0, n, 5, [&](std::uint64_t r) {
+  sched::cgc_pfor_each(ex, 0, n, 5, [&](std::uint64_t r) {
     PullRec3 rec = recs.load(r);
     if (rec.key == kNil) {
       rec.val[0] = d0;
@@ -223,7 +222,7 @@ void mo_pull3(Exec& ex, RefU64 target, RefU64 f0, RefU64 f1, RefU64 f2,
     recs.store(r, rec);
   });
   spms_sort(ex, recs);
-  ex.cgc_pfor_each(0, n, 5, [&](std::uint64_t r) {
+  sched::cgc_pfor_each(ex, 0, n, 5, [&](std::uint64_t r) {
     const PullRec3 rec = recs.load(r);
     assert(rec.key == r);
     o0.store(r, rec.val[0]);
@@ -241,7 +240,7 @@ namespace detail {
 template <class Exec, class RefU64>
 void dcf_step(Exec& ex, RefU64 color, RefU64 scolor, RefU64 succ) {
   const std::uint64_t n = color.size();
-  ex.cgc_pfor_each(0, n, 1, [&](std::uint64_t v) {
+  sched::cgc_pfor_each(ex, 0, n, 1, [&](std::uint64_t v) {
     const std::uint64_t c = color.load(v);
     std::uint64_t k = 0, bit;
     if (succ.load(v) == kNil) {
@@ -303,7 +302,8 @@ void lr_rec(Exec& ex, RefU64 succ, RefU64 pred, RefU64 len, RefU64 dist,
   auto scol_buf = ex.template make_buf<std::uint64_t>(n);
   auto pcol_buf = ex.template make_buf<std::uint64_t>(n);
   auto color = color_buf.ref(), scol = scol_buf.ref(), pcol = pcol_buf.ref();
-  ex.cgc_pfor_each(0, n, 1, [&](std::uint64_t v) { color.store(v, v); });
+  sched::cgc_pfor_each(ex, 0, n, 1,
+                       [&](std::uint64_t v) { color.store(v, v); });
   for (int round = 0; round < dcf_rounds; ++round) {
     mo_pull(ex, succ, color, scol, kNil);
     dcf_step(ex, color, scol, succ);
@@ -312,7 +312,7 @@ void lr_rec(Exec& ex, RefU64 succ, RefU64 pred, RefU64 len, RefU64 dist,
   mo_pull(ex, pred, color, pcol, kNil);
   auto in_s_buf = ex.template make_buf<std::uint64_t>(n);
   auto in_s = in_s_buf.ref();
-  ex.cgc_pfor_each(0, n, 1, [&](std::uint64_t v) {
+  sched::cgc_pfor_each(ex, 0, n, 1, [&](std::uint64_t v) {
     const bool interior = succ.load(v) != kNil && pred.load(v) != kNil;
     const std::uint64_t c = color.load(v);
     in_s.store(v, interior && c < scol.load(v) && c < pcol.load(v) ? 1 : 0);
@@ -336,7 +336,7 @@ void lr_rec(Exec& ex, RefU64 succ, RefU64 pred, RefU64 len, RefU64 dist,
   auto npred_buf = ex.template make_buf<std::uint64_t>(n);
   auto nlen_buf = ex.template make_buf<std::uint64_t>(n);
   auto nsucc = nsucc_buf.ref(), npred = npred_buf.ref(), nlen = nlen_buf.ref();
-  ex.cgc_pfor_each(0, n, 3, [&](std::uint64_t v) {
+  sched::cgc_pfor_each(ex, 0, n, 3, [&](std::uint64_t v) {
     std::uint64_t s = succ.load(v), p = pred.load(v), l = len.load(v);
     if (in_s.load(v) == 0) {
       if (s != kNil && ins_s.load(v)) {
@@ -353,7 +353,7 @@ void lr_rec(Exec& ex, RefU64 succ, RefU64 pred, RefU64 len, RefU64 dist,
   // ---- Compact survivors with a prefix sum. ----
   auto alive_buf = ex.template make_buf<std::uint64_t>(n);
   auto alive = alive_buf.ref();
-  ex.cgc_pfor_each(0, n, 1, [&](std::uint64_t v) {
+  sched::cgc_pfor_each(ex, 0, n, 1, [&](std::uint64_t v) {
     alive.store(v, in_s.load(v) ? 0 : 1);
   });
   mo_prefix_sum(ex, alive);  // inclusive: newid[v] = alive[v] - 1 if alive
@@ -363,7 +363,7 @@ void lr_rec(Exec& ex, RefU64 succ, RefU64 pred, RefU64 len, RefU64 dist,
   auto old2new_buf = ex.template make_buf<std::uint64_t>(n);
   auto new2old_buf = ex.template make_buf<std::uint64_t>(n2);
   auto old2new = old2new_buf.ref(), new2old = new2old_buf.ref();
-  ex.cgc_pfor_each(0, n, 2, [&](std::uint64_t v) {
+  sched::cgc_pfor_each(ex, 0, n, 2, [&](std::uint64_t v) {
     if (in_s.load(v)) {
       old2new.store(v, kNil);
     } else {
@@ -386,7 +386,7 @@ void lr_rec(Exec& ex, RefU64 succ, RefU64 pred, RefU64 len, RefU64 dist,
   auto sdist_buf = ex.template make_buf<std::uint64_t>(n2);
   auto ssucc = ssucc_buf.ref(), spred = spred_buf.ref(),
        slen = slen_buf.ref(), sdist = sdist_buf.ref();
-  ex.cgc_pfor_each(0, n2, 4, [&](std::uint64_t s) {
+  sched::cgc_pfor_each(ex, 0, n2, 4, [&](std::uint64_t s) {
     const std::uint64_t v = new2old.load(s);
     ssucc.store(s, msucc.load(v));
     spred.store(s, mpred.load(v));
@@ -397,13 +397,13 @@ void lr_rec(Exec& ex, RefU64 succ, RefU64 pred, RefU64 len, RefU64 dist,
   lr_rec(ex, ssucc, spred, slen, sdist, dcf_rounds);
 
   // ---- Expand: survivors copy back, removed nodes read their successor. ----
-  ex.cgc_pfor_each(0, n2, 2, [&](std::uint64_t s) {
+  sched::cgc_pfor_each(ex, 0, n2, 2, [&](std::uint64_t s) {
     dist.store(new2old.load(s), sdist.load(s));
   });
   auto dist_s_buf = ex.template make_buf<std::uint64_t>(n);
   auto dist_s = dist_s_buf.ref();
   mo_pull(ex, succ, dist, dist_s, 0);
-  ex.cgc_pfor_each(0, n, 2, [&](std::uint64_t v) {
+  sched::cgc_pfor_each(ex, 0, n, 2, [&](std::uint64_t v) {
     if (in_s.load(v)) dist.store(v, dist_s.load(v) + len.load(v));
   });
 }
@@ -427,7 +427,7 @@ void mo_list_rank(Exec& ex, RefU64 succ, RefU64 pred, RefU64 dist,
   const std::uint64_t n = succ.size();
   auto len_buf = ex.template make_buf<std::uint64_t>(n);
   auto len = len_buf.ref();
-  ex.cgc_pfor_each(0, n, 1, [&](std::uint64_t v) { len.store(v, 1); });
+  sched::cgc_pfor_each(ex, 0, n, 1, [&](std::uint64_t v) { len.store(v, 1); });
   mo_list_rank_weighted(ex, succ, pred, len, dist, dcf_rounds);
 }
 

@@ -123,7 +123,7 @@ void spms_sort(Exec& ex, Ref v) {
   const std::uint64_t m = k * spc;
   auto sample_buf = ex.template make_buf<T>(m);
   auto samples = sample_buf.ref();
-  ex.cgc_pfor_each(0, m, W, [&](std::uint64_t s) {
+  sched::cgc_pfor_each(ex, 0, m, W, [&](std::uint64_t s) {
     const std::uint64_t i = s / spc, j = s % spc;
     const std::uint64_t len = chunk_len(i);
     // Evenly spaced positions within the sorted chunk: quantile
@@ -143,7 +143,7 @@ void spms_sort(Exec& ex, Ref v) {
   const std::uint64_t nbuckets = k;
   auto splitter_buf = ex.template make_buf<T>(nbuckets - 1);
   auto splitters = splitter_buf.ref();
-  ex.cgc_pfor_each(0, nbuckets - 1, W, [&](std::uint64_t b) {
+  sched::cgc_pfor_each(ex, 0, nbuckets - 1, W, [&](std::uint64_t b) {
     splitters.store(b, samples.load(((b + 1) * m) / nbuckets));
   });
 
@@ -154,7 +154,7 @@ void spms_sort(Exec& ex, Ref v) {
               [&](std::uint64_t lo, std::uint64_t hi) {
                 for (std::uint64_t z = lo; z < hi; ++z) counts.store(z, 0);
               });
-  ex.cgc_pfor_each(0, k, c * W, [&](std::uint64_t i) {
+  sched::cgc_pfor_each(ex, 0, k, c * W, [&](std::uint64_t i) {
     std::uint64_t b = 0;
     std::uint64_t run = 0;
     T next_split = b + 1 < nbuckets ? splitters.load(b) : T{};
@@ -186,7 +186,7 @@ void spms_sort(Exec& ex, Ref v) {
   // ---- BP step E [CGC]: scatter chunks into bucketed output. ----
   auto out_buf = ex.template make_buf<T>(n);
   auto out = out_buf.ref();
-  ex.cgc_pfor_each(0, k, c * W, [&](std::uint64_t i) {
+  sched::cgc_pfor_each(ex, 0, k, c * W, [&](std::uint64_t i) {
     std::uint64_t b = 0;
     T next_split = b + 1 < nbuckets ? splitters.load(b) : T{};
     const std::uint64_t len = chunk_len(i);
@@ -291,13 +291,11 @@ void mergesort_rec(Exec& ex, Ref v, Ref tmp) {
     return;
   }
   const std::uint64_t half = n / 2;
-  ex.sb_parallel2(
-      2 * half * W, [&] { mergesort_rec(ex, v.slice(0, half),
-                                        tmp.slice(0, half)); },
-      2 * (n - half) * W, [&] {
-        mergesort_rec(ex, v.slice(half, n - half), tmp.slice(half, n - half));
-      });
-  merge_into(ex, v.slice(0, half), v.slice(half, n - half), tmp);
+  auto v0 = v.slice(0, half), v1 = v.slice(half, n - half);
+  auto t0 = tmp.slice(0, half), t1 = tmp.slice(half, n - half);
+  ex.sb_parallel({{2 * half * W, [&] { mergesort_rec(ex, v0, t0); }},
+                  {2 * (n - half) * W, [&] { mergesort_rec(ex, v1, t1); }}});
+  merge_into(ex, v0, v1, tmp);
   ex.cgc_pfor(0, n, W, [&](std::uint64_t lo, std::uint64_t hi) {
     ex.copy(v.slice(lo, hi - lo), tmp.slice(lo, hi - lo));
   });

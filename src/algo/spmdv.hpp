@@ -65,17 +65,6 @@ inline constexpr bool spmdv_native_v =
 
 static_assert(sizeof(SpmEntry) == 16, "strided dot assumes 2-word entries");
 
-/// The executor and refs of one product, held by reference in every fork
-/// so that each body fits std::function's inline storage: a native
-/// product allocates nothing.
-template <class Exec, class EntryRef, class OffRef, class VecRef>
-struct SpmdvArgs {
-  Exec& ex;
-  EntryRef av;
-  OffRef a0;
-  VecRef x, y;
-};
-
 /// Native row: the serial loop of spmdv_rec, or the strided dot kernel
 /// from two lane strides of nonzeros (shorter rows -- separator-reordered
 /// grid rows average ~4 nonzeros -- are cheaper inline).  The kernel's
@@ -95,45 +84,42 @@ inline void spmdv_row(const SpmEntry* av, const std::uint64_t* a0,
 }
 
 template <class Exec, class EntryRef, class OffRef, class VecRef>
-void spmdv_rec(const SpmdvArgs<Exec, EntryRef, OffRef, VecRef>& p,
+void spmdv_rec(Exec& ex, EntryRef av, OffRef a0, VecRef x, VecRef y,
                std::uint64_t k1, std::uint64_t k2) {
   if constexpr (spmdv_native_v<EntryRef, OffRef, VecRef>) {
     // Native row-block leaf (DESIGN.md §5f): a range whose 2 nnz + 2 rows
     // words fit in kNativeLeafWords runs row by row, each row exactly as
     // the recursion's single-row leaf would.
-    const std::uint64_t* a0 = p.a0.raw();
+    const std::uint64_t* off = a0.raw();
     if (simd::use_kernels() &&
-        (k1 == k2 || 2 * (a0[k2 + 1] - a0[k1]) + 2 * (k2 - k1 + 1) <=
+        (k1 == k2 || 2 * (off[k2 + 1] - off[k1]) + 2 * (k2 - k1 + 1) <=
                          sched::kNativeLeafWords)) {
       for (std::uint64_t i = k1; i <= k2; ++i) {
-        spmdv_row(p.av.raw(), a0, p.x.raw(), p.y.raw(), i);
+        spmdv_row(av.raw(), off, x.raw(), y.raw(), i);
       }
       return;
     }
   }
   if (k1 == k2) {
     // Lines 1-3 of Figure 4: one dot product.
-    const std::uint64_t lo = p.a0.load(k1), hi = p.a0.load(k1 + 1);
+    const std::uint64_t lo = a0.load(k1), hi = a0.load(k1 + 1);
     double acc = 0;
     for (std::uint64_t t = lo; t < hi; ++t) {
-      const SpmEntry e = p.av.load(t);
-      acc += e.val * p.x.load(e.col);
-      p.ex.tick(2);
+      const SpmEntry e = av.load(t);
+      acc += e.val * x.load(e.col);
+      ex.tick(2);
     }
-    p.y.store(k1, acc);
+    y.store(k1, acc);
     return;
   }
   // Line 6 [CGC=>SB]: two parallel recursive calls, space bound S(m) = 4m.
-  const struct {
-    const SpmdvArgs<Exec, EntryRef, OffRef, VecRef>& p;
-    std::uint64_t k1, k, k2;
-  } f{p, k1, (k1 + k2) / 2, k2};
+  const std::uint64_t k = (k1 + k2) / 2;
   const std::uint64_t m_half = (k2 - k1 + 1 + 1) / 2;
-  p.ex.cgc_sb_pfor(2, 4 * m_half, [&f](std::uint64_t which) {
+  ex.cgc_sb_pfor(2, 4 * m_half, [&](std::uint64_t which) {
     if (which == 0) {
-      spmdv_rec(f.p, f.k1, f.k);
+      spmdv_rec(ex, av, a0, x, y, k1, k);
     } else {
-      spmdv_rec(f.p, f.k + 1, f.k2);
+      spmdv_rec(ex, av, a0, x, y, k + 1, k2);
     }
   });
 }
@@ -146,8 +132,7 @@ template <class Exec, class EntryRef, class OffRef, class VecRef>
 void mo_spmdv(Exec& ex, EntryRef av, OffRef a0, VecRef x, VecRef y) {
   const std::uint64_t n = y.size();
   if (n == 0) return;
-  const detail::SpmdvArgs<Exec, EntryRef, OffRef, VecRef> p{ex, av, a0, x, y};
-  ex.sb_seq(4 * n, [&p, n] { detail::spmdv_rec(p, 0, n - 1); });
+  ex.sb_seq(4 * n, [&] { detail::spmdv_rec(ex, av, a0, x, y, 0, n - 1); });
 }
 
 /// Baseline: flat CGC row loop, no recursive space-bound anchoring (every
@@ -156,7 +141,7 @@ template <class Exec, class EntryRef, class OffRef, class VecRef>
 void spmdv_flat(Exec& ex, EntryRef av, OffRef a0, VecRef x, VecRef y) {
   const std::uint64_t n = y.size();
   const std::uint64_t avg = n ? (av.size() + n - 1) / n : 1;
-  ex.cgc_pfor_each(0, n, 2 * avg + 2, [&](std::uint64_t i) {
+  sched::cgc_pfor_each(ex, 0, n, 2 * avg + 2, [&](std::uint64_t i) {
     double acc = 0;
     const std::uint64_t lo = a0.load(i), hi = a0.load(i + 1);
     for (std::uint64_t t = lo; t < hi; ++t) {

@@ -211,21 +211,19 @@ void recursive_transpose_helper(Exec& ex, sched::MatView<Ref> src,
   if (r >= c) {
     auto top = src.sub(0, 0, r / 2, c);
     auto bot = src.sub(r / 2, 0, r - r / 2, c);
-    ex.sb_parallel2(
-        space, [&] { recursive_transpose_helper(ex, top,
-                                                dst.sub(0, 0, c, r / 2)); },
-        space, [&] {
-          recursive_transpose_helper(ex, bot, dst.sub(0, r / 2, c, r - r / 2));
-        });
+    auto dtop = dst.sub(0, 0, c, r / 2);
+    auto dbot = dst.sub(0, r / 2, c, r - r / 2);
+    ex.sb_parallel(
+        {{space, [&] { recursive_transpose_helper(ex, top, dtop); }},
+         {space, [&] { recursive_transpose_helper(ex, bot, dbot); }}});
   } else {
     auto left = src.sub(0, 0, r, c / 2);
     auto right = src.sub(0, c / 2, r, c - c / 2);
-    ex.sb_parallel2(
-        space, [&] { recursive_transpose_helper(ex, left,
-                                                dst.sub(0, 0, c / 2, r)); },
-        space, [&] {
-          recursive_transpose_helper(ex, right, dst.sub(c / 2, 0, c - c / 2, r));
-        });
+    auto dleft = dst.sub(0, 0, c / 2, r);
+    auto dright = dst.sub(c / 2, 0, c - c / 2, r);
+    ex.sb_parallel(
+        {{space, [&] { recursive_transpose_helper(ex, left, dleft); }},
+         {space, [&] { recursive_transpose_helper(ex, right, dright); }}});
   }
 }
 

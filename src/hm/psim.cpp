@@ -4,7 +4,6 @@
 #include <bit>
 #include <cassert>
 #include <cstdlib>
-#include <functional>
 
 #include "sched/native_executor.hpp"
 
@@ -19,7 +18,8 @@ ShardedCacheSim::ShardedCacheSim(CacheSim& sim, unsigned threads)
   threads_ = std::min<unsigned>(
       std::max(1u, threads_), std::max(1u, sim_.config().cores()));
   if (threads_ > 1) {
-    pool_ = std::make_unique<sched::WorkStealingPool>(threads_);
+    pool_ = std::make_unique<sched::NativeExecutor>(
+        threads_, /*sequential_grain_words=*/1, sched::SchedMode::kWorkSteal);
   }
   shards_.resize(sim_.config().cores());
   if (const char* env = std::getenv("OBLIV_PSIM_TRACE")) {
@@ -186,12 +186,9 @@ void ShardedCacheSim::run_shards() {
     run_shard(active_[0]);
     return;
   }
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(active_.size());
-  for (std::uint32_t core : active_) {
-    tasks.push_back([this, core] { run_shard(core); });
-  }
-  pool_->run_all(std::move(tasks));
+  // A space bound of one grain makes every shard its own stealable unit.
+  pool_->cgc_sb_pfor(active_.size(), pool_->sequential_grain_words(),
+                     [this](std::uint64_t k) { run_shard(active_[k]); });
 }
 
 void ShardedCacheSim::run_shard(std::uint32_t core) {

@@ -58,7 +58,7 @@
 #include "obs/trace.hpp"
 
 namespace obliv::sched {
-class WorkStealingPool;
+class NativeExecutor;
 }
 
 namespace obliv::hm {
@@ -184,7 +184,7 @@ class ShardedCacheSim {
   std::uint64_t b1_;
   std::uint8_t b1_shift_;
   bool epoch_trace_ = false;  // OBLIV_PSIM_TRACE=1: per-epoch lane events
-  std::unique_ptr<sched::WorkStealingPool> pool_;
+  std::unique_ptr<sched::NativeExecutor> pool_;
 
   std::vector<PsimAccess> buf_;
   std::vector<DeferredSched> sched_events_;

@@ -17,13 +17,14 @@
 
 #include <cassert>
 #include <cstdint>
-#include <functional>
+#include <initializer_list>
 #include <utility>
 #include <vector>
 
 #include "no/machine.hpp"
 #include "sched/hints.hpp"
 #include "util/bits.hpp"
+#include "util/fn_ref.hpp"
 
 namespace obliv::no {
 
@@ -73,7 +74,7 @@ class NoExecutor {
 
   void cgc_pfor(std::uint64_t lo, std::uint64_t hi,
                 std::uint64_t words_per_iter,
-                const std::function<void(std::uint64_t, std::uint64_t)>& body) {
+                util::FnRef<void(std::uint64_t, std::uint64_t)> body) {
     if (hi <= lo) return;
     mach_->end_superstep();
     const std::uint64_t t = hi - lo;
@@ -90,28 +91,15 @@ class NoExecutor {
     mach_->end_superstep();
   }
 
-  void cgc_pfor_each(std::uint64_t lo, std::uint64_t hi,
-                     std::uint64_t words_per_iter,
-                     const std::function<void(std::uint64_t)>& body) {
-    cgc_pfor(lo, hi, words_per_iter,
-             [&](std::uint64_t a, std::uint64_t b) {
-               for (std::uint64_t k = a; k < b; ++k) body(k);
-             });
+  void sb_parallel(std::initializer_list<sched::SbTask> tasks) {
+    run_group_tasks(tasks.size(),
+                    [&](std::uint64_t k) { tasks.begin()[k].body(); });
   }
 
-  void sb_parallel(std::vector<sched::SbTask> tasks) {
-    run_group_tasks(tasks.size(), [&](std::uint64_t k) { tasks[k].body(); });
-  }
-
-  void sb_parallel2(std::uint64_t, const std::function<void()>& f1,
-                    std::uint64_t, const std::function<void()>& f2) {
-    run_group_tasks(2, [&](std::uint64_t k) { (k == 0 ? f1 : f2)(); });
-  }
-
-  void sb_seq(std::uint64_t, const std::function<void()>& body) { body(); }
+  void sb_seq(std::uint64_t, util::FnRef<void()> body) { body(); }
 
   void cgc_sb_pfor(std::uint64_t count, std::uint64_t,
-                   const std::function<void(std::uint64_t)>& body) {
+                   util::FnRef<void(std::uint64_t)> body) {
     run_group_tasks(count, body);
   }
 

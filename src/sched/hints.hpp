@@ -18,8 +18,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <type_traits>
+
+#include "util/fn_ref.hpp"
 
 namespace obliv::sched {
 
@@ -58,10 +59,23 @@ enum class Hint : std::uint8_t {
 
 /// A space-bound-annotated task: the algorithm promises the body touches at
 /// most `space_words` words of distinct data (the S(n) lines in the paper's
-/// pseudocode, e.g. S(n) = 3n for MO-FFT).
+/// pseudocode, e.g. S(n) = 3n for MO-FFT).  The body is borrowed: every
+/// executor's `sb_parallel(std::initializer_list<SbTask>)` is the one SB
+/// fork, and the lambdas in its braced list live until it returns.
 struct SbTask {
-  std::uint64_t space_words = 0;
-  std::function<void()> body;
+  std::uint64_t space_words;
+  util::FnRef<void()> body;
 };
+
+/// Per-index CGC loop on any executor: `body(k)` for k in [lo, hi), handed
+/// to `ex.cgc_pfor` as one range body so the per-index call inlines.
+template <class Exec, class F>
+void cgc_pfor_each(Exec& ex, std::uint64_t lo, std::uint64_t hi,
+                   std::uint64_t words_per_iter, F&& body) {
+  ex.cgc_pfor(lo, hi, words_per_iter,
+              [&body](std::uint64_t a, std::uint64_t b) {
+                for (std::uint64_t k = a; k < b; ++k) body(k);
+              });
+}
 
 }  // namespace obliv::sched

@@ -452,73 +452,6 @@ void WorkStealingPool::worker_main(unsigned id) {
   }
 }
 
-namespace {
-
-/// Stack-resident task wrapping a borrowed std::function.  Forking one
-/// moves a pointer; nothing is copied or allocated.
-struct FnTask : Task {
-  explicit FnTask(const std::function<void()>* f)
-      : Task(&FnTask::invoke), fn(f) {}
-  // Poison check at the leaf boundary: a cancelled tree's forked bodies
-  // become no-ops, but the task itself still completes so joins drain.
-  static void invoke(Task* t) {
-    if (detail::cancel_pending()) return;
-    (*static_cast<FnTask*>(t)->fn)();
-  }
-  const std::function<void()>* fn;
-};
-
-/// Binary fork/join over tasks[lo, hi): forks the upper half, recurses into
-/// the lower, joins.  Stack depth is O(log n); every frame's forked task
-/// outlives its join.
-void run_all_rec(WorkStealingPool& pool,
-                 const std::vector<std::function<void()>>& tasks,
-                 std::size_t lo, std::size_t hi) {
-  if (detail::cancel_pending()) return;
-  while (hi - lo > 1) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    struct HalfTask : Task {
-      HalfTask(WorkStealingPool& p,
-               const std::vector<std::function<void()>>& ts, std::size_t l,
-               std::size_t h)
-          : Task(&HalfTask::invoke), pool(&p), tasks(&ts), lo_(l), hi_(h) {}
-      static void invoke(Task* t) {
-        auto* h = static_cast<HalfTask*>(t);
-        run_all_rec(*h->pool, *h->tasks, h->lo_, h->hi_);
-      }
-      WorkStealingPool* pool;
-      const std::vector<std::function<void()>>* tasks;
-      std::size_t lo_, hi_;
-    } upper(pool, tasks, mid, hi);
-    pool.fork(&upper);
-    run_all_rec(pool, tasks, lo, mid);
-    pool.join(&upper);
-    return;
-  }
-  if (hi > lo) tasks[lo]();
-}
-
-}  // namespace
-
-void WorkStealingPool::run_all(std::vector<std::function<void()>> tasks) {
-  if (tasks.empty()) return;
-  if (tasks.size() == 1 || nworkers_ == 1) {
-    for (auto& t : tasks) t();
-    return;
-  }
-  struct RootTask : Task {
-    RootTask(WorkStealingPool& p, const std::vector<std::function<void()>>& ts)
-        : Task(&RootTask::invoke), pool(&p), tasks(&ts) {}
-    static void invoke(Task* t) {
-      auto* r = static_cast<RootTask*>(t);
-      run_all_rec(*r->pool, *r->tasks, 0, r->tasks->size());
-    }
-    WorkStealingPool* pool;
-    const std::vector<std::function<void()>>* tasks;
-  } root(*this, tasks);
-  run_root(root);
-}
-
 // ---------------------------------------------------------------------------
 // SharedQueuePool (legacy baseline; behavior preserved from the original
 // ThreadPool so bench_wallclock measures the pre-rewrite scheduler)
@@ -605,7 +538,7 @@ void SharedQueuePool::run_all(std::vector<std::function<void()>> tasks) {
 
 namespace {
 
-using RangeBody = std::function<void(std::uint64_t, std::uint64_t)>;
+using RangeBody = util::FnRef<void(std::uint64_t, std::uint64_t)>;
 
 /// How a RangeTask loop may split.  `grain` is the sequential chunk,
 /// `floor` the smallest half worth exposing, and `align` the granularity
@@ -613,8 +546,9 @@ using RangeBody = std::function<void(std::uint64_t, std::uint64_t)>;
 /// so stolen halves start lane-aligned for the simd:: kernels, and 1 for
 /// subtask counts (cgc_sb_pfor), where lanes mean nothing and a binary
 /// CGC=>SB fan-out must still split.  Built only by make_split(), which
-/// establishes the invariant floor >= align >= 1: a range of at least
-/// 2*floor then always splits into two non-empty halves.
+/// establishes the invariant floor >= align >= 1 (range_root asserts it):
+/// a range of at least 2*floor then always splits into two non-empty
+/// halves.
 struct RangeSplit {
   std::uint64_t grain, floor, align;
 
@@ -651,24 +585,24 @@ RangeSplit make_split(std::uint64_t total, std::uint64_t grain,
 /// workers exist.  make_split sets floor ~ range/(8*threads), which caps a
 /// loop at ~16*threads leaf tasks -- 8x finer than eager per-thread
 /// chunking (ample slack for rebalancing) but bounded fork/notify overhead.
-void range_run(WorkStealingPool& pool, const RangeBody& body, std::uint64_t lo,
+void range_run(WorkStealingPool& pool, RangeBody body, std::uint64_t lo,
                std::uint64_t hi, const RangeSplit& split);
 
 struct RangeTask : Task {
-  RangeTask(WorkStealingPool& p, const RangeBody& b, std::uint64_t l,
+  RangeTask(WorkStealingPool& p, RangeBody b, std::uint64_t l,
             std::uint64_t h, const RangeSplit& s)
-      : Task(&RangeTask::invoke), pool(&p), body(&b), lo(l), hi(h), split(&s) {}
+      : Task(&RangeTask::invoke), pool(&p), body(b), lo(l), hi(h), split(&s) {}
   static void invoke(Task* t) {
     auto* r = static_cast<RangeTask*>(t);
-    range_run(*r->pool, *r->body, r->lo, r->hi, *r->split);
+    range_run(*r->pool, r->body, r->lo, r->hi, *r->split);
   }
   WorkStealingPool* pool;
-  const RangeBody* body;
+  RangeBody body;
   std::uint64_t lo, hi;
   const RangeSplit* split;  ///< owned by the root call's frame
 };
 
-void range_run(WorkStealingPool& pool, const RangeBody& body, std::uint64_t lo,
+void range_run(WorkStealingPool& pool, RangeBody body, std::uint64_t lo,
                std::uint64_t hi, const RangeSplit& split) {
   for (;;) {
     // Poison check once per grain: the promptness bound for cancellation
@@ -697,6 +631,53 @@ void range_run(WorkStealingPool& pool, const RangeBody& body, std::uint64_t lo,
     // floor): run one grain and re-check demand.
     body(lo, lo + split.grain);
     lo += split.grain;
+  }
+}
+
+/// Runs a whole loop on the pool from its root range.
+void range_root(WorkStealingPool& pool, RangeBody body, std::uint64_t lo,
+                std::uint64_t hi, const RangeSplit& split) {
+  assert(split.floor >= split.align && split.align >= 1);
+  RangeTask root(pool, body, lo, hi, split);
+  pool.run_root(root);
+}
+
+/// Stack-resident task running a borrowed SB body.  Forking one moves a
+/// pointer; nothing is copied or allocated.
+struct FnTask : Task {
+  explicit FnTask(util::FnRef<void()> f) : Task(&FnTask::invoke), fn(f) {}
+  // Poison check at the leaf boundary: a cancelled tree's forked bodies
+  // become no-ops, but the task itself still completes so joins drain.
+  static void invoke(Task* t) {
+    if (detail::cancel_pending()) return;
+    static_cast<FnTask*>(t)->fn();
+  }
+  util::FnRef<void()> fn;
+};
+
+/// The SB fork of tasks[0, n) from index i on: forks each above-grain task
+/// except `first` (the first above-grain one), one recursion level per fork
+/// so every FnTask stays on the stack until its join, then runs `first` and
+/// the below-grain tasks -- anchored at this core's private cache, never
+/// stealable -- inline in order.
+void sb_fork(WorkStealingPool& pool, const SbTask* tasks, std::size_t n,
+             std::size_t i, std::size_t first, std::uint64_t grain) {
+  for (; i < n; ++i) {
+    if (i == first || tasks[i].space_words <= grain) continue;
+    // SB anchor point: a poisoned tree forks nothing more, and what it
+    // already forked no-ops and is still joined.
+    if (detail::cancel_pending()) return;
+    FnTask forked(tasks[i].body);
+    pool.fork(&forked);
+    sb_fork(pool, tasks, n, i + 1, first, grain);
+    pool.join(&forked);
+    return;
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    if (k != first && tasks[k].space_words > grain) continue;
+    // Re-checked after the forks: kCancelPoison may have landed at one.
+    if (detail::cancel_pending()) return;
+    tasks[k].body();
   }
 }
 
@@ -748,7 +729,7 @@ Result<NativeExecutor> NativeExecutor::make(unsigned threads,
 
 void NativeExecutor::cgc_pfor(
     std::uint64_t lo, std::uint64_t hi, std::uint64_t words_per_iter,
-    const std::function<void(std::uint64_t, std::uint64_t)>& body) {
+    util::FnRef<void(std::uint64_t, std::uint64_t)> body) {
   if (hi <= lo) return;
   // CGC anchor point: a poisoned tree issues no further loop work.
   if (detail::cancel_pending()) return;
@@ -787,124 +768,50 @@ void NativeExecutor::cgc_pfor(
     sq_->run_all(std::move(tasks));
     return;
   }
-  const RangeSplit split =
-      make_split(t, min_iters, ws_->threads(), lanes);
-  RangeTask root(*ws_, body, lo, hi, split);
-  ws_->run_root(root);
+  range_root(*ws_, body, lo, hi,
+             make_split(t, min_iters, ws_->threads(), lanes));
 }
 
-void NativeExecutor::cgc_pfor_each(
-    std::uint64_t lo, std::uint64_t hi, std::uint64_t words_per_iter,
-    const std::function<void(std::uint64_t)>& body) {
-  cgc_pfor(lo, hi, words_per_iter, [&body](std::uint64_t a, std::uint64_t b) {
-    for (std::uint64_t k = a; k < b; ++k) body(k);
-  });
-}
-
-void NativeExecutor::sb_parallel(std::vector<SbTask> tasks) {
-  if (tasks.empty()) return;
+void NativeExecutor::sb_parallel(std::initializer_list<SbTask> tasks) {
   if (detail::cancel_pending()) return;
   // Space bound as steal cut-off: small tasks are not worth forking.
-  bool all_small = true;
-  for (const auto& task : tasks) {
-    if (task.space_words > grain_) {
-      all_small = false;
-      break;
-    }
-  }
-  if (all_small || threads() == 1) {
-    for (auto& task : tasks) task.body();
+  const SbTask* first =
+      threads() == 1 ? tasks.end()
+                     : std::find_if(tasks.begin(), tasks.end(),
+                                    [this](const SbTask& task) {
+                                      return task.space_words > grain_;
+                                    });
+  if (first == tasks.end()) {
+    for (const SbTask& task : tasks) task.body();
     return;
   }
   if (sq_) {
     std::vector<std::function<void()>> fns;
     fns.reserve(tasks.size());
-    for (auto& task : tasks) fns.push_back(std::move(task.body));
+    for (const SbTask& task : tasks) fns.emplace_back(task.body);
     sq_->run_all(std::move(fns));
     return;
   }
-  // Fork every above-grain task (LIFO join order); below-grain tasks run on
-  // the forking core -- they are anchored at the private cache and never
-  // made stealable.  Linear recursion keeps each forked Task alive on the
-  // stack until its join; sb_parallel fan-outs are small (quadrant forks).
-  struct SbRun : Task {
-    SbRun(WorkStealingPool& p, std::vector<SbTask>& ts, std::uint64_t g)
-        : Task(&SbRun::invoke), pool(&p), tasks(&ts), grain(g) {}
+  struct SbRoot : Task {
+    SbRoot(WorkStealingPool& p, std::initializer_list<SbTask> ts,
+           std::size_t f, std::uint64_t g)
+        : Task(&SbRoot::invoke), pool(&p), tasks(ts), first(f), grain(g) {}
     static void invoke(Task* t) {
-      auto* r = static_cast<SbRun*>(t);
-      r->run_from(0);
-    }
-    void run_from(std::size_t i) {
-      if (i == tasks->size()) return;
-      // SB anchor point: poisoned trees stop issuing bodies but keep the
-      // fork/join ladder intact (already-forked FnTasks no-op themselves).
-      if (detail::cancel_pending()) return;
-      SbTask& cur = (*tasks)[i];
-      if (cur.space_words > grain) {
-        FnTask forked(&cur.body);
-        pool->fork(&forked);
-        run_from(i + 1);
-        pool->join(&forked);
-      } else {
-        cur.body();
-        run_from(i + 1);
-      }
+      auto* r = static_cast<SbRoot*>(t);
+      sb_fork(*r->pool, r->tasks.begin(), r->tasks.size(), 0, r->first,
+              r->grain);
     }
     WorkStealingPool* pool;
-    std::vector<SbTask>* tasks;
+    std::initializer_list<SbTask> tasks;
+    std::size_t first;
     std::uint64_t grain;
-  } root(*ws_, tasks, grain_);
+  } root(*ws_, tasks, static_cast<std::size_t>(first - tasks.begin()), grain_);
   ws_->run_root(root);
 }
 
-void NativeExecutor::sb_parallel2(std::uint64_t space1,
-                                  const std::function<void()>& f1,
-                                  std::uint64_t space2,
-                                  const std::function<void()>& f2) {
-  if (detail::cancel_pending()) return;
-  if (threads() == 1 || (space1 <= grain_ && space2 <= grain_)) {
-    f1();
-    f2();
-    return;
-  }
-  if (sq_) {
-    std::vector<SbTask> tasks;
-    tasks.push_back(SbTask{space1, f1});
-    tasks.push_back(SbTask{space2, f2});
-    sb_parallel(std::move(tasks));
-    return;
-  }
-  // The recursive fork/join hot path: one stack Task, zero allocations.
-  struct Pair2 : Task {
-    Pair2(WorkStealingPool& p, const std::function<void()>& a,
-          const std::function<void()>& b, bool fork_second)
-        : Task(&Pair2::invoke), pool(&p), fa(&a), fb(&b), fork_b(fork_second) {}
-    static void invoke(Task* t) {
-      auto* r = static_cast<Pair2*>(t);
-      if (detail::cancel_pending()) return;
-      const std::function<void()>& forked = r->fork_b ? *r->fb : *r->fa;
-      const std::function<void()>& inline_fn = r->fork_b ? *r->fa : *r->fb;
-      FnTask child(&forked);
-      r->pool->fork(&child);
-      // Re-check after the fork: kCancelPoison may have landed exactly
-      // there, and skipping the inline half keeps both halves symmetric
-      // under poison (the forked FnTask no-ops on its own).
-      if (!detail::cancel_pending()) inline_fn();
-      r->pool->join(&child);
-    }
-    WorkStealingPool* pool;
-    const std::function<void()>* fa;
-    const std::function<void()>* fb;
-    bool fork_b;
-  // Fork whichever side is above the grain (prefer the second so the first
-  // runs in program order on this core); a below-grain sibling stays local.
-  } root(*ws_, f1, f2, /*fork_second=*/space2 > grain_);
-  ws_->run_root(root);
-}
-
-void NativeExecutor::cgc_sb_pfor(
-    std::uint64_t count, std::uint64_t space_words,
-    const std::function<void(std::uint64_t)>& body) {
+void NativeExecutor::cgc_sb_pfor(std::uint64_t count,
+                                 std::uint64_t space_words,
+                                 util::FnRef<void(std::uint64_t)> body) {
   if (count == 0) return;
   if (detail::cancel_pending()) return;
   // CGC=>SB: `count` equal subtasks of `space_words` each.  Natively the
@@ -943,13 +850,11 @@ void NativeExecutor::cgc_sb_pfor(
     sq_->run_all(std::move(tasks));
     return;
   }
-  const RangeBody range_body = [&body](std::uint64_t a, std::uint64_t b) {
+  const auto batch = [&body](std::uint64_t a, std::uint64_t b) {
     for (std::uint64_t s = a; s < b; ++s) body(s);
   };
-  const RangeSplit split =
-      make_split(count, per_unit, ws_->threads(), /*align=*/1);
-  RangeTask root(*ws_, range_body, 0, count, split);
-  ws_->run_root(root);
+  range_root(*ws_, batch, 0, count,
+             make_split(count, per_unit, ws_->threads(), /*align=*/1));
 }
 
 }  // namespace obliv::sched

@@ -23,6 +23,13 @@
 //     as the measured baseline (bench_wallclock `sched=sharedq` rows).
 //
 // Select with the constructor argument or OBLIV_SCHED=sharedq|steal.
+//
+// Every construct borrows its body as a two-word util::FnRef, and the one
+// SB fork, sb_parallel, takes a braced list of SbTasks whose lambdas live
+// until it returns.  On the work-stealing backend a fork therefore
+// allocates nothing: it runs the first above-grain task on this core,
+// forks each later above-grain one as a stack Task, and runs below-grain
+// tasks inline in order.
 #pragma once
 
 #include <algorithm>
@@ -31,6 +38,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -43,6 +51,7 @@
 #include "sched/cancel.hpp"
 #include "sched/hints.hpp"
 #include "sched/ws_deque.hpp"
+#include "util/fn_ref.hpp"
 #include "util/simd.hpp"
 
 namespace obliv::sched {
@@ -172,9 +181,6 @@ class WorkStealingPool {
   /// Lets layered emitters (obliv::serve) target the calling worker's
   /// single-producer trace ring without widening the tracer API.
   int this_worker_id() const;
-
-  /// Convenience used by tests and sb_parallel: fork-join a task vector.
-  void run_all(std::vector<std::function<void()>> tasks);
 
   /// Attaches an obs::Tracer (nullptr detaches): task spawn / steal /
   /// complete events with the deque depth at each spawn, one ring per
@@ -374,24 +380,24 @@ class NativeExecutor {
 
   void cgc_pfor(std::uint64_t lo, std::uint64_t hi,
                 std::uint64_t words_per_iter,
-                const std::function<void(std::uint64_t, std::uint64_t)>& body);
+                util::FnRef<void(std::uint64_t, std::uint64_t)> body);
 
-  void cgc_pfor_each(std::uint64_t lo, std::uint64_t hi,
-                     std::uint64_t words_per_iter,
-                     const std::function<void(std::uint64_t)>& body);
+  void sb_parallel(std::initializer_list<SbTask> tasks);
 
-  void sb_parallel(std::vector<SbTask> tasks);
+  /// sb_parallel of two tasks.  Kept only because perfbench's fork_join_ns
+  /// times it; algorithm code calls sb_parallel.
+  void sb_parallel2(std::uint64_t space1, util::FnRef<void()> f1,
+                    std::uint64_t space2, util::FnRef<void()> f2) {
+    sb_parallel({{space1, f1}, {space2, f2}});
+  }
 
-  void sb_parallel2(std::uint64_t space1, const std::function<void()>& f1,
-                    std::uint64_t space2, const std::function<void()>& f2);
-
-  void sb_seq(std::uint64_t space_words, const std::function<void()>& body) {
+  void sb_seq(std::uint64_t space_words, util::FnRef<void()> body) {
     if (detail::cancel_pending()) return;
     body();
   }
 
   void cgc_sb_pfor(std::uint64_t count, std::uint64_t space_words,
-                   const std::function<void(std::uint64_t)>& body);
+                   util::FnRef<void(std::uint64_t)> body);
 
   void tick(std::uint64_t) {}
 

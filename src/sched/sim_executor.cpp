@@ -114,7 +114,7 @@ std::uint64_t SimExecutor::capacity_of(std::uint32_t level) const {
 }
 
 RunMetrics SimExecutor::run(std::uint64_t space_words,
-                            const std::function<void()>& body) {
+                            util::FnRef<void()> body) {
   cache_.clear();
   work_ = 0;
   span_ = 0;
@@ -184,8 +184,8 @@ RunMetrics SimExecutor::run(std::uint64_t space_words,
   return m;
 }
 
-Result<RunMetrics> SimExecutor::try_run(
-    std::uint64_t space_words, const std::function<void()>& body) noexcept {
+Result<RunMetrics> SimExecutor::try_run(std::uint64_t space_words,
+                                        util::FnRef<void()> body) noexcept {
   try {
     return run(space_words, body);
   } catch (const Error& e) {
@@ -211,7 +211,7 @@ RunMetrics SimExecutor::metrics() const {
 }
 
 std::uint64_t SimExecutor::run_child(std::uint32_t level, std::uint32_t idx,
-                                     const std::function<void()>& fn,
+                                     util::FnRef<void()> fn,
                                      std::uint64_t span_base) {
   const Ctx saved = ctx_;
   const std::uint64_t saved_span = span_;
@@ -250,7 +250,7 @@ std::uint64_t SimExecutor::run_child(std::uint32_t level, std::uint32_t idx,
 
 void SimExecutor::cgc_pfor(
     std::uint64_t lo, std::uint64_t hi, std::uint64_t words_per_iter,
-    const std::function<void(std::uint64_t, std::uint64_t)>& body) {
+    util::FnRef<void(std::uint64_t, std::uint64_t)> body) {
   if (hi <= lo) return;
   const std::uint64_t t = hi - lo;
   const std::uint32_t P = cores_under_ctx();
@@ -296,39 +296,9 @@ void SimExecutor::cgc_pfor(
   maybe_flush_psim();
 }
 
-void SimExecutor::cgc_pfor_each(
-    std::uint64_t lo, std::uint64_t hi, std::uint64_t words_per_iter,
-    const std::function<void(std::uint64_t)>& body) {
-  cgc_pfor(lo, hi, words_per_iter,
-           [&](std::uint64_t a, std::uint64_t b) {
-             for (std::uint64_t k = a; k < b; ++k) body(k);
-           });
-}
-
-void SimExecutor::sb_parallel(std::vector<SbTask> tasks) {
-  sb_run(
-      tasks.size(), [&](std::size_t k) { return tasks[k].space_words; },
-      [&](std::size_t k) -> const std::function<void()>& {
-        return tasks[k].body;
-      });
-}
-
-void SimExecutor::sb_parallel2(std::uint64_t space1,
-                               const std::function<void()>& f1,
-                               std::uint64_t space2,
-                               const std::function<void()>& f2) {
-  sb_run(
-      2, [&](std::size_t k) { return k == 0 ? space1 : space2; },
-      [&](std::size_t k) -> const std::function<void()>& {
-        return k == 0 ? f1 : f2;
-      });
-}
-
-template <class Space, class Body>
-void SimExecutor::sb_run(std::size_t count, const Space& space,
-                         const Body& body) {
-  if (count == 0) return;
-  trace_hint(Hint::kSb, count, 0);
+void SimExecutor::sb_parallel(std::initializer_list<SbTask> tasks) {
+  if (tasks.size() == 0) return;
+  trace_hint(Hint::kSb, tasks.size(), 0);
   const std::uint32_t parent_level = ctx_.anchor_level;
   const std::uint64_t span_base = span_;
   std::uint64_t max_end = span_base;
@@ -338,8 +308,8 @@ void SimExecutor::sb_run(std::size_t count, const Space& space,
   // constructs push above them and pop back before returning.
   const std::size_t base = sb_ends_.size();
 
-  for (std::size_t k = 0; k < count; ++k) {
-    const std::uint64_t space_words = space(k);
+  for (const SbTask& task : tasks) {
+    const std::uint64_t space_words = task.space_words;
     std::uint32_t lvl, idx;
     obs::AnchorReason reason;
     if (policy_.slice_mode) {
@@ -376,7 +346,7 @@ void SimExecutor::sb_run(std::size_t count, const Space& space,
         slot < sb_ends_.size() ? sb_ends_[slot].second : span_base;
     const std::uint64_t w0 = work_;
     trace_anchor(reason, space_words, lvl, idx);
-    const std::uint64_t end = run_child(lvl, idx, body(k), start);
+    const std::uint64_t end = run_child(lvl, idx, task.body, start);
     if (lvl <= cfg_.cache_levels()) {
       cache_load_[lvl - 1][idx] += work_ - w0;
     }
@@ -394,7 +364,7 @@ void SimExecutor::sb_run(std::size_t count, const Space& space,
 }
 
 void SimExecutor::sb_seq(std::uint64_t space_words,
-                         const std::function<void()>& body) {
+                         util::FnRef<void()> body) {
   std::uint32_t lvl, idx;
   obs::AnchorReason reason;
   const std::uint32_t parent_level = ctx_.anchor_level;
@@ -423,9 +393,8 @@ void SimExecutor::sb_seq(std::uint64_t space_words,
   maybe_flush_psim();
 }
 
-void SimExecutor::cgc_sb_pfor(
-    std::uint64_t count, std::uint64_t space_words,
-    const std::function<void(std::uint64_t)>& body) {
+void SimExecutor::cgc_sb_pfor(std::uint64_t count, std::uint64_t space_words,
+                              util::FnRef<void(std::uint64_t)> body) {
   if (count == 0) return;
   const std::uint32_t k = ctx_.anchor_level;
   trace_hint(Hint::kCgcSb, count, space_words);

@@ -23,7 +23,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <functional>
+#include <initializer_list>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -37,6 +37,7 @@
 #include "obs/trace.hpp"
 #include "sched/hints.hpp"
 #include "sched/metrics.hpp"
+#include "util/fn_ref.hpp"
 
 namespace obliv::sched {
 
@@ -162,7 +163,7 @@ class SimExecutor {
   /// Runs `body` as the root task with the given space bound, anchored at
   /// the smallest cache level that fits it (or at the memory level), and
   /// returns the metrics of the run.  Resets counters first.
-  RunMetrics run(std::uint64_t space_words, const std::function<void()>& body);
+  RunMetrics run(std::uint64_t space_words, util::FnRef<void()> body);
 
   /// Non-throwing counterpart of run(): catches escaping exceptions
   /// (injected allocation faults, workload errors) and returns them as a
@@ -171,7 +172,7 @@ class SimExecutor {
   /// counters are whatever the partial run left; call run()/try_run()
   /// again to reset and re-measure.
   Result<RunMetrics> try_run(std::uint64_t space_words,
-                             const std::function<void()>& body) noexcept;
+                             util::FnRef<void()> body) noexcept;
 
   /// Metrics of the last completed run().
   RunMetrics metrics() const;
@@ -183,12 +184,7 @@ class SimExecutor {
   /// boundaries to B_1 blocks); `body(a, b)` processes iterations [a, b).
   void cgc_pfor(std::uint64_t lo, std::uint64_t hi,
                 std::uint64_t words_per_iter,
-                const std::function<void(std::uint64_t, std::uint64_t)>& body);
-
-  /// Convenience: per-index body.
-  void cgc_pfor_each(std::uint64_t lo, std::uint64_t hi,
-                     std::uint64_t words_per_iter,
-                     const std::function<void(std::uint64_t)>& body);
+                util::FnRef<void(std::uint64_t, std::uint64_t)> body);
 
   // ---- SB (Section III-B) ---------------------------------------------------
 
@@ -196,15 +192,11 @@ class SimExecutor {
   /// the least-loaded cache at the smallest level that fits its space bound
   /// under the current shadow; tasks whose bound exceeds C_{i-1} queue at the
   /// current anchor itself and serialize.
-  void sb_parallel(std::vector<SbTask> tasks);
-
-  /// Two-task convenience (the typical binary fork of I-GEP / SpM-DV).
-  void sb_parallel2(std::uint64_t space1, const std::function<void()>& f1,
-                    std::uint64_t space2, const std::function<void()>& f2);
+  void sb_parallel(std::initializer_list<SbTask> tasks);
 
   /// Runs a single task sequentially but re-anchored per its space bound
   /// (used for the serial recursive calls of I-GEP's function A).
-  void sb_seq(std::uint64_t space_words, const std::function<void()>& body);
+  void sb_seq(std::uint64_t space_words, util::FnRef<void()> body);
 
   // ---- CGC=>SB (Section III-C) ----------------------------------------------
 
@@ -212,7 +204,7 @@ class SimExecutor {
   /// distributed evenly across the level-t caches under the current shadow,
   /// t = max(i, j) per Section III-C.  `body(k)` runs subtask k.
   void cgc_sb_pfor(std::uint64_t count, std::uint64_t space_words,
-                   const std::function<void(std::uint64_t)>& body);
+                   util::FnRef<void(std::uint64_t)> body);
 
   // ---- Introspection (used by tests) ---------------------------------------
 
@@ -304,17 +296,10 @@ class SimExecutor {
   /// Capacity of a level (memory level == +inf).
   std::uint64_t capacity_of(std::uint32_t level) const;
 
-  /// SB fork of `count` tasks: space(k) is task k's space bound and body(k)
-  /// its body (shared by sb_parallel and sb_parallel2, so neither copies a
-  /// task).
-  template <class Space, class Body>
-  void sb_run(std::size_t count, const Space& space, const Body& body);
-
   /// Runs `fn` with context switched to (level, idx) and its first core.
   /// Returns the span consumed by fn (work accumulates globally).
   std::uint64_t run_child(std::uint32_t level, std::uint32_t idx,
-                          const std::function<void()>& fn,
-                          std::uint64_t span_base);
+                          util::FnRef<void()> fn, std::uint64_t span_base);
 
   hm::MachineConfig cfg_;
   SimPolicy policy_;
@@ -346,8 +331,8 @@ class SimExecutor {
     std::vector<std::uint64_t> anchors_per_level;  // index level-1
   } tally_;
   std::uint32_t rr_counter_ = 0;  // round-robin cursor for slice mode
-  // sb_run's (anchor cache key, running end time) entries, a stack shared
-  // by nested SB constructs so a fork allocates nothing once warm.
+  // sb_parallel's (anchor cache key, running end time) entries, a stack
+  // shared by nested SB constructs so a fork allocates nothing once warm.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> sb_ends_;
   // cache_load_[level-1][idx]: accumulated work anchored at that cache,
   // used for the SB "least loaded" rule.

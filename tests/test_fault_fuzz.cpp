@@ -427,7 +427,7 @@ TEST(FaultAllocStorm, ExecutorSetupSurvivesInjectedSpawnFailure) {
     if (r.ok()) {
       fault::ScopedFaultPlan detach(nullptr);
       std::atomic<int> hits{0};
-      r.value().cgc_pfor_each(0, 64, 1, [&](std::uint64_t) {
+      sched::cgc_pfor_each(r.value(), 0, 64, 1, [&](std::uint64_t) {
         hits.fetch_add(1, std::memory_order_relaxed);
       });
       EXPECT_EQ(hits.load(), 64);

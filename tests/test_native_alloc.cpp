@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "algo/fft.hpp"
+#include "algo/gep.hpp"
 #include "algo/graphgen.hpp"
 #include "algo/listrank.hpp"
 #include "algo/scan.hpp"
@@ -176,6 +177,53 @@ TEST(NativeLeaf, SortAllocations) {
   EXPECT_LE(allocs, 16u);
   EXPECT_LE(bytes / 8.0, 3.25 * n) << "words";
   EXPECT_EQ(keys, want);
+}
+
+TEST(NativeLeaf, ForksAllocateNothing) {
+  // Every SB fork above the leaf borrows its bodies: a task vector per
+  // fork round, or a std::function per body capture over 16 bytes, would
+  // show up here as thousands of allocations.
+  constexpr std::uint64_t n = 256;
+  using Mat = sched::MatView<sched::NatRef<double>>;
+  auto full = [](std::vector<double>& v) {
+    return Mat::full(sched::NatRef<double>(v.data(), v.size()), n, n);
+  };
+  sched::NativeExecutor ex(1);
+  std::vector<double> a(n * n, 1.0), b(n * n, 1.0), c(n * n, 0.0);
+  std::vector<double> fw(n * n);
+  util::Xoshiro256 g(5);
+  for (auto& w : fw) w = static_cast<double>(1 + g() % 100);
+  std::vector<double> fw_want = fw;
+  algo::gep_reference<algo::FloydWarshallInstance>(fw_want, n);
+  std::vector<double> t(n * n), t_out(n * n);
+  for (std::uint64_t i = 0; i < n * n; ++i) t[i] = static_cast<double>(i);
+  std::uint64_t matmul, gep, transpose;
+  {
+    AllocCounter count;
+    algo::mo_matmul(ex, full(c), full(a), full(b));
+    matmul = count.count();
+  }
+  {
+    AllocCounter count;
+    algo::igep<algo::FloydWarshallInstance>(ex, full(fw));
+    gep = count.count();
+  }
+  {
+    AllocCounter count;
+    algo::recursive_transpose(ex, sched::NatRef<double>(t.data(), n * n),
+                              sched::NatRef<double>(t_out.data(), n * n), n);
+    transpose = count.count();
+  }
+  EXPECT_EQ(matmul, 0u);
+  EXPECT_EQ(gep, 0u);
+  EXPECT_EQ(transpose, 0u);
+  EXPECT_EQ(c, std::vector<double>(n * n, static_cast<double>(n)));
+  EXPECT_EQ(fw, fw_want);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    for (std::uint64_t j = 0; j < n; ++j) {
+      ASSERT_EQ(t_out[j * n + i], t[i * n + j]) << i << "," << j;
+    }
+  }
 }
 
 }  // namespace

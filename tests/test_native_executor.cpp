@@ -82,51 +82,44 @@ TEST(WsDeque, EveryElementTakenExactlyOnceUnderConcurrentSteals) {
 // WorkStealingPool
 // ---------------------------------------------------------------------------
 
+// Fork shapes on the work-stealing backend, driven through the executor:
+// grain 1, so every subtask of a cgc_sb_pfor is its own stealable unit.
+
 TEST(WorkStealingPool, RunsAllTasks) {
-  WorkStealingPool pool(4);
+  NativeExecutor ex(4, /*grain=*/1, SchedMode::kWorkSteal);
   std::atomic<int> count{0};
-  std::vector<std::function<void()>> tasks;
-  for (int t = 0; t < 100; ++t) {
-    tasks.push_back([&] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.run_all(std::move(tasks));
+  ex.cgc_sb_pfor(100, /*space=*/1 << 20, [&](std::uint64_t) {
+    count.fetch_add(1, std::memory_order_relaxed);
+  });
   EXPECT_EQ(count.load(), 100);
 }
 
 TEST(WorkStealingPool, NestedParallelismDoesNotDeadlock) {
-  WorkStealingPool pool(2);  // fewer threads than nested groups
+  // Fewer threads than nested groups.
+  NativeExecutor ex(2, /*grain=*/1, SchedMode::kWorkSteal);
   std::atomic<int> leaves{0};
-  std::vector<std::function<void()>> outer;
-  for (int t = 0; t < 8; ++t) {
-    outer.push_back([&] {
-      std::vector<std::function<void()>> inner;
-      for (int s = 0; s < 8; ++s) {
-        inner.push_back(
-            [&] { leaves.fetch_add(1, std::memory_order_relaxed); });
-      }
-      pool.run_all(std::move(inner));
+  ex.cgc_sb_pfor(8, 1 << 20, [&](std::uint64_t) {
+    ex.cgc_sb_pfor(8, 1 << 10, [&](std::uint64_t) {
+      leaves.fetch_add(1, std::memory_order_relaxed);
     });
-  }
-  pool.run_all(std::move(outer));
+  });
   EXPECT_EQ(leaves.load(), 64);
 }
 
 TEST(WorkStealingPool, SingleThreadStillWorks) {
-  WorkStealingPool pool(1);
+  NativeExecutor ex(1, /*grain=*/1, SchedMode::kWorkSteal);
   int x = 0;
-  pool.run_all({[&] { x = 1; }, [&] { x += 2; }});
+  ex.sb_parallel({{1 << 20, [&] { x = 1; }}, {1 << 20, [&] { x += 2; }}});
   EXPECT_EQ(x, 3);
 }
 
 TEST(WorkStealingPool, RepeatedRootEntriesReuseSleepingWorkers) {
-  WorkStealingPool pool(4);
+  NativeExecutor ex(4, /*grain=*/1, SchedMode::kWorkSteal);
   for (int round = 0; round < 300; ++round) {
     std::atomic<int> n{0};
-    std::vector<std::function<void()>> tasks;
-    for (int t = 0; t < 16; ++t) {
-      tasks.push_back([&] { n.fetch_add(1, std::memory_order_relaxed); });
-    }
-    pool.run_all(std::move(tasks));
+    ex.cgc_sb_pfor(16, 1 << 20, [&](std::uint64_t) {
+      n.fetch_add(1, std::memory_order_relaxed);
+    });
     ASSERT_EQ(n.load(), 16) << "round " << round;
   }
 }
@@ -186,9 +179,9 @@ TEST_P(NativeExecutorBothSched, SmallTasksRunInline) {
   // identical, no fork.
   NativeExecutor ex(4, /*grain=*/1 << 20, GetParam());
   int order = 0;
-  ex.sb_parallel2(
-      10, [&] { EXPECT_EQ(order++, 0); },  // sequential => ordered
-      10, [&] { EXPECT_EQ(order++, 1); });
+  // Sequential, so ordered.
+  ex.sb_parallel({{10, [&] { EXPECT_EQ(order++, 0); }},
+                  {10, [&] { EXPECT_EQ(order++, 1); }}});
   EXPECT_EQ(order, 2);
 }
 
@@ -251,8 +244,8 @@ TEST_P(NativeExecutorBothSched, DeepRecursiveForkJoin) {
           return;
         }
         const std::uint64_t mid = (lo + hi) / 2;
-        ex.sb_parallel2((hi - lo) * 8, [&] { rec(lo, mid); },
-                        (hi - lo) * 8, [&] { rec(mid, hi); });
+        ex.sb_parallel({{(hi - lo) * 8, [&] { rec(lo, mid); }},
+                        {(hi - lo) * 8, [&] { rec(mid, hi); }}});
       };
   rec(1, 1025);
   EXPECT_EQ(sum.load(), 1024u * 1025 / 2);
@@ -262,12 +255,10 @@ TEST_P(NativeExecutorBothSched, StressRepeatedParallelSections) {
   NativeExecutor ex(4, 1, GetParam());
   for (int round = 0; round < 200; ++round) {
     std::atomic<int> n{0};
-    std::vector<SbTask> tasks;
-    for (int t = 0; t < 8; ++t) {
-      tasks.push_back(SbTask{
-          1 << 12, [&] { n.fetch_add(1, std::memory_order_relaxed); }});
-    }
-    ex.sb_parallel(std::move(tasks));
+    const auto bump = [&] { n.fetch_add(1, std::memory_order_relaxed); };
+    ex.sb_parallel({{1 << 12, bump}, {1 << 12, bump}, {1 << 12, bump},
+                    {1 << 12, bump}, {1 << 12, bump}, {1 << 12, bump},
+                    {1 << 12, bump}, {1 << 12, bump}});
     ASSERT_EQ(n.load(), 8) << "round " << round;
   }
 }
@@ -277,16 +268,10 @@ TEST(NativeExecutor, MixedSpaceBoundsKeepSmallTasksLocal) {
   // exactly once each.
   NativeExecutor ex(4, /*grain=*/1 << 10, SchedMode::kWorkSteal);
   std::atomic<int> big{0}, small{0};
-  std::vector<SbTask> tasks;
-  tasks.push_back(
-      SbTask{1 << 20, [&] { big.fetch_add(1, std::memory_order_relaxed); }});
-  for (int i = 0; i < 6; ++i) {
-    tasks.push_back(
-        SbTask{8, [&] { small.fetch_add(1, std::memory_order_relaxed); }});
-  }
-  tasks.push_back(
-      SbTask{1 << 20, [&] { big.fetch_add(1, std::memory_order_relaxed); }});
-  ex.sb_parallel(std::move(tasks));
+  const auto b = [&] { big.fetch_add(1, std::memory_order_relaxed); };
+  const auto s = [&] { small.fetch_add(1, std::memory_order_relaxed); };
+  ex.sb_parallel({{1 << 20, b}, {8, s}, {8, s}, {8, s}, {8, s}, {8, s},
+                  {8, s}, {1 << 20, b}});
   EXPECT_EQ(big.load(), 2);
   EXPECT_EQ(small.load(), 6);
 }

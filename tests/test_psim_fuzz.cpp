@@ -184,10 +184,12 @@ void random_constructs(sched::SimExecutor& ex, sched::SimRef<std::uint64_t> v,
       });
       break;
     case 1:
-      ex.sb_parallel2(
-          n / 2, [&] { random_constructs(ex, v.slice(0, n / 2), plan, depth + 1); },
-          n - n / 2,
-          [&] { random_constructs(ex, v.slice(n / 2, n - n / 2), plan, depth + 1); });
+      ex.sb_parallel(
+          {{n / 2,
+            [&] { random_constructs(ex, v.slice(0, n / 2), plan, depth + 1); }},
+           {n - n / 2, [&] {
+              random_constructs(ex, v.slice(n / 2, n - n / 2), plan, depth + 1);
+            }}});
       break;
     case 2:
       ex.sb_seq(n, [&] { random_constructs(ex, v, plan, depth + 1); });

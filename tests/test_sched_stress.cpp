@@ -46,8 +46,8 @@ void nested_storm(sched::NativeExecutor& ex, std::uint64_t lo,
   }
   const std::uint64_t mid = lo + (hi - lo) / 2;
   const std::uint64_t space = (hi - lo) * 8;
-  ex.sb_parallel2(space, [&] { nested_storm(ex, lo, mid, hits); },
-                  space, [&] { nested_storm(ex, mid, hi, hits); });
+  ex.sb_parallel({{space, [&] { nested_storm(ex, lo, mid, hits); }},
+                  {space, [&] { nested_storm(ex, mid, hi, hits); }}});
 }
 
 TEST(SchedStress, DeepNestingWithConcurrentPforsFromSiblings) {
@@ -67,17 +67,15 @@ TEST(SchedStress, RepeatedMixedNestingDoesNotStarve) {
   sched::NativeExecutor ex(4, /*grain=*/8);
   for (int round = 0; round < 50; ++round) {
     std::atomic<std::uint64_t> sum{0};
-    std::vector<sched::SbTask> tasks;
-    for (int t = 0; t < 6; ++t) {
-      tasks.push_back(sched::SbTask{1 << 16, [&] {
-        ex.cgc_pfor(0, 2048, 1, [&](std::uint64_t a, std::uint64_t b) {
-          std::uint64_t local = 0;
-          for (std::uint64_t k = a; k < b; ++k) local += k;
-          sum.fetch_add(local, std::memory_order_relaxed);
-        });
-      }});
-    }
-    ex.sb_parallel(std::move(tasks));
+    const auto body = [&] {
+      ex.cgc_pfor(0, 2048, 1, [&](std::uint64_t a, std::uint64_t b) {
+        std::uint64_t local = 0;
+        for (std::uint64_t k = a; k < b; ++k) local += k;
+        sum.fetch_add(local, std::memory_order_relaxed);
+      });
+    };
+    ex.sb_parallel({{1 << 16, body}, {1 << 16, body}, {1 << 16, body},
+                    {1 << 16, body}, {1 << 16, body}, {1 << 16, body}});
     ASSERT_EQ(sum.load(), 6ull * (2048ull * 2047 / 2)) << "round " << round;
   }
 }

@@ -13,8 +13,8 @@ TEST(SimExecutor, CgcPforCoversRangeExactlyOnce) {
   SimExecutor ex(hm::MachineConfig::shared_l2(4));
   std::vector<int> hits(1000, 0);
   ex.run(1000, [&] {
-    ex.cgc_pfor_each(0, hits.size(), 1,
-                     [&](std::uint64_t k) { hits[k]++; });
+    sched::cgc_pfor_each(ex, 0, hits.size(), 1,
+                         [&](std::uint64_t k) { hits[k]++; });
   });
   for (int h : hits) EXPECT_EQ(h, 1);
 }
@@ -23,7 +23,7 @@ TEST(SimExecutor, CgcPforSpreadsAcrossCores) {
   SimExecutor ex(hm::MachineConfig::shared_l2(4));
   std::vector<std::uint32_t> core_of(4096, 0);
   ex.run(1u << 20, [&] {  // root anchored above L1 so all cores are used
-    ex.cgc_pfor_each(0, core_of.size(), 1, [&](std::uint64_t k) {
+    sched::cgc_pfor_each(ex, 0, core_of.size(), 1, [&](std::uint64_t k) {
       core_of[k] = ex.current_core();
     });
   });
@@ -47,7 +47,7 @@ TEST(SimExecutor, CgcSegmentsRespectB1) {
   SimExecutor ex(cfg);
   std::vector<std::uint32_t> core_of(16, 0);
   ex.run(1u << 20, [&] {
-    ex.cgc_pfor_each(0, 16, 1, [&](std::uint64_t k) {
+    sched::cgc_pfor_each(ex, 0, 16, 1, [&](std::uint64_t k) {
       core_of[k] = ex.current_core();
     });
   });
@@ -64,7 +64,7 @@ TEST(SimExecutor, WorkSpanOfBalancedPfor) {
   SimExecutor ex(hm::MachineConfig::shared_l2(p));
   const std::uint64_t n = 1 << 14;
   RunMetrics m = ex.run(1ull << 40, [&] {
-    ex.cgc_pfor_each(0, n, 1, [&](std::uint64_t) { ex.tick(1); });
+    sched::cgc_pfor_each(ex, 0, n, 1, [&](std::uint64_t) { ex.tick(1); });
   });
   EXPECT_EQ(m.work, n);
   // Perfectly balanced: span == n / p.
@@ -76,13 +76,11 @@ TEST(SimExecutor, SbParallelRunsDisjointTasksInParallel) {
   SimExecutor ex(hm::MachineConfig::shared_l2(p));
   const std::uint64_t c1 = ex.config().capacity(1);
   RunMetrics m = ex.run(1ull << 40, [&] {
-    std::vector<SbTask> tasks;
-    for (std::uint32_t t = 0; t < p; ++t) {
-      tasks.push_back(SbTask{c1 / 2, [&] {
-                               for (int i = 0; i < 1000; ++i) ex.tick(1);
-                             }});
-    }
-    ex.sb_parallel(std::move(tasks));
+    const auto body = [&] {
+      for (int i = 0; i < 1000; ++i) ex.tick(1);
+    };
+    ex.sb_parallel(
+        {{c1 / 2, body}, {c1 / 2, body}, {c1 / 2, body}, {c1 / 2, body}});
   });
   EXPECT_EQ(m.work, 4000u);
   EXPECT_EQ(m.span, 1000u);  // four L1-sized tasks on four distinct cores
@@ -93,13 +91,10 @@ TEST(SimExecutor, SbTasksTooBigForLowerLevelSerialize) {
   SimExecutor ex(hm::MachineConfig::shared_l2(p));
   const std::uint64_t c2 = ex.config().capacity(2);
   RunMetrics m = ex.run(1ull << 40, [&] {
-    std::vector<SbTask> tasks;
-    for (int t = 0; t < 2; ++t) {
-      tasks.push_back(SbTask{c2, [&] {
-                               for (int i = 0; i < 100; ++i) ex.tick(1);
-                             }});
-    }
-    ex.sb_parallel(std::move(tasks));
+    const auto body = [&] {
+      for (int i = 0; i < 100; ++i) ex.tick(1);
+    };
+    ex.sb_parallel({{c2, body}, {c2, body}});
   });
   // Both tasks exceed C_1; with the root anchored at memory and both too
   // large for... actually they fit L2, so they go to the single L2 and
@@ -164,7 +159,7 @@ TEST(SimExecutor, NestedAnchoringNarrowsShadow) {
     ex.cgc_sb_pfor(4, cfg.capacity(2) / 2, [&](std::uint64_t s) {
       // Each subtask anchored at one L2; a nested pfor spreads over the 4
       // cores under it.
-      ex.cgc_pfor_each(0, 64, 64, [&](std::uint64_t) {
+      sched::cgc_pfor_each(ex, 0, 64, 64, [&](std::uint64_t) {
         cores_seen.push_back(ex.current_core() / 4);  // L2 index of core
       });
       (void)s;
@@ -213,9 +208,9 @@ TEST(SimExecutor, DeterministicAcrossRuns) {
     auto buf = ex.make_buf<double>(n);
     return ex.run(3 * n, [&] {
       auto v = buf.ref();
-      ex.cgc_pfor_each(0, n, 1,
-                       [&](std::uint64_t k) { v.store(k, double(k)); });
-      ex.cgc_pfor_each(0, n, 1, [&](std::uint64_t k) { v.load(k); });
+      sched::cgc_pfor_each(ex, 0, n, 1,
+                           [&](std::uint64_t k) { v.store(k, double(k)); });
+      sched::cgc_pfor_each(ex, 0, n, 1, [&](std::uint64_t k) { v.load(k); });
     });
   };
   const RunMetrics a = run_once();
@@ -237,8 +232,8 @@ TEST(SimExecutor, BlockAlignedCgcAvoidsPingPong) {
     auto buf = ex.make_buf<double>(n);
     RunMetrics m = ex.run(3 * n, [&] {
       auto v = buf.ref();
-      ex.cgc_pfor_each(0, n, 1,
-                       [&](std::uint64_t k) { v.store(k, 1.0); });
+      sched::cgc_pfor_each(ex, 0, n, 1,
+                           [&](std::uint64_t k) { v.store(k, 1.0); });
     });
     return m.pingpong;
   };

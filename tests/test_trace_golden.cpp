@@ -25,7 +25,7 @@ namespace {
 
 /// One fixed traced workload on shared_l2(4): an SPMS sort (CGC + CGC=>SB
 /// dispatch, cache misses) followed by a recursive transposition (plain SB
-/// dispatch via sb_parallel2), both recorded into the same tracer.
+/// dispatch via sb_parallel), both recorded into the same tracer.
 std::string traced_workload_json(obs::Tracer& tracer) {
   const hm::MachineConfig cfg = hm::MachineConfig::shared_l2(4);
   sched::SimExecutor ex(cfg);

@@ -10,8 +10,9 @@
 // deque-level churn, deep nested sb_parallel with concurrent cgc_pfor from
 // sibling tasks, repeated root entries against sleeping workers, teardown
 // under error (spawn failures injected mid-construction; destruction with
-// workers asleep), the chaos scheduler racing a live fault plan, and the
-// native SpM-DV and SPMS sort leaves on a 4-worker pool.
+// workers asleep), the chaos scheduler racing a live fault plan, nested
+// SB fork lists under wake-drop and pop-order plans, and the native
+// SpM-DV and SPMS sort leaves on a 4-worker pool.
 //
 // The same file also builds as `obliv_sched_asan` (-fsanitize=address with
 // leak detection: the teardown scenarios' "no thread / worker-state leak"
@@ -102,8 +103,8 @@ void nested_storm(obliv::sched::NativeExecutor& ex, std::uint64_t lo,
   }
   const std::uint64_t mid = lo + (hi - lo) / 2;
   const std::uint64_t space = (hi - lo) * 8;
-  ex.sb_parallel2(space, [&] { nested_storm(ex, lo, mid, hits); },
-                  space, [&] { nested_storm(ex, mid, hi, hits); });
+  ex.sb_parallel({{space, [&] { nested_storm(ex, lo, mid, hits); }},
+                  {space, [&] { nested_storm(ex, mid, hi, hits); }}});
 }
 
 void executor_storm() {
@@ -142,7 +143,7 @@ void destroy_while_sleeping() {
                                     obliv::sched::SchedMode::kWorkSteal);
     if (round % 2 == 0) {
       std::atomic<int> cnt{0};
-      ex.cgc_pfor_each(0, 16, 1, [&](std::uint64_t) {
+      obliv::sched::cgc_pfor_each(ex, 0, 16, 1, [&](std::uint64_t) {
         cnt.fetch_add(1, std::memory_order_relaxed);
       });
       check(cnt.load() == 16, "destroy_while_sleeping: root completed");
@@ -169,7 +170,7 @@ void failed_setup_teardown() {
       ++built;
       obliv::fault::ScopedFaultPlan detach(nullptr);
       std::atomic<int> cnt{0};
-      ex.cgc_pfor_each(0, 32, 1, [&](std::uint64_t) {
+      obliv::sched::cgc_pfor_each(ex, 0, 32, 1, [&](std::uint64_t) {
         cnt.fetch_add(1, std::memory_order_relaxed);
       });
       check(cnt.load() == 32, "failed_setup_teardown: surviving pool works");
@@ -199,6 +200,76 @@ void chaos_storm() {
   for (auto& h : hits) once = once && h.load() == 1;
   check(once, "chaos_storm: every index hit exactly once under chaos");
   check(plan.decisions() > 0, "chaos_storm: plan was consulted");
+}
+
+// One level of nested SB forks over [lo, hi): a braced list of 2, 4 or 8
+// lambda temporaries (by depth), with space bounds mixing above- and
+// below-grain tasks, so each list runs its first above-grain task inline,
+// forks the later ones and runs the small ones on the forking core.  A
+// thief runs a forked task through an FnRef into this frame's lambdas:
+// ASan's use-after-scope and TSan check that every one is joined before
+// the frame returns.
+void fork_lists(obliv::sched::NativeExecutor& ex, std::uint64_t lo,
+                std::uint64_t hi, int depth,
+                std::vector<std::atomic<int>>& hits) {
+  if (depth == 0 || hi - lo < 8) {
+    for (std::uint64_t k = lo; k < hi; ++k) {
+      hits[k].fetch_add(1, std::memory_order_relaxed);
+    }
+    return;
+  }
+  constexpr std::uint64_t big = 1 << 20, small = 8;  // grain is 64
+  const auto part = [&](std::uint64_t i, std::uint64_t parts) {
+    const std::uint64_t len = hi - lo;
+    fork_lists(ex, lo + len * i / parts, lo + len * (i + 1) / parts,
+               depth - 1, hits);
+  };
+  switch (depth % 3) {
+    case 0:
+      ex.sb_parallel({{small, [&] { part(0, 2); }},
+                      {big, [&] { part(1, 2); }}});
+      break;
+    case 1:
+      ex.sb_parallel({{big, [&] { part(0, 4); }},
+                      {small, [&] { part(1, 4); }},
+                      {big, [&] { part(2, 4); }},
+                      {big, [&] { part(3, 4); }}});
+      break;
+    default:
+      ex.sb_parallel({{small, [&] { part(0, 8); }},
+                      {big, [&] { part(1, 8); }},
+                      {big, [&] { part(2, 8); }},
+                      {small, [&] { part(3, 8); }},
+                      {big, [&] { part(4, 8); }},
+                      {small, [&] { part(5, 8); }},
+                      {small, [&] { part(6, 8); }},
+                      {big, [&] { part(7, 8); }}});
+      break;
+  }
+}
+
+// fork_lists on 4 workers under a plan that drops fork wake-ups and one
+// that inverts the pop-vs-steal order.
+void fork_list_storm() {
+  using obliv::fault::InjectSite;
+  for (InjectSite site : {InjectSite::kWakeDrop, InjectSite::kPopOrder}) {
+    obliv::sched::NativeExecutor ex(4, /*grain=*/64,
+                                    obliv::sched::SchedMode::kWorkSteal);
+    obliv::fault::FaultOptions opts;
+    opts.p[static_cast<std::size_t>(site)] = 32768;  // 50%
+    obliv::fault::FaultPlan plan(7, opts);
+    ex.set_fault_plan(&plan);
+    const std::uint64_t n = 1 << 13;
+    std::vector<std::atomic<int>> hits(n);
+    for (auto& h : hits) h.store(0);
+    for (int depth = 5; depth <= 6; ++depth) fork_lists(ex, 0, n, depth, hits);
+    ex.set_fault_plan(nullptr);
+    bool twice = true;
+    for (auto& h : hits) twice = twice && h.load() == 2;
+    check(twice, "fork_list_storm: every index hit once per tree");
+    check(!obliv::fault::kFaultsCompiledIn || plan.decisions() > 0,
+          "fork_list_storm: plan was consulted");
+  }
 }
 
 // Execute every SIMD kernel (vector and scalar paths) over exact-size
@@ -401,6 +472,7 @@ int main() {
   destroy_while_sleeping();
   failed_setup_teardown();
   chaos_storm();
+  fork_list_storm();
   simd_kernel_sweep();
   native_leaf_sweep();
   if (failures == 0) std::printf("obliv_sched_tsan: all scenarios passed\n");
