@@ -8,16 +8,26 @@
 // the contracted list down to constant size, and extends ranks back to S.
 //
 // All inter-node communication ("what is my successor's color / rank?") is
-// done with O(1) sorts and scans per step -- the mo_pull primitive below --
-// scheduled CGC=>SB (inside SPMS) and CGC, exactly as the paper prescribes.
-// On the model path (SimRef, NoRef, and NatRef under simd::Mode::kGeneric)
+// done with O(1) sorts and scans per step -- the pulls below -- scheduled
+// CGC=>SB (inside SPMS) and CGC, exactly as the paper prescribes.  On the
+// model path (SimRef, NoRef, and NatRef under simd::Mode::kGeneric)
 // pointer-chasing random access therefore never happens outside the
 // constant-size base case.
 //
+// Routing plans: pulls through one target array share its plan, the
+// 2-word records (target[v], v) sorted once.  A pull scans the plan,
+// reading field[target[v]] in sorted target order (a near-sequential
+// sweep), and routes the values home with one SPMS sort by v: 2-word
+// records for one field, 4-word records for three.  mo_pull and mo_pull3
+// therefore make two sorts (plan and route).  lr_rec keeps one plan for
+// succ and one for pred per contraction level, and its first coin-flipping
+// round is a copy, so a level with the default three rounds sorts 30 words
+// per node.
+//
 // Native pull (DESIGN.md §5f): the routing exists to meet Theorem 7's
 // cache bound on the model, where misses are what is counted.  A pull's
-// output is fully defined by its inputs, so on direct-memory refs mo_pull
-// and mo_pull3 are one CGC gather, out[v] = field[target[v]], with no
+// output is fully defined by its inputs, so on direct-memory refs every
+// pull is one CGC gather, out[v] = field[target[v]], with no plan, no
 // record buffer and no sort; the results are bit-identical.
 //
 // Substitution note (DESIGN.md): Figure 6 iterates over the O(log log n)
@@ -33,9 +43,8 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <initializer_list>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "algo/scan.hpp"
 #include "algo/sort.hpp"
@@ -49,16 +58,6 @@ namespace obliv::algo {
 inline constexpr std::uint64_t kNil = ~0ull;
 
 namespace detail {
-
-/// Sort-based communication record: carries the value being routed.
-struct PullRec {
-  std::uint64_t key;
-  std::uint64_t src;
-  std::uint64_t val;
-  bool operator<(const PullRec& o) const {
-    return key != o.key ? key < o.key : src < o.src;
-  }
-};
 
 /// True if the element ranges of `a` and `b` share an address.
 template <class Ref>
@@ -74,21 +73,22 @@ bool overlaps(const Ref& a, const Ref& b) {
 /// and two outputs are either the same array or disjoint (a pull writes
 /// its outputs in argument order, so on the same array the last one
 /// wins).  Throws obliv::Error(kInvalidArgument) otherwise.
-template <class RefU64>
+template <class RefU64, std::size_t K>
 void check_pull(const char* who, const RefU64& target,
-                std::initializer_list<RefU64> fields,
-                std::initializer_list<RefU64> outs) {
+                const RefU64 (&fields)[K], const RefU64 (&outs)[K]) {
   auto fail = [who](const char* what) {
     throw Error(ErrorCode::kInvalidArgument, std::string(who) + ": " + what);
   };
-  for (const RefU64* o = outs.begin(); o != outs.end(); ++o) {
-    if (o->size() < target.size()) fail("an output is shorter than target");
-    if (overlaps(*o, target)) fail("an output overlaps target");
-    for (const RefU64& f : fields) {
-      if (overlaps(*o, f)) fail("an output overlaps a field");
+  for (std::size_t o = 0; o < K; ++o) {
+    if (outs[o].size() < target.size()) {
+      fail("an output is shorter than target");
     }
-    for (const RefU64* p = outs.begin(); p != o; ++p) {
-      if (p->raw() != o->raw() && overlaps(*o, *p)) {
+    if (overlaps(outs[o], target)) fail("an output overlaps target");
+    for (const RefU64& f : fields) {
+      if (overlaps(outs[o], f)) fail("an output overlaps a field");
+    }
+    for (std::size_t p = 0; p < o; ++p) {
+      if (outs[p].raw() != outs[o].raw() && overlaps(outs[o], outs[p])) {
         fail("two outputs overlap without being the same array");
       }
     }
@@ -117,118 +117,116 @@ void pull_gather(Exec& ex, std::uint64_t n, const Gather<K>& g) {
   });
 }
 
+/// Routing record: a key and K words that travel with it, ordered by the
+/// key, then by the words.  A plan record is (target[v], {v}); a pull
+/// record is (v, field values).  Either way the order is unique.
+template <std::size_t K>
+struct RouteRec {
+  std::uint64_t key;
+  std::uint64_t val[K];
+  bool operator<(const RouteRec& o) const {
+    if (key != o.key) return key < o.key;
+    for (std::size_t k = 0; k < K; ++k) {
+      if (val[k] != o.val[k]) return val[k] < o.val[k];
+    }
+    return false;
+  }
+};
+
+/// Pulls through one target array: out_k[v] = field_k[target[v]], or
+/// dflt_k where target[v] == kNil (see the file comment).  The plan is
+/// built by the first pull that needs one and serves every later pull, so
+/// `target` must not change while the router is in use.  On direct-memory
+/// refs with kernels each pull is one gather and there is no plan.
+template <class Exec, class RefU64>
+class PullRouter {
+ public:
+  PullRouter(Exec& ex, RefU64 target) : ex_(ex), target_(target) {}
+
+  /// K = 1 is mo_pull, K = 3 is mo_pull3: the same precondition, checked
+  /// on every call before any work; outputs that are the same array keep
+  /// the later value.
+  template <std::size_t K>
+  void pull(const RefU64 (&fields)[K], const RefU64 (&outs)[K],
+            const std::uint64_t (&dflt)[K]) {
+    check_pull(K == 1 ? "mo_pull" : "mo_pull3", target_, fields, outs);
+    const std::uint64_t n = target_.size();
+    if (n == 0) return;
+    if constexpr (sched::is_direct_ref_v<RefU64>) {
+      if (simd::use_kernels()) {
+        Gather<K> g{target_.raw(), {}, {}, {}};
+        for (std::size_t k = 0; k < K; ++k) {
+          g.field[k] = fields[k].raw();
+          g.out[k] = outs[k].raw();
+          g.dflt[k] = dflt[k];
+        }
+        pull_gather<K>(ex_, n, g);
+        return;
+      }
+    }
+    if (plan_buf_.size() != n) build_plan(n);
+    auto plan = plan_buf_.ref();
+    auto recs_buf = ex_.template make_buf<RouteRec<K>>(n);
+    auto recs = recs_buf.ref();
+    sched::cgc_pfor_each(ex_, 0, n, K + 1, [&](std::uint64_t r) {
+      const RouteRec<1> p = plan.load(r);
+      RouteRec<K> rec{p.val[0], {}};
+      for (std::size_t k = 0; k < K; ++k) {
+        rec.val[k] = p.key == kNil ? dflt[k] : fields[k].load(p.key);
+      }
+      recs.store(r, rec);
+    });
+    spms_sort(ex_, recs);
+    sched::cgc_pfor_each(ex_, 0, n, K + 1, [&](std::uint64_t v) {
+      const RouteRec<K> rec = recs.load(v);
+      assert(rec.key == v && "every value must be routed home");
+      for (std::size_t k = 0; k < K; ++k) outs[k].store(v, rec.val[k]);
+    });
+  }
+
+ private:
+  void build_plan(std::uint64_t n) {
+    plan_buf_ = ex_.template make_buf<RouteRec<1>>(n);
+    auto plan = plan_buf_.ref();
+    sched::cgc_pfor_each(ex_, 0, n, 2, [&](std::uint64_t v) {
+      plan.store(v, RouteRec<1>{target_.load(v), {v}});
+    });
+    spms_sort(ex_, plan);
+  }
+
+  Exec& ex_;
+  RefU64 target_;
+  decltype(std::declval<Exec&>().template make_buf<RouteRec<1>>(0)) plan_buf_;
+};
+
 }  // namespace detail
 
 /// out[v] = field[target[v]] for every v with target[v] != kNil, else
 /// out[v] = dflt.  `out` holds at least target.size() elements and
 /// overlaps neither `target` nor `field` (`field` may be `target`);
 /// otherwise obliv::Error(kInvalidArgument) is thrown before any write.
-/// Implemented with two SPMS sorts and three CGC scans (the "O(1) sorts
-/// and scans" pattern of Section VI); field reads happen in sorted key
-/// order, so they form a near-sequential sweep.  On direct-memory refs it
-/// is one CGC gather instead (see the file comment).
+/// Implemented with two SPMS sorts of 2-word records (the plan and the
+/// route home) and three CGC scans -- the "O(1) sorts and scans" pattern
+/// of Section VI; field reads happen in sorted key order, so they form a
+/// near-sequential sweep.  On direct-memory refs it is one CGC gather
+/// instead (see the file comment).
 template <class Exec, class RefU64>
 void mo_pull(Exec& ex, RefU64 target, RefU64 field, RefU64 out,
              std::uint64_t dflt) {
-  using detail::PullRec;
-  detail::check_pull("mo_pull", target, {field}, {out});
-  const std::uint64_t n = target.size();
-  if (n == 0) return;
-  if constexpr (sched::is_direct_ref_v<RefU64>) {
-    if (simd::use_kernels()) {
-      detail::pull_gather<1>(
-          ex, n, {target.raw(), {field.raw()}, {out.raw()}, {dflt}});
-      return;
-    }
-  }
-  auto recs_buf = ex.template make_buf<PullRec>(n);
-  auto recs = recs_buf.ref();
-  sched::cgc_pfor_each(ex, 0, n, 3, [&](std::uint64_t v) {
-    recs.store(v, PullRec{target.load(v), v, 0});
-  });
-  spms_sort(ex, recs);
-  sched::cgc_pfor_each(ex, 0, n, 3, [&](std::uint64_t r) {
-    PullRec rec = recs.load(r);
-    rec.val = rec.key == kNil ? dflt : field.load(rec.key);
-    // Re-key by source so the second sort routes the value home.
-    rec.key = rec.src;
-    recs.store(r, rec);
-  });
-  spms_sort(ex, recs);
-  sched::cgc_pfor_each(ex, 0, n, 3, [&](std::uint64_t r) {
-    const PullRec rec = recs.load(r);
-    assert(rec.key == r);
-    out.store(r, rec.val);
-  });
+  detail::PullRouter(ex, target).pull({field}, {out}, {dflt});
 }
 
-namespace detail {
-
-/// Three-field routing record: one sort round-trip delivers three pulled
-/// fields at once (used by the contraction step, where the same target
-/// array serves several pulls -- a constant-factor saving over three
-/// separate mo_pull calls).
-struct PullRec3 {
-  std::uint64_t key;
-  std::uint64_t src;
-  std::uint64_t val[3];
-  bool operator<(const PullRec3& o) const {
-    return key != o.key ? key < o.key : src < o.src;
-  }
-};
-
-}  // namespace detail
-
 /// Batched pull: out_k[v] = field_k[target[v]] for k = 0, 1, 2 (dflt_k when
-/// target[v] == kNil).  Two SPMS sorts total, like mo_pull, and the same
-/// precondition (checked the same way); two outputs may also be the same
-/// array, in which case the later one's value is stored.
+/// target[v] == kNil).  Two SPMS sorts, like mo_pull, the second of 4-word
+/// records, and the same precondition (checked the same way); two outputs
+/// may also be the same array, in which case the later one's value is
+/// stored.
 template <class Exec, class RefU64>
 void mo_pull3(Exec& ex, RefU64 target, RefU64 f0, RefU64 f1, RefU64 f2,
               RefU64 o0, RefU64 o1, RefU64 o2, std::uint64_t d0,
               std::uint64_t d1, std::uint64_t d2) {
-  using detail::PullRec3;
-  detail::check_pull("mo_pull3", target, {f0, f1, f2}, {o0, o1, o2});
-  const std::uint64_t n = target.size();
-  if (n == 0) return;
-  if constexpr (sched::is_direct_ref_v<RefU64>) {
-    if (simd::use_kernels()) {
-      detail::pull_gather<3>(ex, n,
-                             {target.raw(),
-                              {f0.raw(), f1.raw(), f2.raw()},
-                              {o0.raw(), o1.raw(), o2.raw()},
-                              {d0, d1, d2}});
-      return;
-    }
-  }
-  auto recs_buf = ex.template make_buf<PullRec3>(n);
-  auto recs = recs_buf.ref();
-  sched::cgc_pfor_each(ex, 0, n, 5, [&](std::uint64_t v) {
-    recs.store(v, PullRec3{target.load(v), v, {0, 0, 0}});
-  });
-  spms_sort(ex, recs);
-  sched::cgc_pfor_each(ex, 0, n, 5, [&](std::uint64_t r) {
-    PullRec3 rec = recs.load(r);
-    if (rec.key == kNil) {
-      rec.val[0] = d0;
-      rec.val[1] = d1;
-      rec.val[2] = d2;
-    } else {
-      rec.val[0] = f0.load(rec.key);
-      rec.val[1] = f1.load(rec.key);
-      rec.val[2] = f2.load(rec.key);
-    }
-    rec.key = rec.src;
-    recs.store(r, rec);
-  });
-  spms_sort(ex, recs);
-  sched::cgc_pfor_each(ex, 0, n, 5, [&](std::uint64_t r) {
-    const PullRec3 rec = recs.load(r);
-    assert(rec.key == r);
-    o0.store(r, rec.val[0]);
-    o1.store(r, rec.val[1]);
-    o2.store(r, rec.val[2]);
-  });
+  detail::PullRouter(ex, target).pull({f0, f1, f2}, {o0, o1, o2},
+                                      {d0, d1, d2});
 }
 
 namespace detail {
@@ -302,14 +300,25 @@ void lr_rec(Exec& ex, RefU64 succ, RefU64 pred, RefU64 len, RefU64 dist,
   auto scol_buf = ex.template make_buf<std::uint64_t>(n);
   auto pcol_buf = ex.template make_buf<std::uint64_t>(n);
   auto color = color_buf.ref(), scol = scol_buf.ref(), pcol = pcol_buf.ref();
+  // Every pull of this level goes through one of two plans, kept across
+  // the recursion for the expand step's pull.
+  PullRouter succ_r(ex, succ), pred_r(ex, pred);
   sched::cgc_pfor_each(ex, 0, n, 1,
                        [&](std::uint64_t v) { color.store(v, v); });
   for (int round = 0; round < dcf_rounds; ++round) {
-    mo_pull(ex, succ, color, scol, kNil);
+    if (round == 0) {
+      // color[v] = v, so color[succ[v]] = succ[v] (kNil at the tail, the
+      // pull default): the first pull is a copy.
+      ex.cgc_pfor(0, n, 2, [&](std::uint64_t lo, std::uint64_t hi) {
+        ex.copy(scol.slice(lo, hi - lo), succ.slice(lo, hi - lo));
+      });
+    } else {
+      succ_r.pull({color}, {scol}, {kNil});
+    }
     dcf_step(ex, color, scol, succ);
   }
-  mo_pull(ex, succ, color, scol, kNil);
-  mo_pull(ex, pred, color, pcol, kNil);
+  succ_r.pull({color}, {scol}, {kNil});
+  pred_r.pull({color}, {pcol}, {kNil});
   auto in_s_buf = ex.template make_buf<std::uint64_t>(n);
   auto in_s = in_s_buf.ref();
   sched::cgc_pfor_each(ex, 0, n, 1, [&](std::uint64_t v) {
@@ -328,9 +337,9 @@ void lr_rec(Exec& ex, RefU64 succ, RefU64 pred, RefU64 len, RefU64 dist,
        lens = lens_buf.ref(), ins_p = ins_p_buf.ref(),
        pred2 = pred2_buf.ref();
   // Batched: one pull per direction instead of three/two (on the model
-  // path, one routed sort pair).
-  mo_pull3(ex, succ, in_s, succ, len, ins_s, succ2, lens, 0, kNil, 0);
-  mo_pull3(ex, pred, in_s, pred, pred, ins_p, pred2, pred2, 0, kNil, kNil);
+  // path, one sort of 4-word records).
+  succ_r.pull({in_s, succ, len}, {ins_s, succ2, lens}, {0, kNil, 0});
+  pred_r.pull({in_s, pred, pred}, {ins_p, pred2, pred2}, {0, kNil, kNil});
 
   auto nsucc_buf = ex.template make_buf<std::uint64_t>(n);
   auto npred_buf = ex.template make_buf<std::uint64_t>(n);
@@ -402,7 +411,7 @@ void lr_rec(Exec& ex, RefU64 succ, RefU64 pred, RefU64 len, RefU64 dist,
   });
   auto dist_s_buf = ex.template make_buf<std::uint64_t>(n);
   auto dist_s = dist_s_buf.ref();
-  mo_pull(ex, succ, dist, dist_s, 0);
+  succ_r.pull({dist}, {dist_s}, {0});
   sched::cgc_pfor_each(ex, 0, n, 2, [&](std::uint64_t v) {
     if (in_s.load(v)) dist.store(v, dist_s.load(v) + len.load(v));
   });

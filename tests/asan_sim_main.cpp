@@ -12,10 +12,13 @@
 // backpointer resync, epoch-recycled sharer slots, the LRU victim ring's
 // compaction and stamp renumbering, node recycling after an invalidation,
 // the per-core block memo's drops, 1-line caches, clear() between runs,
-// and SimRef run accessors crossing block boundaries.  A last scenario
-// drives the sparse-matrix generators (algo/graphgen.hpp), whose
-// counting-sort scatter and in-place duplicate compaction index A_v
-// through computed offsets.
+// and SimRef run accessors crossing block boundaries.  A scenario drives
+// the sparse-matrix generators (algo/graphgen.hpp), whose counting-sort
+// scatter and in-place duplicate compaction index A_v through computed
+// offsets.  The harness is compiled without NDEBUG, so the last scenario,
+// MO-LR and connected components on the simulator, also runs their
+// internal asserts: the pull router's "routed home" check, the coin
+// flipping's distinct-colour check and SimRef's bounds checks.
 //
 // A full ASan build of the whole suite is available via
 //   cmake -B build-asan -S . -DOBLIV_SANITIZE=address
@@ -23,10 +26,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <numeric>
 #include <utility>
 #include <vector>
 
+#include "algo/graph.hpp"
 #include "algo/graphgen.hpp"
+#include "algo/listrank.hpp"
 #include "algo/scan.hpp"
 #include "algo/sort.hpp"
 #include "hm/cache_sim.hpp"
@@ -311,6 +317,55 @@ void generator_assembly() {
         "generators: invalid matrix throws");
 }
 
+/// MO-LR on random and in-order lists, and connected components on a
+/// random graph, through SimExecutor: every routed pull and plan.
+void list_and_graph_workloads() {
+  using namespace obliv;
+  for (const std::uint64_t n : {1000u, 4099u}) {
+    for (const bool random : {true, false}) {
+      util::Xoshiro256 rng(n);
+      std::vector<std::uint64_t> order(n);
+      if (random) {
+        order = algo::random_list_order(n, rng);
+      } else {
+        std::iota(order.begin(), order.end(), 0);
+      }
+      sched::SimExecutor ex(hm::MachineConfig::shared_l2(4));
+      auto succ = ex.make_buf<std::uint64_t>(n);
+      auto pred = ex.make_buf<std::uint64_t>(n);
+      auto dist = ex.make_buf<std::uint64_t>(n);
+      algo::link_list(order, succ.raw(), pred.raw());
+      ex.run(8 * n, [&] {
+        algo::mo_list_rank(ex, succ.ref(), pred.ref(), dist.ref());
+      });
+      bool ranked = true;
+      for (std::uint64_t t = 0; t < n; ++t) {
+        ranked = ranked && dist.raw()[order[t]] == n - 1 - t;
+      }
+      check(ranked, "listrank: ranks");
+    }
+  }
+
+  algo::EdgeList g;
+  g.n = 700;
+  util::Xoshiro256 rng(17);
+  for (int e = 0; e < 600; ++e) {
+    g.edges.emplace_back(static_cast<std::uint32_t>(rng.below(g.n)),
+                         static_cast<std::uint32_t>(rng.below(g.n)));
+  }
+  sched::SimExecutor ex(hm::MachineConfig::shared_l2(4));
+  std::vector<std::uint64_t> comp;
+  ex.run(16 * g.n, [&] { comp = algo::mo_connected_components(ex, g); });
+  const std::vector<std::uint64_t> ref = algo::cc_bfs_reference(g);
+  std::map<std::uint64_t, std::uint64_t> fwd, bwd;
+  bool same = comp.size() == ref.size();
+  for (std::size_t v = 0; same && v < comp.size(); ++v) {
+    same = fwd.emplace(comp[v], ref[v]).first->second == ref[v] &&
+           bwd.emplace(ref[v], comp[v]).first->second == comp[v];
+  }
+  check(same, "cc: same partition as BFS");
+}
+
 }  // namespace
 
 int main() {
@@ -324,6 +379,7 @@ int main() {
   executor_workloads(obliv::hm::MachineConfig::shared_l2(4));
   executor_workloads(obliv::hm::MachineConfig::figure1());
   generator_assembly();
+  list_and_graph_workloads();
   if (failures != 0) {
     std::fprintf(stderr, "%d scenario check(s) failed\n", failures);
     return 1;

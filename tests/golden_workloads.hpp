@@ -1,12 +1,14 @@
 // Shared driver for the golden-counter regression test.
 //
 // Runs small fixed sweeps of the paper's workloads (scan, MO-MT, MO-SPMS
-// sort, I-GEP) on fixed machine configs and serialises every observable
-// simulator metric -- per-level misses, evictions, invalidations, the
-// ping-pong count, and work/span -- into a flat vector.  The expected
-// values hard-coded in test_golden_counters.cpp were captured from the
-// simulator as of PR 2 (the pre-flat-table implementation); any future
-// change that perturbs an observable count fails tier-1.
+// sort, I-GEP) on fixed machine configs, plus one MO-LR run, and
+// serialises every observable simulator metric -- per-level misses,
+// evictions, invalidations, the ping-pong count, and work/span -- into a
+// flat vector.  The expected values hard-coded in test_golden_counters.cpp
+// were captured from the simulator as of PR 2 (the pre-flat-table
+// implementation; the MO-LR row was added with the routing plans of
+// algo/listrank.hpp); any future change that perturbs an observable count
+// fails tier-1.
 //
 // To regenerate after an *intentional* metric change, run
 //   OBLIV_GOLDEN_REGEN=1 ./obliv_tests --gtest_filter='GoldenCounters.*'
@@ -18,6 +20,8 @@
 #include <vector>
 
 #include "algo/gep.hpp"
+#include "algo/graphgen.hpp"
+#include "algo/listrank.hpp"
 #include "algo/scan.hpp"
 #include "algo/sort.hpp"
 #include "algo/transpose.hpp"
@@ -106,7 +110,24 @@ inline GoldenRun run_gep(const hm::MachineConfig& cfg, std::uint64_t n) {
   return g;
 }
 
-/// The full fixed sweep: every workload on both configs at two sizes.
+/// MO-LR on a random list: the model path's routed pulls.
+inline GoldenRun run_listrank(const hm::MachineConfig& cfg, std::uint64_t n) {
+  sched::SimExecutor ex(cfg);
+  util::Xoshiro256 rng(4242);
+  auto succ = ex.make_buf<std::uint64_t>(n);
+  auto pred = ex.make_buf<std::uint64_t>(n);
+  auto dist = ex.make_buf<std::uint64_t>(n);
+  algo::link_list(algo::random_list_order(n, rng), succ.raw(), pred.raw());
+  const auto m = ex.run(8 * n, [&] {
+    algo::mo_list_rank(ex, succ.ref(), pred.ref(), dist.ref());
+  });
+  GoldenRun g{"listrank/" + cfg.name() + "/" + std::to_string(n), {}};
+  flatten(ex, m, g.counts);
+  return g;
+}
+
+/// The full fixed sweep: every workload on both configs at two sizes, then
+/// MO-LR on shared_l2 at one size.
 inline std::vector<GoldenRun> run_all() {
   std::vector<GoldenRun> out;
   const hm::MachineConfig cfgs[] = {hm::MachineConfig::shared_l2(4),
@@ -125,6 +146,7 @@ inline std::vector<GoldenRun> run_all() {
       out.push_back(run_gep(cfg, n));
     }
   }
+  out.push_back(run_listrank(hm::MachineConfig::shared_l2(4), 1024));
   return out;
 }
 

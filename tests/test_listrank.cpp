@@ -8,9 +8,11 @@
 #include "algo/graphgen.hpp"
 #include "fault/status.hpp"
 #include "hm/config.hpp"
+#include "no/executor.hpp"
 #include "sched/native_executor.hpp"
 #include "sched/sim_executor.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace obliv::algo {
 namespace {
@@ -105,7 +107,7 @@ void expect_pull_aliasing_checked(Exec& ex) {
   const auto all = buf.ref();
   const auto t = all.slice(0, n), f = all.slice(n, n), o = all.slice(2 * n, n),
              p = all.slice(3 * n, n);
-  const std::vector<std::uint64_t> before = buf.raw();
+  std::vector<std::uint64_t> before = buf.raw();
   auto rejects = [&](const char* what, auto&& call) {
     in_run(ex, [&] {
       try {
@@ -140,6 +142,16 @@ void expect_pull_aliasing_checked(Exec& ex) {
     EXPECT_EQ(buf.raw()[2 * n + v], before[n + s]) << v;
     EXPECT_EQ(buf.raw()[3 * n + v], before[s]) << v;
   }
+
+  // Through a plan, checked the same way once the plan serves pulls.
+  detail::PullRouter r(ex, t);
+  in_run(ex, [&] { r.pull({f}, {o}, {0}); });
+  before = buf.raw();
+  rejects("planned out == target", [&] { r.pull({f}, {t}, {0}); });
+  rejects("planned out == field", [&] { r.pull({f}, {f}, {0}); });
+  rejects("planned pull3 outputs overlapping in part", [&] {
+    r.pull({f, f, f}, {o, all.slice(2 * n + 1, n), o}, {0, 0, 0});
+  });
 }
 
 TEST(Pull, RejectsOutputAliasingAnInput) {
@@ -152,6 +164,101 @@ TEST(Pull, RejectsOutputAliasingAnInput) {
     SCOPED_TRACE("native, " + std::to_string(threads) + " workers");
     sched::NativeExecutor ex(threads);
     expect_pull_aliasing_checked(ex);
+  }
+}
+
+/// One router, several pulls in sequence on one buffer [target | f0 | f1 |
+/// f2 | o0 .. o4]: a field, the target itself as the field, a three-field
+/// pull whose last two outputs are the same array, then another field.
+template <class Exec, class Ref>
+void planned_pulls(Exec& ex, Ref all) {
+  const std::uint64_t n = all.size() / 9;
+  auto part = [&](std::uint64_t k) { return all.slice(k * n, n); };
+  detail::PullRouter r(ex, part(0));
+  r.pull({part(1)}, {part(4)}, {777});
+  r.pull({part(0)}, {part(5)}, {kNil});
+  r.pull({part(2), part(0), part(3)}, {part(6), part(7), part(7)},
+         {1, kNil, 3});
+  r.pull({part(3)}, {part(8)}, {5});
+}
+
+/// Targets of pattern p: a random list's succ (kNil at the tail), CC's
+/// parent shape (a few roots pointing at themselves, every other vertex
+/// at a root, some kNil), or all kNil.
+std::vector<std::uint64_t> planned_targets(int p, std::uint64_t n,
+                                           util::Xoshiro256& g) {
+  std::vector<std::uint64_t> t(n, kNil);
+  if (p == 0) {
+    std::vector<std::uint64_t> pred;
+    link_list(random_list_order(n, g), t, pred);
+  } else if (p == 1) {
+    const std::uint64_t roots = n / 16 + 1;
+    for (std::uint64_t v = 0; v < n; ++v) {
+      if (v < roots) {
+        t[v] = v;
+      } else if (v % 7 != 0) {
+        t[v] = g.below(roots);
+      }
+    }
+  }
+  return t;
+}
+
+TEST(Pull, PlannedPullsMatchGather) {
+  util::Xoshiro256 g(91);
+  for (const std::uint64_t n : {1, 2, 65, 1000, 3001}) {
+    for (int p = 0; p < 3; ++p) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " targets " + std::to_string(p));
+      std::vector<std::uint64_t> in = planned_targets(p, n, g);
+      for (std::uint64_t i = 0; i < 3 * n; ++i) in.push_back(g());
+      in.resize(9 * n, 0xdeadbeefull);
+
+      // The native gather, checked against the definition.
+      std::vector<std::uint64_t> gather = in;
+      {
+        sched::NativeExecutor ex(1);
+        planned_pulls(ex, sched::NatRef<std::uint64_t>(gather.data(), 9 * n));
+      }
+      for (std::uint64_t v = 0; v < n; ++v) {
+        const std::uint64_t s = in[v];
+        auto field = [&](std::uint64_t k, std::uint64_t d) {
+          return s == kNil ? d : in[k * n + s];
+        };
+        ASSERT_EQ(gather[4 * n + v], field(1, 777)) << v;
+        ASSERT_EQ(gather[5 * n + v], field(0, kNil)) << v;
+        ASSERT_EQ(gather[6 * n + v], field(2, 1)) << v;
+        ASSERT_EQ(gather[7 * n + v], field(3, 3)) << v;
+        ASSERT_EQ(gather[8 * n + v], field(3, 5)) << v;
+      }
+
+      {
+        SCOPED_TRACE("simulator");
+        SimExecutor ex(hm::MachineConfig::shared_l2(4));
+        auto b = ex.make_buf<std::uint64_t>(9 * n);
+        b.raw() = in;
+        ex.run(24 * n, [&] { planned_pulls(ex, b.ref()); });
+        EXPECT_EQ(b.raw(), gather);
+      }
+      {
+        SCOPED_TRACE("NO");
+        no::NoMachine mach(16, {{4, 4}});
+        no::NoExecutor ex(&mach);
+        auto b = ex.make_buf<std::uint64_t>(9 * n);
+        b.raw() = in;
+        planned_pulls(ex, b.ref());
+        mach.end_superstep();
+        EXPECT_EQ(b.raw(), gather);
+      }
+      for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE("native kGeneric, " + std::to_string(threads) +
+                     " workers");
+        simd::ScopedMode sm(simd::Mode::kGeneric);
+        sched::NativeExecutor ex(threads);
+        std::vector<std::uint64_t> out = in;
+        planned_pulls(ex, sched::NatRef<std::uint64_t>(out.data(), 9 * n));
+        EXPECT_EQ(out, gather);
+      }
+    }
   }
 }
 

@@ -249,11 +249,11 @@ const std::vector<Expected> kExpected = {
      {88ull, 5120ull, 176ull, 4096ull, 8ull, 2816ull},
      384},
     {"listrank/32/1024",
-     {107581ull, 972076ull, 105617ull, 486780ull, 5676ull, 2114194ull},
-     325852.20353325561},
+     {56289ull, 516591ull, 52586ull, 257176ull, 3772ull, 1073927ull},
+     168965.00141024104},
     {"cc/32/256",
-     {22293ull, 197881ull, 22682ull, 99442ull, 1415ull, 419238ull},
-     68632.812111317719},
+     {18155ull, 163506ull, 18003ull, 83922ull, 1415ull, 326986ull},
+     56220.9202666704},
     {"synthetic/64/4000",
      {1655ull, 5870ull, 2008ull, 4769ull, 262ull, 10741ull},
      5899.9352083112917},

@@ -768,19 +768,19 @@ std::vector<std::uint64_t> key_pattern(int p, std::size_t n, Xoshiro256& g) {
   return k;
 }
 
-/// Records keyed by `keys`, with unique shuffled srcs and random payloads.
+/// Routing records keyed by `keys`: the first word after the key is a
+/// unique shuffled source, the rest random payload.
 template <class Rec>
 std::vector<Rec> records(const std::vector<std::uint64_t>& keys,
                          Xoshiro256& g) {
   std::vector<Rec> r(keys.size());
   for (std::size_t i = 0; i < r.size(); ++i) {
     r[i].key = keys[i];
-    r[i].src = i;
-    const std::uint64_t payload = g();
-    std::memcpy(&r[i].val, &payload, sizeof payload);
+    r[i].val[0] = i;
+    for (std::size_t k = 1; k < std::size(r[i].val); ++k) r[i].val[k] = g();
   }
   for (std::size_t i = r.size(); i > 1; --i) {
-    std::swap(r[i - 1].src, r[g.below(i)].src);
+    std::swap(r[i - 1].val[0], r[g.below(i)].val[0]);
   }
   return r;
 }
@@ -814,15 +814,15 @@ TEST(NativeLeaf, SortMatchesSim) {
       SCOPED_TRACE("u64 n=" + std::to_string(n));
       expect_sort_matches_sim(key_pattern(p, n, g));
     }
-    for (const std::size_t n : leaf_edge_sizes<algo::detail::PullRec>()) {
-      SCOPED_TRACE("PullRec n=" + std::to_string(n));
+    for (const std::size_t n : leaf_edge_sizes<algo::detail::RouteRec<1>>()) {
+      SCOPED_TRACE("RouteRec<1> n=" + std::to_string(n));
       expect_sort_matches_sim(
-          records<algo::detail::PullRec>(key_pattern(p, n, g), g));
+          records<algo::detail::RouteRec<1>>(key_pattern(p, n, g), g));
     }
-    for (const std::size_t n : leaf_edge_sizes<algo::detail::PullRec3>()) {
-      SCOPED_TRACE("PullRec3 n=" + std::to_string(n));
+    for (const std::size_t n : leaf_edge_sizes<algo::detail::RouteRec<3>>()) {
+      SCOPED_TRACE("RouteRec<3> n=" + std::to_string(n));
       expect_sort_matches_sim(
-          records<algo::detail::PullRec3>(key_pattern(p, n, g), g));
+          records<algo::detail::RouteRec<3>>(key_pattern(p, n, g), g));
     }
   }
 }
@@ -844,7 +844,7 @@ TEST(NativeLeaf, SortPatternsMatchGeneric) {
     SCOPED_TRACE("key pattern " + std::to_string(p));
     const auto keys = key_pattern(p, p == 1 ? 1 << 18 : 1 << 16, g);
     expect_native_runs(keys, generic(keys), sort, kBitsEqual);
-    const auto recs = records<algo::detail::PullRec>(keys, g);
+    const auto recs = records<algo::detail::RouteRec<1>>(keys, g);
     expect_native_runs(recs, generic(recs), sort, kBitsEqual);
   }
 }
