@@ -13,21 +13,15 @@
 // Also ablated: CGC's B_1-boundary rounding (Section III's ping-ponging
 // discussion): with rounding disabled, segment boundaries straddle
 // coherence blocks and writes ping-pong between L1s.
-// Finally, a *native* scheduler ablation: the same CGC workloads wall-clock
-// timed under the work-stealing backend (per-worker deques, lazy binary
-// splitting) vs the legacy shared-queue pool, sweeping the thread count.
-// Self-relative speedup (T1/Tp within one backend) isolates scheduler
-// overhead from host core count.
+//
+// Everything here runs on the simulator; the native scheduler's wall-clock
+// thread sweep is bench_wallclock.
 #include <iostream>
 
-#include "algo/fft.hpp"
 #include "algo/gep.hpp"
-#include "algo/scan.hpp"
 #include "algo/sort.hpp"
-#include "algo/transpose.hpp"
 #include "bench/common.hpp"
 #include "hm/config.hpp"
-#include "sched/native_executor.hpp"
 #include "sched/sim_executor.hpp"
 #include "util/rng.hpp"
 
@@ -170,62 +164,5 @@ int main(int argc, char** argv) {
     t.print(std::cout);
   }
 
-  // Native executor ablation: work stealing vs shared queue, wall clock.
-  {
-    const int reps = smoke ? 1 : 3;
-    const std::vector<unsigned> thread_counts =
-        bench::sweep(smoke, {1u, 2u, 4u, 8u});
-    util::Table t({"workload", "threads", "steal ns/op", "steal T1/Tp",
-                   "sharedq ns/op", "sharedq T1/Tp"});
-    const auto sweep = [&](const std::string& name,
-                           const std::function<std::function<void()>(
-                               sched::NativeExecutor&)>& make) {
-      double base_steal = 0, base_sq = 0;
-      for (unsigned threads : thread_counts) {
-        sched::NativeExecutor ws(threads, 1 << 12,
-                                 sched::SchedMode::kWorkSteal);
-        auto run_ws = make(ws);
-        const double ns_ws = bench::median_ns(reps, run_ws);
-        sched::NativeExecutor sq(threads, 1 << 12,
-                                 sched::SchedMode::kSharedQueue);
-        auto run_sq = make(sq);
-        const double ns_sq = bench::median_ns(reps, run_sq);
-        if (threads == 1) {
-          base_steal = ns_ws;
-          base_sq = ns_sq;
-        }
-        t.add_row({name, util::Table::fmt(std::uint64_t(threads)),
-                   util::Table::fmt(ns_ws, "%.0f"),
-                   util::Table::fmt(base_steal / ns_ws, "%.3f"),
-                   util::Table::fmt(ns_sq, "%.0f"),
-                   util::Table::fmt(base_sq / ns_sq, "%.3f")});
-      }
-    };
-    sweep("scan n=2^19", [](sched::NativeExecutor& ex) {
-      auto buf = std::make_shared<sched::NatBuf<double>>(1u << 19);
-      auto scratch = std::make_shared<sched::NatBuf<double>>(1u << 19);
-      util::Xoshiro256 rng(7);
-      for (auto& v : buf->raw()) v = rng.uniform();
-      return std::function<void()>([&ex, buf, scratch] {
-        algo::mo_scan_inclusive(ex, buf->ref(), scratch->ref(),
-                                [](double a, double b) { return a + b; });
-      });
-    });
-    sweep("MT n=512", [](sched::NativeExecutor& ex) {
-      const std::uint64_t n = 512;
-      auto a = std::make_shared<sched::NatBuf<double>>(n * n);
-      auto out = std::make_shared<sched::NatBuf<double>>(n * n);
-      util::Xoshiro256 rng(8);
-      for (auto& v : a->raw()) v = rng.uniform();
-      return std::function<void()>([&ex, a, out, n] {
-        algo::mo_transpose(ex, a->ref(), out->ref(), n);
-      });
-    });
-    std::cout << "\n-- native scheduler: work stealing vs shared queue --\n";
-    t.print(std::cout);
-    std::cout << "(self-relative speedup T1/Tp; on a host with fewer cores "
-                 "than threads the\n column reads as scheduling overhead -- "
-                 "higher is still better)\n";
-  }
   return 0;
 }

@@ -292,8 +292,7 @@ ServeRecord run_open_loop(unsigned threads, double qps, std::size_t jobs,
 /// an executor configured like the server's own pool.
 struct SortJob {
   serve::ServerOptions opts;
-  sched::NativeExecutor ex{opts.threads, opts.sequential_grain_words,
-                           sched::SchedMode::kWorkSteal};
+  sched::NativeExecutor ex{opts.threads, opts.sequential_grain_words};
   std::vector<std::uint64_t> keys = std::vector<std::uint64_t>(1 << 15);
   std::vector<std::uint64_t> buf;
 

@@ -1,25 +1,20 @@
 // Wall-clock benchmarks of the MO algorithms on the *native* executor
-// (real std::threads on the host machine), for both scheduler backends:
+// (real std::threads on the host machine, work-stealing scheduler).
 //
-//   sched=steal    work-stealing deques + lazy binary splitting (default)
-//   sched=sharedq  the original global mutex + condvar queue (baseline)
+// For every workload the harness sweeps threads in {1,2,4,8}, reports
+// min-of-K ns per operation and the self-relative speedup (T1/Tp -- the
+// portable quantity on any host), and dumps every record to
+// BENCH_wallclock.json (sched="steal") so the perf trajectory is trackable
+// across PRs.  On a host with fewer cores than the thread count,
+// multi-thread rows measure scheduler overhead instead of parallel speedup.
 //
-// For every workload the harness sweeps threads in {1,2,4,8} under each
-// backend, reports min-of-K ns per operation and the self-relative speedup
-// (T1/Tp within the same backend -- the portable quantity on any host), and
-// dumps every record to BENCH_wallclock.json so the perf trajectory is
-// trackable across PRs.  On a host with fewer cores than the thread count,
-// multi-thread rows measure scheduler overhead instead of parallel speedup
-// -- exactly the contention the work-stealing rewrite is meant to
-// eliminate, so the comparison is still meaningful there.
-//
-// Measurement discipline for noisy (shared/virtualised) hosts: all
-// (backend, threads) cells of a workload are timed round-robin inside each
-// repetition, so every cell samples the same interference windows, and the
-// reported figure is the *minimum* across repetitions -- external load only
-// ever adds time, so the min is the best estimate of intrinsic cost.
+// Measurement discipline for noisy (shared/virtualised) hosts: all thread
+// cells of a workload are timed round-robin inside each repetition, so
+// every cell samples the same interference windows, and the reported
+// figure is the *minimum* across repetitions -- external load only ever
+// adds time, so the min is the best estimate of intrinsic cost.
 // Sequential per-cell sweeps (cells minutes apart) would let a load burst
-// corrupt one backend's column and invert the comparison.
+// corrupt one cell and distort the speedup curve.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -45,7 +40,7 @@ using Exec = sched::NativeExecutor;
 
 struct Workload {
   std::string name;
-  // One input per workload, shared by every (backend, threads) cell:
+  // One input per workload, shared by every thread cell:
   // per-cell allocations would give each cell its own page-placement /
   // hugepage luck -- a bias that sticks for the whole run and that no
   // amount of repetition averages out of a cross-cell comparison.
@@ -87,23 +82,22 @@ std::vector<Workload> workloads(bool smoke) {
   return w;
 }
 
-/// Worker count of the work-stealing executor every overhead mode below
-/// measures on.
+/// Worker count of the executor every overhead mode below measures on.
 constexpr unsigned kCheckThreads = 4;
 
-/// `--trace` mode: the same workloads on the work-steal backend with an
-/// obs::Tracer attached vs detached, timed by the paired-overhead loop in
+/// `--trace` mode: the same workloads with an obs::Tracer attached vs
+/// detached, timed by the paired-overhead loop in
 /// measure-only mode.  Exports the traced runs of the first workload as a
 /// Chrome trace.
 int trace_overhead(bool smoke, int reps, const std::string& trace_path) {
-  bench::Guardrail g("obs tracing overhead: work-steal backend",
+  bench::Guardrail g("obs tracing overhead: native executor",
                      {"workload", "untraced ns/op", "traced ns/op"}, reps,
                      bench::Budget{0, /*gated=*/false});
   std::printf("threads = %u, tracing compiled %s\n", kCheckThreads,
               obs::kTracingCompiledIn ? "in" : "out");
   bool wrote = false;
   for (const auto& w : workloads(smoke)) {
-    Exec ex(kCheckThreads, 1 << 12, sched::SchedMode::kWorkSteal);
+    Exec ex(kCheckThreads, 1 << 12);
     obs::Tracer tracer(kCheckThreads);
     g.check(w.name, [&] { return w.time_on(ex); }, [&] {
       ex.set_tracer(&tracer);
@@ -145,7 +139,7 @@ int hist_off_check(bool smoke, int reps) {
   obs::Tracer tracer(kCheckThreads);
   tracer.set_events_enabled(false);
   for (const auto& w : workloads(smoke)) {
-    Exec ex(kCheckThreads, 1 << 12, sched::SchedMode::kWorkSteal);
+    Exec ex(kCheckThreads, 1 << 12);
     g.check(w.name, [&] { return w.time_on(ex); }, [&] {
       ex.set_tracer(&tracer);
       const double ns = w.time_on(ex);
@@ -179,7 +173,7 @@ int fault_off_check(bool smoke, int reps) {
   }
   fault::FaultPlan inert(1, fault::FaultOptions::inert());
   for (const auto& w : workloads(smoke)) {
-    Exec ex(kCheckThreads, 1 << 12, sched::SchedMode::kWorkSteal);
+    Exec ex(kCheckThreads, 1 << 12);
     g.check(w.name, [&] { return w.time_on(ex); }, [&] {
       ex.set_fault_plan(&inert);
       const double ns = w.time_on(ex);
@@ -272,7 +266,7 @@ int simd_off_check(bool smoke, int reps) {
   std::printf("threads = %u, simd compiled %s\n", kCheckThreads,
               simd::kSimdCompiledIn ? "in" : "out");
   for (const auto& w : workloads(smoke)) {
-    Exec ex(kCheckThreads, 1 << 12, sched::SchedMode::kWorkSteal);
+    Exec ex(kCheckThreads, 1 << 12);
     auto in_mode = [&](simd::Mode mode) {
       return [&w, &ex, mode] {
         simd::ScopedMode m(mode);
@@ -343,35 +337,27 @@ int main(int argc, char** argv) {
     thread_counts.insert(
         std::upper_bound(thread_counts.begin(), thread_counts.end(), hc), hc);
   }
-  const std::vector<std::pair<std::string, sched::SchedMode>> backends{
-      {"steal", sched::SchedMode::kWorkSteal},
-      {"sharedq", sched::SchedMode::kSharedQueue}};
 
-  bench::print_header("Native wall clock: work stealing vs shared queue");
+  bench::print_header("Native wall clock: work-stealing scheduler");
   std::printf(
       "hardware_concurrency = %u, pinned = %s  (with fewer cores than "
-      "threads, multi-thread rows\n measure scheduling overhead; "
-      "self-relative speedup still ranks the backends)\n",
+      "threads, multi-thread rows\n measure scheduling overhead)\n",
       hc, bench::threads_pinned() ? "yes" : "no");
 
   bench::JsonRecorder json("BENCH_wallclock.json");
   for (const auto& w : workloads(smoke)) {
-    // One cell per (threads, backend); executors and buffers stay alive for
-    // the whole workload so repetitions can interleave across cells.
+    // One cell per thread count; executors and buffers stay alive for the
+    // whole workload so repetitions can interleave across cells.
     struct Cell {
       unsigned threads;
-      std::size_t backend;
       std::unique_ptr<Exec> ex;
       double best_ns = 0.0;
     };
     std::vector<Cell> cells;
     for (unsigned threads : thread_counts) {
-      for (std::size_t bi = 0; bi < backends.size(); ++bi) {
-        Cell c{threads, bi,
-               std::make_unique<Exec>(threads, 1 << 12, backends[bi].second)};
-        w.time_on(*c.ex);  // warm-up
-        cells.push_back(std::move(c));
-      }
+      Cell c{threads, std::make_unique<Exec>(threads)};
+      w.time_on(*c.ex);  // warm-up
+      cells.push_back(std::move(c));
     }
     for (int r = 0; r < reps; ++r) {
       // Alternate sweep direction so every cell sees both neighbours'
@@ -383,23 +369,13 @@ int main(int argc, char** argv) {
         if (r == 0 || ns < c.best_ns) c.best_ns = ns;
       }
     }
-    util::Table t({"threads", "steal ns/op", "steal T1/Tp", "sharedq ns/op",
-                   "sharedq T1/Tp"});
-    std::vector<double> base(backends.size(), 0.0);
+    util::Table t({"threads", "ns/op", "T1/Tp"});
+    const double base = cells.front().best_ns;  // thread_counts[0] == 1
     for (const auto& c : cells) {
-      if (c.threads == 1) base[c.backend] = c.best_ns;
-    }
-    for (unsigned threads : thread_counts) {
-      std::vector<std::string> row{util::Table::fmt(std::uint64_t(threads))};
-      for (std::size_t bi = 0; bi < backends.size(); ++bi) {
-        for (const auto& c : cells) {
-          if (c.threads != threads || c.backend != bi) continue;
-          json.add(w.name, backends[bi].first, threads, w.n(), c.best_ns, reps);
-          row.push_back(util::Table::fmt(c.best_ns, "%.0f"));
-          row.push_back(util::Table::fmt(base[bi] / c.best_ns, "%.3f"));
-        }
-      }
-      t.add_row(std::move(row));
+      json.add(w.name, "steal", c.threads, w.n(), c.best_ns, reps);
+      t.add_row({util::Table::fmt(std::uint64_t(c.threads)),
+                 util::Table::fmt(c.best_ns, "%.0f"),
+                 util::Table::fmt(base / c.best_ns, "%.3f")});
     }
     std::cout << "\n-- " << w.name << " (n=" << w.n() << ") --\n";
     t.print(std::cout);

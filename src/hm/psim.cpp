@@ -19,7 +19,7 @@ ShardedCacheSim::ShardedCacheSim(CacheSim& sim, unsigned threads)
       std::max(1u, threads_), std::max(1u, sim_.config().cores()));
   if (threads_ > 1) {
     pool_ = std::make_unique<sched::NativeExecutor>(
-        threads_, /*sequential_grain_words=*/1, sched::SchedMode::kWorkSteal);
+        threads_, /*sequential_grain_words=*/1);
   }
   shards_.resize(sim_.config().cores());
   if (const char* env = std::getenv("OBLIV_PSIM_TRACE")) {

@@ -8,8 +8,6 @@
 #include <string>
 #include <system_error>
 
-#include "util/bits.hpp"
-
 #if defined(__linux__)
 #include <pthread.h>
 #include <sched.h>
@@ -100,26 +98,18 @@ WorkStealingPool::WorkStealingPool(unsigned threads)
     // workers: joinable std::threads terminate the process on destruction.
     // Tear down exactly like the destructor, then rethrow so make() can
     // surface kResourceExhausted.
-    stop_.store(true, std::memory_order_seq_cst);
-    {
-      std::lock_guard<std::mutex> lk(idle_mu_);
-      epoch_.fetch_add(1, std::memory_order_relaxed);
-    }
-    idle_cv_.notify_all();
-    for (auto& t : threads_) t.join();
-    threads_.clear();
+    stop_and_join();
     throw;
   }
 }
 
-WorkStealingPool::~WorkStealingPool() {
+WorkStealingPool::~WorkStealingPool() { stop_and_join(); }
+
+void WorkStealingPool::stop_and_join() {
   stop_.store(true, std::memory_order_seq_cst);
-  {
-    std::lock_guard<std::mutex> lk(idle_mu_);
-    epoch_.fetch_add(1, std::memory_order_relaxed);
-  }
-  idle_cv_.notify_all();
+  kick();
   for (auto& t : threads_) t.join();
+  threads_.clear();
 }
 
 void WorkStealingPool::run_root(Task& root) {
@@ -174,7 +164,7 @@ void WorkStealingPool::fork(Task* t) {
   // parallelism accelerator, never needed for progress: an unstolen fork is
   // popped back by its owner at join, and a worker about to sleep re-checks
   // for stealable work after registering as a sleeper (the Dekker pairing
-  // in notify()/idle_block()).  notify() therefore also skips the wake when
+  // in notify()/idle_wait()).  notify() therefore also skips the wake when
   // as many workers are already awake as the machine has cores --
   // oversubscribed thieves cannot add parallelism, only preemption.
   //
@@ -290,7 +280,7 @@ bool WorkStealingPool::have_stealable() const {
 }
 
 void WorkStealingPool::notify(bool everyone) {
-  // Dekker pairing with idle_block(), expressed through seq_cst RMWs on
+  // Dekker pairing with idle_wait(), expressed through seq_cst RMWs on
   // sleepers_ (not fences -- GCC's TSan does not model fences): either this
   // RMW observes the sleeper's increment and we notify, or the sleeper's
   // increment reads-from this RMW's release sequence and its work re-check
@@ -317,102 +307,84 @@ void WorkStealingPool::notify(bool everyone) {
 }
 
 template <class Pred>
-void WorkStealingPool::idle_block(Pred quit_early) {
+void WorkStealingPool::idle_wait(
+    Pred quit_early,
+    std::optional<std::chrono::steady_clock::time_point> deadline) {
   sleepers_.fetch_add(1, std::memory_order_seq_cst);
   {
     std::unique_lock<std::mutex> lk(idle_mu_);
     const std::uint64_t seen = epoch_.load(std::memory_order_relaxed);
     // Re-check after registering as a sleeper: any producer that missed us
-    // in notify_work() made its work visible before our fence, so we see
-    // it here and skip the wait.
+    // in notify() made its work visible before our increment, so we see it
+    // here and skip the wait.
     if (!quit_early() && !stop_.load(std::memory_order_relaxed)) {
-      idle_cv_.wait(lk, [&] {
+      const auto woken = [&] {
         return epoch_.load(std::memory_order_relaxed) != seen ||
                stop_.load(std::memory_order_relaxed);
-      });
+      };
+      if (deadline) {
+        idle_cv_.wait_until(lk, *deadline, woken);
+      } else {
+        idle_cv_.wait(lk, woken);
+      }
     }
   }
   sleepers_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-template <class Pred>
-void WorkStealingPool::idle_block_until(
-    std::chrono::steady_clock::time_point deadline, Pred quit_early) {
-  sleepers_.fetch_add(1, std::memory_order_seq_cst);
-  {
-    std::unique_lock<std::mutex> lk(idle_mu_);
-    const std::uint64_t seen = epoch_.load(std::memory_order_relaxed);
-    if (!quit_early() && !stop_.load(std::memory_order_relaxed)) {
-      idle_cv_.wait_until(lk, deadline, [&] {
-        return epoch_.load(std::memory_order_relaxed) != seen ||
-               stop_.load(std::memory_order_relaxed);
-      });
+// Forced inline into its three callers: out of line, the extra call cost
+// about 4 ns per task on a 4-worker empty fork/join tree (83 -> 87 ns per
+// task, median of 15 alternating runs with the process on one x86 CPU).
+[[gnu::always_inline]] inline bool WorkStealingPool::help_one(unsigned self) {
+  // Help first: drain our own deque (descendants of the current frame),
+  // then steal.  The kPopOrder fault inverts that preference for one round
+  // -- stealing (FIFO, coarse tasks) before popping (LIFO, own
+  // descendants) is the schedule a busy-stolen pool produces naturally,
+  // just made frequent.
+  if (fault::inject(plan(), fault::InjectSite::kPopOrder)) {
+    if (Task* s = try_steal(self)) {
+      execute(s);
+      return true;
     }
   }
-  sleepers_.fetch_sub(1, std::memory_order_relaxed);
+  if (Task* w = workers_[self]->deque.pop_bottom()) {
+    execute(w);
+    return true;
+  }
+  if (Task* s = try_steal(self)) {
+    execute(s);
+    return true;
+  }
+  return false;
 }
 
 void WorkStealingPool::join(Task* t) {
   assert(tls_binding.pool == this);
   const unsigned self = tls_binding.id;
-  auto& deque = workers_[self]->deque;
+  // Block only when the whole machine is out of work.
   while (!t->finished()) {
-    // Help first: drain our own deque (descendants of the current frame),
-    // then steal; block only when the whole machine is out of work.  The
-    // kPopOrder fault inverts that preference for one round -- stealing
-    // (FIFO, coarse tasks) before popping (LIFO, own descendants) is the
-    // schedule a busy-stolen pool produces naturally, just made frequent.
-    if (fault::inject(plan(), fault::InjectSite::kPopOrder)) {
-      if (Task* s = try_steal(self)) {
-        execute(s);
-        continue;
-      }
-    }
-    if (Task* w = deque.pop_bottom()) {
-      execute(w);
-      continue;
-    }
-    if (Task* s = try_steal(self)) {
-      execute(s);
-      continue;
-    }
+    if (help_one(self)) continue;
     t->mark_awaited();
-    idle_block([&] { return t->finished() || have_stealable(); });
+    idle_wait([&] { return t->finished() || have_stealable(); });
   }
 }
 
 bool WorkStealingPool::join_interruptible(
     Task* t, std::chrono::steady_clock::time_point deadline,
-    const std::function<bool()>& quit) {
+    util::FnRef<bool()> quit) {
   assert(tls_binding.pool == this);
   const unsigned self = tls_binding.id;
-  auto& deque = workers_[self]->deque;
-  const auto interrupted = [&] {
-    return (quit && quit()) || std::chrono::steady_clock::now() >= deadline;
-  };
   while (!t->finished()) {
-    // Same help loop as join(), but the quit predicate and deadline are
-    // re-polled between tasks so a dispatcher parked here can resume its
+    // join()'s loop, with the quit predicate and deadline re-polled
+    // between tasks so a dispatcher parked here can resume its
     // watchdog/admission duties without waiting for `t`.
-    if (interrupted()) return t->finished();
-    if (fault::inject(plan(), fault::InjectSite::kPopOrder)) {
-      if (Task* s = try_steal(self)) {
-        execute(s);
-        continue;
-      }
+    if (quit() || std::chrono::steady_clock::now() >= deadline) {
+      return t->finished();
     }
-    if (Task* w = deque.pop_bottom()) {
-      execute(w);
-      continue;
-    }
-    if (Task* s = try_steal(self)) {
-      execute(s);
-      continue;
-    }
+    if (help_one(self)) continue;
     t->mark_awaited();
-    idle_block_until(deadline, [&] {
-      return t->finished() || have_stealable() || (quit && quit());
-    });
+    idle_wait([&] { return t->finished() || have_stealable() || quit(); },
+              deadline);
   }
   return true;
 }
@@ -431,104 +403,10 @@ void WorkStealingPool::worker_main(unsigned id) {
   // to.  Best-effort -- a failed syscall leaves the thread floating.
   if (pinned_) pin_current_thread(id);
   tls_binding = TlsBinding{this, id};
-  auto& deque = workers_[id]->deque;
   for (;;) {
-    if (fault::inject(plan(), fault::InjectSite::kPopOrder)) {
-      if (Task* s = try_steal(id)) {
-        execute(s);
-        continue;
-      }
-    }
-    if (Task* w = deque.pop_bottom()) {
-      execute(w);
-      continue;
-    }
-    if (Task* s = try_steal(id)) {
-      execute(s);
-      continue;
-    }
+    if (help_one(id)) continue;
     if (stop_.load(std::memory_order_acquire)) return;
-    idle_block([&] { return have_stealable(); });
-  }
-}
-
-// ---------------------------------------------------------------------------
-// SharedQueuePool (legacy baseline; behavior preserved from the original
-// ThreadPool so bench_wallclock measures the pre-rewrite scheduler)
-// ---------------------------------------------------------------------------
-
-struct SharedQueuePool::Group {
-  std::atomic<std::size_t> pending{0};
-};
-
-SharedQueuePool::SharedQueuePool(unsigned threads) {
-  if (threads == 0) threads = 1;
-  // The calling thread participates, so spawn threads-1 workers.
-  for (unsigned i = 1; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-SharedQueuePool::~SharedQueuePool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-void SharedQueuePool::worker_loop() {
-  for (;;) {
-    Item item;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (stop_) return;
-        continue;
-      }
-      item = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    item.fn();
-    item.group->pending.fetch_sub(1, std::memory_order_acq_rel);
-  }
-}
-
-bool SharedQueuePool::try_run_one() {
-  Item item;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (queue_.empty()) return false;
-    item = std::move(queue_.front());
-    queue_.pop_front();
-  }
-  item.fn();
-  item.group->pending.fetch_sub(1, std::memory_order_acq_rel);
-  return true;
-}
-
-void SharedQueuePool::run_all(std::vector<std::function<void()>> tasks) {
-  if (tasks.empty()) return;
-  if (tasks.size() == 1) {
-    tasks[0]();
-    return;
-  }
-  Group group;
-  group.pending.store(tasks.size() - 1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (std::size_t i = 1; i < tasks.size(); ++i) {
-      queue_.push_back(Item{std::move(tasks[i]), &group});
-    }
-  }
-  cv_.notify_all();
-  tasks[0]();  // run the first task inline
-  // Help-first waiting: execute pending items (possibly from unrelated
-  // groups -- they only shorten the wait) until our group drains.
-  while (group.pending.load(std::memory_order_acquire) != 0) {
-    if (!try_run_one()) std::this_thread::yield();
+    idle_wait([&] { return have_stealable(); });
   }
 }
 
@@ -684,8 +562,7 @@ void sb_fork(WorkStealingPool& pool, const SbTask* tasks, std::size_t n,
 }  // namespace
 
 NativeExecutor::NativeExecutor(unsigned threads,
-                               std::uint64_t sequential_grain_words,
-                               SchedMode mode)
+                               std::uint64_t sequential_grain_words)
     : grain_(std::max<std::uint64_t>(1, sequential_grain_words)) {
   if (threads > kMaxThreads) {
     throw Error(ErrorCode::kUnsupported,
@@ -696,24 +573,13 @@ NativeExecutor::NativeExecutor(unsigned threads,
   const unsigned t = threads == 0
                          ? std::max(1u, std::thread::hardware_concurrency())
                          : threads;
-  if (mode == SchedMode::kAuto) {
-    const char* env = std::getenv("OBLIV_SCHED");
-    mode = (env != nullptr && std::strcmp(env, "sharedq") == 0)
-               ? SchedMode::kSharedQueue
-               : SchedMode::kWorkSteal;
-  }
-  if (mode == SchedMode::kSharedQueue) {
-    sq_ = std::make_unique<SharedQueuePool>(t);
-  } else {
-    ws_ = std::make_unique<WorkStealingPool>(t);
-  }
+  ws_ = std::make_unique<WorkStealingPool>(t);
 }
 
-Result<NativeExecutor> NativeExecutor::make(unsigned threads,
-                                            std::uint64_t sequential_grain_words,
-                                            SchedMode mode) noexcept {
+Result<NativeExecutor> NativeExecutor::make(
+    unsigned threads, std::uint64_t sequential_grain_words) noexcept {
   try {
-    return NativeExecutor(threads, sequential_grain_words, mode);
+    return NativeExecutor(threads, sequential_grain_words);
   } catch (const Error& e) {
     return Status::error(e.code(), e.what());
   } catch (const std::bad_alloc&) {
@@ -750,24 +616,6 @@ void NativeExecutor::cgc_pfor(
     body(lo, hi);  // single chunk: no queue round-trip, no task storage
     return;
   }
-  if (sq_) {
-    const std::uint64_t chunks = std::max<std::uint64_t>(
-        1,
-        std::min<std::uint64_t>(sq_->threads(), util::ceil_div(t, min_iters)));
-    if (chunks == 1) {
-      body(lo, hi);
-      return;
-    }
-    const std::uint64_t base_len = util::ceil_div(t, chunks);
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(chunks);
-    for (std::uint64_t start = lo; start < hi; start += base_len) {
-      const std::uint64_t end = std::min(hi, start + base_len);
-      tasks.push_back([&body, start, end] { body(start, end); });
-    }
-    sq_->run_all(std::move(tasks));
-    return;
-  }
   range_root(*ws_, body, lo, hi,
              make_split(t, min_iters, ws_->threads(), lanes));
 }
@@ -783,13 +631,6 @@ void NativeExecutor::sb_parallel(std::initializer_list<SbTask> tasks) {
                                     });
   if (first == tasks.end()) {
     for (const SbTask& task : tasks) task.body();
-    return;
-  }
-  if (sq_) {
-    std::vector<std::function<void()>> fns;
-    fns.reserve(tasks.size());
-    for (const SbTask& task : tasks) fns.emplace_back(task.body);
-    sq_->run_all(std::move(fns));
     return;
   }
   struct SbRoot : Task {
@@ -822,32 +663,6 @@ void NativeExecutor::cgc_sb_pfor(std::uint64_t count,
       std::max<std::uint64_t>(1, grain_ / std::max<std::uint64_t>(1, space_words));
   if (threads() == 1 || count <= per_unit) {
     for (std::uint64_t s = 0; s < count; ++s) body(s);
-    return;
-  }
-  if (sq_) {
-    if (space_words <= grain_) {
-      // Batch subtasks per thread to keep fork overhead sublinear.
-      const std::uint64_t chunks =
-          std::min<std::uint64_t>(sq_->threads(), count);
-      const std::uint64_t per = util::ceil_div(count, chunks);
-      std::vector<std::function<void()>> tasks;
-      for (std::uint64_t c = 0; c < chunks; ++c) {
-        const std::uint64_t s_lo = c * per;
-        const std::uint64_t s_hi = std::min(count, (c + 1) * per);
-        if (s_lo >= s_hi) break;
-        tasks.push_back([&body, s_lo, s_hi] {
-          for (std::uint64_t s = s_lo; s < s_hi; ++s) body(s);
-        });
-      }
-      sq_->run_all(std::move(tasks));
-      return;
-    }
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(count);
-    for (std::uint64_t s = 0; s < count; ++s) {
-      tasks.push_back([&body, s] { body(s); });
-    }
-    sq_->run_all(std::move(tasks));
     return;
   }
   const auto batch = [&body](std::uint64_t a, std::uint64_t b) {

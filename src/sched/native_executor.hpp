@@ -9,38 +9,31 @@
 // threshold is never made stealable and runs on the forking core, which is
 // the native analogue of anchoring at a private cache.
 //
-// Two scheduler backends share the public interface:
-//
-//   * WorkStealingPool (default) -- one Chase-Lev deque per worker; the
-//     owner forks/joins through its own deque under relaxed atomics, idle
-//     workers steal FIFO and *block* when the machine is saturated.  CGC
-//     loops use lazy binary splitting: a range peels grain-sized chunks
-//     sequentially and only splits in half when the local deque has been
-//     emptied by thieves.  Forked tasks live on the forking frame's stack,
-//     so dispatch performs no heap allocation.
-//   * SharedQueuePool -- the original single mutex + condvar queue with one
-//     heap-allocated std::function per task and eager pre-chunking.  Kept
-//     as the measured baseline (bench_wallclock `sched=sharedq` rows).
-//
-// Select with the constructor argument or OBLIV_SCHED=sharedq|steal.
+// The scheduler is WorkStealingPool, randomized work stealing as analysed
+// for HBP computations by Cole and Ramachandran: one Chase-Lev deque per
+// worker; the owner forks/joins through its own deque under relaxed
+// atomics, idle workers steal FIFO and *block* when the machine is
+// saturated.  CGC loops use lazy binary splitting: a range peels
+// grain-sized chunks sequentially and only splits in half when the local
+// deque has been emptied by thieves.  Forked tasks live on the forking
+// frame's stack, so dispatch performs no heap allocation.
 //
 // Every construct borrows its body as a two-word util::FnRef, and the one
 // SB fork, sb_parallel, takes a braced list of SbTasks whose lambdas live
-// until it returns.  On the work-stealing backend a fork therefore
-// allocates nothing: it runs the first above-grain task on this core,
-// forks each later above-grain one as a stack Task, and runs below-grain
-// tasks inline in order.
+// until it returns.  A fork therefore allocates nothing: it runs the first
+// above-grain task on this core, forks each later above-grain one as a
+// stack Task, and runs below-grain tasks inline in order.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <initializer_list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -73,8 +66,8 @@ class NatBuf;
 /// A stealable unit of work.  Instances live on the stack of the forking
 /// function (structured fork/join: the parent joins every child before its
 /// frame dies), so scheduling a Task moves one pointer -- no allocation, no
-/// std::function, no virtual dispatch (a plain function pointer selects the
-/// concrete body).
+/// type-erased callable object, no virtual dispatch (a plain function
+/// pointer selects the concrete body).
 class Task {
  public:
   using RunFn = void (*)(Task*);
@@ -138,12 +131,6 @@ class WorkStealingPool {
 
   unsigned threads() const { return nworkers_; }
 
-  /// True when the spawned workers pin themselves to cores (OBLIV_PIN set
-  /// on a platform with an affinity API).  The calling thread -- worker 0
-  /// -- is never touched; measurement harnesses pin it themselves via
-  /// pin_current_thread() so the pool cannot hijack a caller's affinity.
-  bool pinned() const { return pinned_; }
-
   /// Runs `root` on the calling thread, registering it as worker 0 if it is
   /// not already a pool worker.  Concurrent external callers serialize.
   void run_root(Task& root);
@@ -158,15 +145,15 @@ class WorkStealingPool {
   void join(Task* t);
 
   /// Like join(), but gives up when `deadline` passes or `quit()` turns
-  /// true at an idle point (quit is polled between tasks, never mid-task,
-  /// and may be empty).  Returns t->finished(); on false the caller is
-  /// still responsible for eventually joining `t` to completion.  Built
-  /// for layered schedulers whose dispatcher multiplexes watchdog duties
-  /// (deadline sweeps, re-admission after a cancel freed budget) with
-  /// helping the pool: the serve dispatcher is the only current caller.
+  /// true at an idle point (quit is polled between tasks, never mid-task).
+  /// Returns t->finished(); on false the caller is still responsible for
+  /// eventually joining `t` to completion.  Built for layered schedulers
+  /// whose dispatcher multiplexes watchdog duties (deadline sweeps,
+  /// re-admission after a cancel freed budget) with helping the pool: the
+  /// serve dispatcher is the only current caller.
   bool join_interruptible(Task* t,
                           std::chrono::steady_clock::time_point deadline,
-                          const std::function<bool()>& quit);
+                          util::FnRef<bool()> quit);
 
   /// Wakes every blocked worker/joiner so a pending join_interruptible
   /// re-polls its quit predicate.  Safe from any thread.
@@ -239,6 +226,9 @@ class WorkStealingPool {
   };
 
   void worker_main(unsigned id);
+  /// One help step of worker `self`: runs one task from its own deque or
+  /// stolen from another's; false when there was nothing to run.
+  bool help_one(unsigned self);
   void execute(Task* t);
   Task* try_steal(unsigned self);
   // Acquire pairs with the release in set_fault_plan: a worker that sees
@@ -259,11 +249,14 @@ class WorkStealingPool {
   }
   bool have_stealable() const;
   void notify(bool everyone);
+  /// Sleeps until a notify/kick, stop, or `deadline` (none: no timeout),
+  /// unless `quit_early()` holds once registered as a sleeper.
   template <class Pred>
-  void idle_block(Pred quit_early);
-  template <class Pred>
-  void idle_block_until(std::chrono::steady_clock::time_point deadline,
-                        Pred quit_early);
+  void idle_wait(Pred quit_early,
+                 std::optional<std::chrono::steady_clock::time_point>
+                     deadline = std::nullopt);
+  /// Stops and joins the spawned workers (destructor and failed setup).
+  void stop_and_join();
 
   unsigned nworkers_;
   unsigned ncores_;  // hardware_concurrency, >= 1; see notify()
@@ -281,47 +274,7 @@ class WorkStealingPool {
   std::atomic<obs::Histogram*> steal_hist_{nullptr};
   std::atomic<obs::Histogram*> grain_hist_{nullptr};
   std::atomic<fault::FaultPlan*> fault_plan_{nullptr};
-  bool pinned_ = false;
-};
-
-/// The original shared-queue fork-join pool (single mutex + condition
-/// variable, spin-yield join).  Retained as the benchmark baseline; see the
-/// header comment.
-class SharedQueuePool {
- public:
-  explicit SharedQueuePool(unsigned threads);
-  ~SharedQueuePool();
-
-  SharedQueuePool(const SharedQueuePool&) = delete;
-  SharedQueuePool& operator=(const SharedQueuePool&) = delete;
-
-  unsigned threads() const { return workers_.size() + 1; }
-
-  /// Runs all `tasks`, potentially in parallel; returns when all complete.
-  void run_all(std::vector<std::function<void()>> tasks);
-
- private:
-  struct Group;
-  struct Item {
-    std::function<void()> fn;
-    Group* group;
-  };
-
-  void worker_loop();
-  bool try_run_one();
-
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Item> queue_;
-  bool stop_ = false;
-};
-
-/// Which fork/join substrate NativeExecutor schedules on.
-enum class SchedMode {
-  kAuto,         ///< OBLIV_SCHED env var; defaults to work stealing
-  kWorkSteal,    ///< per-worker deques, lazy splitting (default)
-  kSharedQueue,  ///< legacy global-queue baseline
+  bool pinned_ = false;  // OBLIV_PIN: spawned workers pin (worker_main)
 };
 
 class NativeExecutor {
@@ -335,8 +288,7 @@ class NativeExecutor {
   /// obliv::Error on absurd thread counts (> kMaxThreads) and propagates
   /// allocation / thread-spawn failures; prefer make() on untrusted input.
   explicit NativeExecutor(unsigned threads = 0,
-                          std::uint64_t sequential_grain_words = 1 << 12,
-                          SchedMode mode = SchedMode::kAuto);
+                          std::uint64_t sequential_grain_words = 1 << 12);
 
   /// Non-throwing companion: kUnsupported for threads > kMaxThreads,
   /// kResourceExhausted when pool setup fails (thread spawn or allocation,
@@ -345,30 +297,19 @@ class NativeExecutor {
   /// WorkStealingPool constructor).
   static Result<NativeExecutor> make(unsigned threads = 0,
                                      std::uint64_t sequential_grain_words =
-                                         1 << 12,
-                                     SchedMode mode = SchedMode::kAuto) noexcept;
+                                         1 << 12) noexcept;
 
-  unsigned threads() const {
-    return ws_ ? ws_->threads() : sq_->threads();
-  }
+  unsigned threads() const { return ws_->threads(); }
 
-  /// True when scheduling on the work-stealing backend.
-  bool work_stealing() const { return ws_ != nullptr; }
-
-  /// The underlying work-stealing pool, or nullptr on the shared-queue
-  /// baseline.  The serve layer schedules jobs as sibling task trees
-  /// directly on the pool (fork/join from inside one long-lived root);
-  /// algorithm code never needs this.
+  /// The underlying work-stealing pool, never null.  The serve layer
+  /// schedules jobs as sibling task trees directly on the pool (fork/join
+  /// from inside one long-lived root); algorithm code never needs this.
   WorkStealingPool* steal_pool() { return ws_.get(); }
 
   /// Steal cut-off grain (words): tasks whose space bound is below this
   /// run inline on the forking core.  Exposed so layered schedulers can
   /// size admission estimates consistently with the executor.
   std::uint64_t sequential_grain_words() const { return grain_; }
-
-  /// True when the pool's spawned workers are core-pinned (OBLIV_PIN; see
-  /// WorkStealingPool::pinned).  Always false on the shared-queue baseline.
-  bool pinned() const { return ws_ ? ws_->pinned() : false; }
 
   template <class T>
   NatBuf<T> make_buf(std::size_t n);
@@ -402,10 +343,8 @@ class NativeExecutor {
   void tick(std::uint64_t) {}
 
   /// Forwards to the work-stealing pool (see WorkStealingPool::set_tracer)
-  /// and names one export lane per worker.  The shared-queue baseline emits
-  /// no events; the call is a no-op there.
+  /// and names one export lane per worker.
   void set_tracer(obs::Tracer* tracer) {
-    if (!ws_) return;
     ws_->set_tracer(tracer);
     if constexpr (obs::kTracingCompiledIn) {
       if (tracer != nullptr) {
@@ -417,14 +356,13 @@ class NativeExecutor {
   }
 
   /// Forwards to the work-stealing pool (see WorkStealingPool::
-  /// set_fault_plan); a no-op on the shared-queue baseline.
-  void set_fault_plan(fault::FaultPlan* plan) {
-    if (ws_) ws_->set_fault_plan(plan);
-  }
+  /// set_fault_plan).
+  void set_fault_plan(fault::FaultPlan* plan) { ws_->set_fault_plan(plan); }
 
  private:
+  // Behind a pointer so the executor stays movable (make() returns it by
+  // value); the workers capture the pool's address.
   std::unique_ptr<WorkStealingPool> ws_;
-  std::unique_ptr<SharedQueuePool> sq_;
   std::uint64_t grain_;
 };
 

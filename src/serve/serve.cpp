@@ -318,15 +318,8 @@ struct Core : std::enable_shared_from_this<Core> {
 
   explicit Core(const ServerOptions& opts)
       : opts_(opts),
-        ex_(opts.threads, opts.sequential_grain_words,
-            sched::SchedMode::kWorkSteal),
-        pool_(ex_.steal_pool()) {
-    if (pool_ == nullptr) {
-      // Unreachable with an explicit kWorkSteal request; guard anyway.
-      throw Error(ErrorCode::kInternal,
-                  "serve requires the work-stealing backend");
-    }
-  }
+        ex_(opts.threads, opts.sequential_grain_words),
+        pool_(ex_.steal_pool()) {}
 
   ~Core() { shutdown(); }
 

@@ -92,8 +92,7 @@ std::string repro(std::uint64_t seed) {
 /// fuzz-sized inputs.
 std::vector<std::byte> run_native(fault::FaultPlan* plan, workload::Kind kind,
                                   std::uint64_t n, std::uint64_t seed) {
-  sched::NativeExecutor ex(4, /*sequential_grain_words=*/128,
-                           sched::SchedMode::kWorkSteal);
+  sched::NativeExecutor ex(4, /*sequential_grain_words=*/128);
   workload::Instance<sched::NativeExecutor> inst(ex, kind, n, seed);
   ex.set_fault_plan(plan);
   inst.run(ex);
@@ -423,7 +422,7 @@ TEST(FaultAllocStorm, ExecutorSetupSurvivesInjectedSpawnFailure) {
   for (std::uint64_t seed = 0; seed < 16; ++seed) {
     fault::FaultPlan plan(seed, fault::FaultOptions::alloc_storm(20000));
     fault::ScopedFaultPlan scope(&plan);
-    auto r = sched::NativeExecutor::make(4, 128, sched::SchedMode::kWorkSteal);
+    auto r = sched::NativeExecutor::make(4, 128);
     if (r.ok()) {
       fault::ScopedFaultPlan detach(nullptr);
       std::atomic<int> hits{0};

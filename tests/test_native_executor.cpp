@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
+#include <chrono>
 #include <functional>
 #include <numeric>
 #include <thread>
@@ -86,7 +86,7 @@ TEST(WsDeque, EveryElementTakenExactlyOnceUnderConcurrentSteals) {
 // grain 1, so every subtask of a cgc_sb_pfor is its own stealable unit.
 
 TEST(WorkStealingPool, RunsAllTasks) {
-  NativeExecutor ex(4, /*grain=*/1, SchedMode::kWorkSteal);
+  NativeExecutor ex(4, /*grain=*/1);
   std::atomic<int> count{0};
   ex.cgc_sb_pfor(100, /*space=*/1 << 20, [&](std::uint64_t) {
     count.fetch_add(1, std::memory_order_relaxed);
@@ -96,7 +96,7 @@ TEST(WorkStealingPool, RunsAllTasks) {
 
 TEST(WorkStealingPool, NestedParallelismDoesNotDeadlock) {
   // Fewer threads than nested groups.
-  NativeExecutor ex(2, /*grain=*/1, SchedMode::kWorkSteal);
+  NativeExecutor ex(2, /*grain=*/1);
   std::atomic<int> leaves{0};
   ex.cgc_sb_pfor(8, 1 << 20, [&](std::uint64_t) {
     ex.cgc_sb_pfor(8, 1 << 10, [&](std::uint64_t) {
@@ -107,14 +107,14 @@ TEST(WorkStealingPool, NestedParallelismDoesNotDeadlock) {
 }
 
 TEST(WorkStealingPool, SingleThreadStillWorks) {
-  NativeExecutor ex(1, /*grain=*/1, SchedMode::kWorkSteal);
+  NativeExecutor ex(1, /*grain=*/1);
   int x = 0;
   ex.sb_parallel({{1 << 20, [&] { x = 1; }}, {1 << 20, [&] { x += 2; }}});
   EXPECT_EQ(x, 3);
 }
 
 TEST(WorkStealingPool, RepeatedRootEntriesReuseSleepingWorkers) {
-  NativeExecutor ex(4, /*grain=*/1, SchedMode::kWorkSteal);
+  NativeExecutor ex(4, /*grain=*/1);
   for (int round = 0; round < 300; ++round) {
     std::atomic<int> n{0};
     ex.cgc_sb_pfor(16, 1 << 20, [&](std::uint64_t) {
@@ -124,43 +124,95 @@ TEST(WorkStealingPool, RepeatedRootEntriesReuseSleepingWorkers) {
   }
 }
 
-// The legacy shared-queue baseline must keep working: bench_wallclock
-// measures the rewrite against it.
-TEST(SharedQueuePool, RunsAllTasksAndNests) {
-  SharedQueuePool pool(3);
-  std::atomic<int> leaves{0};
-  std::vector<std::function<void()>> outer;
-  for (int t = 0; t < 4; ++t) {
-    outer.push_back([&] {
-      std::vector<std::function<void()>> inner;
-      for (int s = 0; s < 4; ++s) {
-        inner.push_back(
-            [&] { leaves.fetch_add(1, std::memory_order_relaxed); });
+// join_interruptible, driven directly: the serve dispatcher is its only
+// production caller.  The tasks below are built by hand so each test
+// controls exactly when the joined task can finish.
+
+/// Stack task running a lambda; the test keeps it alive until joined.
+template <class F>
+struct LambdaTask : Task {
+  explicit LambdaTask(F f) : Task(&LambdaTask::invoke), fn(std::move(f)) {}
+  static void invoke(Task* t) { static_cast<LambdaTask*>(t)->fn(); }
+  F fn;
+};
+
+std::chrono::steady_clock::time_point far_future() {
+  return std::chrono::steady_clock::now() + std::chrono::hours(1);
+}
+
+TEST(WorkStealingPool, JoinInterruptiblePastDeadlineLeavesTaskForJoin) {
+  // One worker: nobody can steal the child, so only the joiner could run it.
+  WorkStealingPool pool(1);
+  bool ran = false;
+  LambdaTask root([&] {
+    LambdaTask child([&] { ran = true; });
+    pool.fork(&child);
+    const bool done = pool.join_interruptible(
+        &child, std::chrono::steady_clock::now() - std::chrono::seconds(1),
+        [] { return false; });
+    EXPECT_FALSE(done);
+    EXPECT_FALSE(ran);
+    EXPECT_FALSE(child.finished());
+    pool.join(&child);
+    EXPECT_TRUE(ran);
+  });
+  pool.run_root(root);
+  EXPECT_TRUE(ran);
+}
+
+TEST(WorkStealingPool, JoinInterruptibleQuitReturnsWhileStolenTaskRuns) {
+  WorkStealingPool pool(2);
+  std::atomic<bool> started{false}, release{false};
+  int polls = 0;
+  LambdaTask root([&] {
+    // The child spins on worker 1 until released, kicking the pool so the
+    // parked joiner re-polls its quit predicate.
+    LambdaTask child([&] {
+      started.store(true, std::memory_order_release);
+      while (!release.load(std::memory_order_acquire)) {
+        pool.kick();
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
       }
-      pool.run_all(std::move(inner));
     });
-  }
-  pool.run_all(std::move(outer));
-  EXPECT_EQ(leaves.load(), 16);
+    pool.fork(&child);
+    // Wait for worker 1 to steal it; a kick wakes it even when the fork's
+    // own wake-up was skipped.
+    while (!started.load(std::memory_order_acquire)) {
+      pool.kick();
+      std::this_thread::yield();
+    }
+    const bool done = pool.join_interruptible(&child, far_future(),
+                                              [&] { return ++polls >= 4; });
+    EXPECT_FALSE(done);
+    EXPECT_GE(polls, 4);
+    EXPECT_FALSE(child.finished());
+    release.store(true, std::memory_order_release);
+    pool.join(&child);
+    EXPECT_TRUE(child.finished());
+  });
+  pool.run_root(root);
+}
+
+TEST(WorkStealingPool, JoinInterruptibleReturnsTrueOnCompletion) {
+  WorkStealingPool pool(2);
+  std::atomic<int> ran{0};
+  LambdaTask root([&] {
+    LambdaTask child([&] { ran.fetch_add(1, std::memory_order_relaxed); });
+    pool.fork(&child);
+    EXPECT_TRUE(
+        pool.join_interruptible(&child, far_future(), [] { return false; }));
+    EXPECT_TRUE(child.finished());
+  });
+  pool.run_root(root);
+  EXPECT_EQ(ran.load(), 1);
 }
 
 // ---------------------------------------------------------------------------
-// NativeExecutor -- parameterized over both scheduler backends.
+// NativeExecutor
 // ---------------------------------------------------------------------------
 
-class NativeExecutorBothSched : public ::testing::TestWithParam<SchedMode> {};
-
-INSTANTIATE_TEST_SUITE_P(Backends, NativeExecutorBothSched,
-                         ::testing::Values(SchedMode::kWorkSteal,
-                                           SchedMode::kSharedQueue),
-                         [](const auto& param_info) {
-                           return param_info.param == SchedMode::kWorkSteal
-                                      ? "WorkSteal"
-                                      : "SharedQueue";
-                         });
-
-TEST_P(NativeExecutorBothSched, PforCoversRangeOnceUnderContention) {
-  NativeExecutor ex(4, /*grain=*/64, GetParam());
+TEST(NativeExecutor, PforCoversRangeOnceUnderContention) {
+  NativeExecutor ex(4, /*grain=*/64);
   const std::size_t n = 100000;
   std::vector<std::atomic<int>> hits(n);
   for (auto& h : hits) h.store(0);
@@ -174,10 +226,10 @@ TEST_P(NativeExecutorBothSched, PforCoversRangeOnceUnderContention) {
   }
 }
 
-TEST_P(NativeExecutorBothSched, SmallTasksRunInline) {
+TEST(NativeExecutor, SmallTasksRunInline) {
   // Tasks below the grain run sequentially on the calling thread: result
   // identical, no fork.
-  NativeExecutor ex(4, /*grain=*/1 << 20, GetParam());
+  NativeExecutor ex(4, /*grain=*/1 << 20);
   int order = 0;
   // Sequential, so ordered.
   ex.sb_parallel({{10, [&] { EXPECT_EQ(order++, 0); }},
@@ -185,9 +237,9 @@ TEST_P(NativeExecutorBothSched, SmallTasksRunInline) {
   EXPECT_EQ(order, 2);
 }
 
-TEST_P(NativeExecutorBothSched, SingleChunkPforRunsInlineOnCallingThread) {
+TEST(NativeExecutor, SingleChunkPforRunsInlineOnCallingThread) {
   // A range that collapses to one chunk must not round-trip the queue.
-  NativeExecutor ex(4, /*grain=*/1 << 12, GetParam());
+  NativeExecutor ex(4, /*grain=*/1 << 12);
   const auto caller = std::this_thread::get_id();
   int calls = 0;
   ex.cgc_pfor(0, 100, 1, [&](std::uint64_t a, std::uint64_t b) {
@@ -206,8 +258,8 @@ TEST_P(NativeExecutorBothSched, SingleChunkPforRunsInlineOnCallingThread) {
   EXPECT_EQ(sb_calls, 8);
 }
 
-TEST_P(NativeExecutorBothSched, OneThreadExecutorRunsEverythingInline) {
-  NativeExecutor ex(1, /*grain=*/1, GetParam());
+TEST(NativeExecutor, OneThreadExecutorRunsEverythingInline) {
+  NativeExecutor ex(1, /*grain=*/1);
   const auto caller = std::this_thread::get_id();
   std::uint64_t sum = 0;
   ex.cgc_pfor(0, 5000, 1, [&](std::uint64_t a, std::uint64_t b) {
@@ -223,8 +275,8 @@ TEST_P(NativeExecutorBothSched, OneThreadExecutorRunsEverythingInline) {
   EXPECT_EQ(hits, 1000u);
 }
 
-TEST_P(NativeExecutorBothSched, CgcSbPforExecutesEveryTask) {
-  NativeExecutor ex(3, 8, GetParam());
+TEST(NativeExecutor, CgcSbPforExecutesEveryTask) {
+  NativeExecutor ex(3, 8);
   std::vector<std::atomic<int>> hits(500);
   for (auto& h : hits) h.store(0);
   ex.cgc_sb_pfor(hits.size(), 1 << 16, [&](std::uint64_t s) {
@@ -233,8 +285,8 @@ TEST_P(NativeExecutorBothSched, CgcSbPforExecutesEveryTask) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST_P(NativeExecutorBothSched, DeepRecursiveForkJoin) {
-  NativeExecutor ex(4, 1, GetParam());
+TEST(NativeExecutor, DeepRecursiveForkJoin) {
+  NativeExecutor ex(4, 1);
   std::atomic<std::uint64_t> sum{0};
   // Binary recursion summing 1..1024 via leaf tasks.
   std::function<void(std::uint64_t, std::uint64_t)> rec =
@@ -251,8 +303,8 @@ TEST_P(NativeExecutorBothSched, DeepRecursiveForkJoin) {
   EXPECT_EQ(sum.load(), 1024u * 1025 / 2);
 }
 
-TEST_P(NativeExecutorBothSched, StressRepeatedParallelSections) {
-  NativeExecutor ex(4, 1, GetParam());
+TEST(NativeExecutor, StressRepeatedParallelSections) {
+  NativeExecutor ex(4, 1);
   for (int round = 0; round < 200; ++round) {
     std::atomic<int> n{0};
     const auto bump = [&] { n.fetch_add(1, std::memory_order_relaxed); };
@@ -266,7 +318,7 @@ TEST_P(NativeExecutorBothSched, StressRepeatedParallelSections) {
 TEST(NativeExecutor, MixedSpaceBoundsKeepSmallTasksLocal) {
   // Below-grain siblings of an above-grain task still run (on some thread),
   // exactly once each.
-  NativeExecutor ex(4, /*grain=*/1 << 10, SchedMode::kWorkSteal);
+  NativeExecutor ex(4, /*grain=*/1 << 10);
   std::atomic<int> big{0}, small{0};
   const auto b = [&] { big.fetch_add(1, std::memory_order_relaxed); };
   const auto s = [&] { small.fetch_add(1, std::memory_order_relaxed); };
@@ -274,18 +326,6 @@ TEST(NativeExecutor, MixedSpaceBoundsKeepSmallTasksLocal) {
                   {8, s}, {1 << 20, b}});
   EXPECT_EQ(big.load(), 2);
   EXPECT_EQ(small.load(), 6);
-}
-
-TEST(NativeExecutor, EnvVarSelectsSharedQueueBackend) {
-  ::setenv("OBLIV_SCHED", "sharedq", 1);
-  NativeExecutor legacy(2);
-  EXPECT_FALSE(legacy.work_stealing());
-  ::setenv("OBLIV_SCHED", "steal", 1);
-  NativeExecutor ws(2);
-  EXPECT_TRUE(ws.work_stealing());
-  ::unsetenv("OBLIV_SCHED");
-  NativeExecutor dflt(2);
-  EXPECT_TRUE(dflt.work_stealing());
 }
 
 }  // namespace

@@ -52,7 +52,7 @@ TEST_P(FamilyParallelism, TasksAreStolenOnFourWorkers) {
     GTEST_SKIP() << "steal histogram compiled out (OBLIV_TRACING=OFF)";
   }
   const Kind kind = static_cast<Kind>(GetParam());
-  NativeExecutor ex(4, 1 << 12, sched::SchedMode::kWorkSteal);
+  NativeExecutor ex(4, 1 << 12);
   obs::Tracer tracer(4);
   tracer.set_events_enabled(false);
   ex.set_tracer(&tracer);
@@ -84,8 +84,7 @@ INSTANTIATE_TEST_SUITE_P(
 /// 128, one fork-grain histogram sample each.
 template <class F>
 std::uint64_t forks_during(F&& run) {
-  NativeExecutor ex(4, /*sequential_grain_words=*/128,
-                    sched::SchedMode::kWorkSteal);
+  NativeExecutor ex(4, /*sequential_grain_words=*/128);
   obs::Tracer tracer(4);
   tracer.set_events_enabled(false);
   ex.set_tracer(&tracer);

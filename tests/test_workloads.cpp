@@ -79,7 +79,7 @@ TEST_P(Registry, EveryPathPassesTheReferenceAndAgrees) {
   const Kind k = GetParam();
   sched::NativeExecutor one(1);
   // Grain 1: even the 17-element inputs fork.
-  sched::NativeExecutor four(4, 1, sched::SchedMode::kWorkSteal);
+  sched::NativeExecutor four(4, 1);
   serve::ServerOptions so;
   so.threads = 4;
   serve::Server srv(so);

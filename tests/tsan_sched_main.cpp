@@ -108,8 +108,7 @@ void nested_storm(obliv::sched::NativeExecutor& ex, std::uint64_t lo,
 }
 
 void executor_storm() {
-  obliv::sched::NativeExecutor ex(4, /*grain=*/1,
-                                  obliv::sched::SchedMode::kWorkSteal);
+  obliv::sched::NativeExecutor ex(4, /*grain=*/1);
   const std::uint64_t n = 1 << 11;
   std::vector<std::atomic<int>> hits(n);
   for (auto& h : hits) h.store(0);
@@ -120,8 +119,7 @@ void executor_storm() {
 }
 
 void repeated_roots() {
-  obliv::sched::NativeExecutor ex(8, /*grain=*/4,
-                                  obliv::sched::SchedMode::kWorkSteal);
+  obliv::sched::NativeExecutor ex(8, /*grain=*/4);
   std::uint64_t total = 0;
   for (int round = 0; round < 200; ++round) {
     std::atomic<std::uint64_t> cnt{0};
@@ -139,8 +137,7 @@ void repeated_roots() {
 // leaks the thread (caught by the ASan build of this binary).
 void destroy_while_sleeping() {
   for (int round = 0; round < 50; ++round) {
-    obliv::sched::NativeExecutor ex(8, /*grain=*/4,
-                                    obliv::sched::SchedMode::kWorkSteal);
+    obliv::sched::NativeExecutor ex(8, /*grain=*/4);
     if (round % 2 == 0) {
       std::atomic<int> cnt{0};
       obliv::sched::cgc_pfor_each(ex, 0, 16, 1, [&](std::uint64_t) {
@@ -165,8 +162,7 @@ void failed_setup_teardown() {
         seed, obliv::fault::FaultOptions::alloc_storm(20000));
     obliv::fault::ScopedFaultPlan scope(&plan);
     try {
-      obliv::sched::NativeExecutor ex(4, /*grain=*/4,
-                                      obliv::sched::SchedMode::kWorkSteal);
+      obliv::sched::NativeExecutor ex(4, /*grain=*/4);
       ++built;
       obliv::fault::ScopedFaultPlan detach(nullptr);
       std::atomic<int> cnt{0};
@@ -187,8 +183,7 @@ void failed_setup_teardown() {
 // scheduler paths concurrently with real stealing.
 void chaos_storm() {
   if (!obliv::fault::kFaultsCompiledIn) return;
-  obliv::sched::NativeExecutor ex(4, /*grain=*/1,
-                                  obliv::sched::SchedMode::kWorkSteal);
+  obliv::sched::NativeExecutor ex(4, /*grain=*/1);
   obliv::fault::FaultPlan plan(99, obliv::fault::FaultOptions::chaos());
   ex.set_fault_plan(&plan);
   const std::uint64_t n = 1 << 10;
@@ -253,8 +248,7 @@ void fork_lists(obliv::sched::NativeExecutor& ex, std::uint64_t lo,
 void fork_list_storm() {
   using obliv::fault::InjectSite;
   for (InjectSite site : {InjectSite::kWakeDrop, InjectSite::kPopOrder}) {
-    obliv::sched::NativeExecutor ex(4, /*grain=*/64,
-                                    obliv::sched::SchedMode::kWorkSteal);
+    obliv::sched::NativeExecutor ex(4, /*grain=*/64);
     obliv::fault::FaultOptions opts;
     opts.p[static_cast<std::size_t>(site)] = 32768;  // 50%
     obliv::fault::FaultPlan plan(7, opts);
@@ -422,8 +416,7 @@ void native_leaf_sweep() {
   namespace algo = obliv::algo;
   namespace sched = obliv::sched;
   obliv::util::Xoshiro256 g(11);
-  sched::NativeExecutor ex1(1), ex4(4, /*grain=*/64,
-                                    sched::SchedMode::kWorkSteal);
+  sched::NativeExecutor ex1(1), ex4(4, /*grain=*/64);
   // Rows of 0..11 nonzeros (serial loop and strided dot kernel) and one
   // row wider than the leaf.
   const std::uint64_t n = 4096;
