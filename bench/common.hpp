@@ -1,10 +1,6 @@
-// Shared helpers for the per-table/figure benchmark binaries.
-//
-// Each bench prints, for a parameter sweep, the measured quantity next to
-// the paper's closed-form bound and their ratio; a bound "holds in shape"
-// when the ratio column is flat (constant factor) across the sweep.  The
-// fitted log-log slope is printed so EXPERIMENTS.md can record measured vs
-// predicted growth exponents.
+// Shared helpers for the benchmark binaries: the --smoke switch and its
+// shortened sweeps, headers, trace export, wall-clock timing with
+// BENCH_*.json records, and the paired-overhead guardrail harness.
 #pragma once
 
 #include <algorithm>
@@ -113,43 +109,6 @@ template <class T>
 T& trace_attach(T& target) {
   target.set_tracer(TraceExport::active_tracer());
   return target;
-}
-
-/// One sweep series: x (problem size), measured, and the model prediction.
-struct Series {
-  Series() = default;
-  explicit Series(std::string n) : name(std::move(n)) {}
-
-  std::string name;
-  std::vector<double> x, measured, model;
-
-  void add(double xi, double meas, double mod) {
-    x.push_back(xi);
-    measured.push_back(meas);
-    model.push_back(mod);
-  }
-};
-
-/// Prints x / measured / model / ratio rows plus slope + flatness summary.
-inline void print_series(const Series& s,
-                         const std::string& xlabel = "n") {
-  util::Table t({xlabel, "measured", "model", "ratio"});
-  for (std::size_t i = 0; i < s.x.size(); ++i) {
-    t.add_row({util::Table::fmt(s.x[i], "%.0f"),
-               util::Table::fmt(s.measured[i], "%.4g"),
-               util::Table::fmt(s.model[i], "%.4g"),
-               util::Table::fmt(s.measured[i] / s.model[i], "%.3f")});
-  }
-  std::cout << "\n-- " << s.name << " --\n";
-  t.print(std::cout);
-  const double slope_meas = util::loglog_slope(s.x, s.measured);
-  const double slope_model = util::loglog_slope(s.x, s.model);
-  std::cout << "loglog slope: measured " << util::Table::fmt(slope_meas, "%.3f")
-            << " vs model " << util::Table::fmt(slope_model, "%.3f")
-            << "; ratio spread "
-            << util::Table::fmt(util::ratio_spread(s.measured, s.model),
-                                "%.2f")
-            << "x (flat ratio => bound shape holds)\n";
 }
 
 // ---------------------------------------------------------------------------

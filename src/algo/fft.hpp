@@ -293,7 +293,8 @@ void mo_ifft(Exec& ex, Ref x) {
 
 /// Iterative radix-2 Cooley-Tukey (bit-reversal + log n butterfly passes).
 /// Cache-aware codes block this; unblocked it incurs Theta((n/B) log n)
-/// misses once n exceeds the cache -- the baseline curve for bench_fft.
+/// misses once n exceeds the cache -- the baseline curve of bench_table2's
+/// Theorem 2 rows.
 template <class Exec, class Ref>
 void iterative_fft(Exec& ex, Ref x) {
   const std::uint64_t n = x.size();

@@ -21,10 +21,13 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "fault/status.hpp"
 #include "sched/hints.hpp"
 #include "sched/views.hpp"
+#include "util/bits.hpp"
 #include "util/simd.hpp"
 
 namespace obliv::algo {
@@ -323,6 +326,25 @@ void gep_rec(Exec& ex, sched::MatView<Ref> x, Interval I, Interval J,
   }
 }
 
+/// The entry check of igep and mo_matmul: every view is n x n and n halves
+/// evenly down to `base_cutoff` (workload::size_ok's rule), so the
+/// recursion only ever splits a side into equal halves.  O(1), and it
+/// throws Error(kInvalidArgument) before anything is written.
+template <class... Views>
+void check_side(const char* who, std::uint64_t n, std::uint64_t base_cutoff,
+                const Views&... views) {
+  if (((views.rows() != n || views.cols() != n) || ...)) {
+    throw Error(ErrorCode::kInvalidArgument,
+                std::string(who) + ": every matrix must be n x n");
+  }
+  if (!util::halves_down_to(n, base_cutoff)) {
+    throw Error(ErrorCode::kInvalidArgument,
+                std::string(who) + ": side " + std::to_string(n) +
+                    " does not halve evenly down to base_cutoff " +
+                    std::to_string(base_cutoff));
+  }
+}
+
 }  // namespace detail
 
 // Re-exported for modules that share the recursion taxonomy (no/ngep.hpp).
@@ -330,14 +352,16 @@ using detail::classify;
 using detail::GepFn;
 
 /// I-GEP: runs the instance's GEP computation on the n x n matrix viewed by
-/// `x` under the SB scheduler.  n must be a power of two.
+/// `x` under the SB scheduler.
 /// `base_cutoff` is the constant tile side at which recursion bottoms out
 /// (any constant preserves obliviousness and the asymptotic bounds).
+/// Throws Error(kInvalidArgument) unless x is square and n halves evenly
+/// down to base_cutoff.
 template <class Inst, class Exec, class Ref>
 void igep(Exec& ex, sched::MatView<Ref> x, std::uint64_t base_cutoff = 8,
           GepSchedule sched = GepSchedule::kD) {
   const std::uint64_t n = x.rows();
-  assert(x.cols() == n);
+  detail::check_side("igep", n, base_cutoff, x);
   const Interval all{0, n};
   ex.sb_seq(n * n, [&] {
     detail::gep_rec<Inst>(ex, x, all, all, all, base_cutoff, sched);
@@ -424,11 +448,12 @@ void matmul_rec(Exec& ex, sched::MatView<Ref> c, sched::MatView<Ref> a,
 }  // namespace detail
 
 /// C += A * B by I-GEP function D (all matrices disjoint), under SB.
-/// Same bounds as Theorem 5.
+/// Same bounds as Theorem 5, and the same side rule as igep.
 template <class Exec, class Ref>
 void mo_matmul(Exec& ex, sched::MatView<Ref> c, sched::MatView<Ref> a,
                sched::MatView<Ref> b, std::uint64_t base_cutoff = 8) {
   const std::uint64_t n = c.rows();
+  detail::check_side("mo_matmul", n, base_cutoff, c, a, b);
   ex.sb_seq(4 * n * n, [&] { detail::matmul_rec(ex, c, a, b, base_cutoff); });
 }
 

@@ -303,7 +303,7 @@ void mergesort_rec(Exec& ex, Ref v, Ref tmp) {
 
 }  // namespace detail
 
-/// Binary mergesort baseline (for bench_sort comparisons).
+/// Binary mergesort baseline (for bench_table2's Theorem 3 rows).
 template <class Exec, class Ref>
 void mergesort_baseline(Exec& ex, Ref v) {
   using T = typename Ref::value_type;

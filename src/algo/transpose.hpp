@@ -173,7 +173,7 @@ void mo_transpose_inplace(Exec& ex, sched::MatView<Ref> m) {
 }
 
 // ---------------------------------------------------------------------------
-// Baselines for bench_mt.
+// Baselines for bench_table2's Theorem 1 rows.
 // ---------------------------------------------------------------------------
 
 /// Naive parallel transposition: out[i][j] = a[j][i] by rows.  Strided reads

@@ -179,4 +179,9 @@ MachineConfig MachineConfig::figure1() {
                                    LevelSpec{262144, 16, 2}});
 }
 
+MachineConfig MachineConfig::small_caches() {
+  return MachineConfig("small_caches",
+                       {LevelSpec{256, 8, 1}, LevelSpec{8192, 16, 4}});
+}
+
 }  // namespace obliv::hm

@@ -126,6 +126,11 @@ class MachineConfig {
 
   /// h=5: the Figure-1 shape -- 8 cores, fanins (1, 2, 2, 2).
   static MachineConfig figure1();
+  /// h=3: 4 cores with 256-word L1s sharing an 8192-word L2, so Theorem
+  /// 5's n^2 >> C_i regime is reached at simulable sizes (with
+  /// desktop-scale caches the matrix fits in L2 until n ~ 1024, where the
+  /// n^3 simulation is impractical).
+  static MachineConfig small_caches();
 
  private:
   std::string name_;

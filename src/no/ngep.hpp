@@ -13,7 +13,7 @@
 // quadrant is needed by two children of the same round; it is equivalent to
 // D exactly for *commutative* GEP computations:
 //   f(f(y,u1,v1,w1),u2,v2,w2) = f(f(y,u2,v2,w2),u1,v1,w1).
-// Both orders are implemented so bench_ngep can reproduce Table I's
+// Both orders are implemented so bench_table2 can reproduce Table I's
 // communication contrast, and tests demonstrate the commutativity
 // requirement with a non-commutative instance.
 #pragma once

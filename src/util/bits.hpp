@@ -84,6 +84,14 @@ constexpr std::uint64_t ceil_div(std::uint64_t a, std::uint64_t b) noexcept {
   return (a + b - 1) / b;
 }
 
+/// Whether halving `n` while it exceeds `cutoff` always splits it evenly,
+/// so a recursion that halves a side down to `cutoff` gets equal halves
+/// (the side rule of I-GEP and recursive matmul).
+constexpr bool halves_down_to(std::uint64_t n, std::uint64_t cutoff) noexcept {
+  while (n > cutoff && n % 2 == 0) n /= 2;
+  return n <= cutoff;
+}
+
 /// Reverses the low `bits` bits of `x` (used by iterative FFT baselines).
 constexpr std::uint64_t reverse_bits(std::uint64_t x, unsigned bits) noexcept {
   std::uint64_t r = 0;

@@ -61,9 +61,8 @@ constexpr std::uint64_t space_words(Kind k, std::uint64_t n,
 /// Whether the family's algorithm takes size `n`:
 ///   * the FFT length and the transpose side are powers of two (or zero);
 ///   * the gep and matmul sides halve evenly down to their 8 x 8 base case
-///     (the default base_cutoff of igep and mo_matmul): igep asserts equal
-///     halves, and matmul's quadrant split drops the last row and column
-///     of an odd side;
+///     (the default base_cutoff of igep and mo_matmul, which reject any
+///     other side with the same rule);
 ///   * a matrix or grid side stays below 2^32, so n * n fits 64 bits.
 constexpr bool size_ok(Kind k, std::uint64_t n) {
   const bool side = k == Kind::kTranspose || k == Kind::kGep ||
@@ -73,9 +72,7 @@ constexpr bool size_ok(Kind k, std::uint64_t n) {
     case Kind::kFft:
     case Kind::kTranspose: return n == 0 || util::is_pow2(n);
     case Kind::kGep:
-    case Kind::kMatmul:
-      while (n > 8 && n % 2 == 0) n /= 2;
-      return n <= 8;
+    case Kind::kMatmul: return util::halves_down_to(n, 8);
     default: return true;
   }
 }

@@ -11,6 +11,7 @@
 #include "sched/native_executor.hpp"
 #include "sched/sim_executor.hpp"
 #include "util/rng.hpp"
+#include "workload/bounds.hpp"
 
 namespace obliv::algo {
 namespace {
@@ -154,7 +155,8 @@ TEST(Fft, NativeExecutorCorrect) {
 }
 
 TEST(Fft, MissesGrowAsNLogCN) {
-  // Theorem 2: O((n / (q_i B_i)) log_{C_i} n) misses per level-i cache.
+  // Theorem 2: O((2n / (q_i B_i)) log_{C_i} n + B_i) misses per level-i
+  // cache.
   // For n well above C_1, L1 misses per element should exceed one scan's
   // worth but stay within a multiple of (n/B) log_C n.
   const hm::MachineConfig cfg = hm::MachineConfig::shared_l2(4);
@@ -163,9 +165,7 @@ TEST(Fft, MissesGrowAsNLogCN) {
   auto buf = ex.make_buf<cplx>(n);
   for (auto& v : buf.raw()) v = cplx(1.0, 0.0);
   auto m = ex.run(6 * n, [&] { mo_fft(ex, buf.ref()); });
-  const double logc = std::log(double(n)) / std::log(double(cfg.capacity(1)));
-  const double model =
-      2.0 * double(n) / (cfg.caches_at(1) * cfg.block(1)) * std::max(1.0, logc);
+  const double model = workload::bound::fft_misses(cfg, 1, double(n));
   EXPECT_LT(double(m.level_max_misses[0]), 40.0 * model);
   EXPECT_GT(double(m.level_max_misses[0]), 0.1 * model);
 }

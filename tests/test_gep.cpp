@@ -5,6 +5,7 @@
 #include <cmath>
 #include <vector>
 
+#include "fault/status.hpp"
 #include "hm/config.hpp"
 #include "sched/native_executor.hpp"
 #include "sched/sim_executor.hpp"
@@ -240,6 +241,62 @@ TEST(Gep, SbMissesBeatLoopMisses) {
     misses_loop = m.level_max_misses[0];
   }
   EXPECT_LT(misses_igep * 2, misses_loop);
+}
+
+// igep and mo_matmul reject a side that does not halve evenly down to
+// base_cutoff (n = 18 splits into 9s, and 9 > 8 is odd) and a non-square
+// view, before writing anything -- on both executors, called directly
+// rather than through the registry's size check.
+template <class Exec, class Run>
+void expect_rejected_sides(Exec& ex, Run&& run) {
+  const std::uint64_t n = 18;
+  auto a = ex.template make_buf<double>(n * n);
+  auto b = ex.template make_buf<double>(n * n);
+  auto c = ex.template make_buf<double>(n * n);
+  for (auto& v : a.raw()) v = 1.0;
+  for (auto& v : b.raw()) v = 1.0;
+  using Mat = MatView<decltype(a.ref())>;
+  auto expect_invalid = [&](auto&& call) {
+    try {
+      run(call);
+      ADD_FAILURE() << "expected Error(kInvalidArgument)";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << e.what();
+    }
+  };
+  expect_invalid([&] {
+    igep<FloydWarshallInstance>(ex, Mat::full(a.ref(), n, n));
+  });
+  expect_invalid([&] {
+    igep<FloydWarshallInstance>(ex, Mat::full(a.ref(), 16, 8));
+  });
+  // The rule follows base_cutoff: 12 halves to 3, odd and above 2.
+  expect_invalid([&] {
+    igep<FloydWarshallInstance>(ex, Mat::full(a.ref(), 12, 12), 2);
+  });
+  expect_invalid([&] {
+    mo_matmul(ex, Mat::full(c.ref(), n, n), Mat::full(a.ref(), n, n),
+              Mat::full(b.ref(), n, n));
+  });
+  expect_invalid([&] {
+    mo_matmul(ex, Mat::full(c.ref(), 16, 16), Mat::full(a.ref(), 16, 8),
+              Mat::full(b.ref(), 8, 16));
+  });
+  for (double v : a.raw()) ASSERT_EQ(v, 1.0);
+  for (double v : c.raw()) ASSERT_EQ(v, 0.0);
+  // 18 halves to 9, which a cutoff of 9 accepts.
+  run([&] { igep<FloydWarshallInstance>(ex, Mat::full(a.ref(), n, n), 9); });
+}
+
+TEST(Gep, RejectsSideThatDoesNotHalve) {
+  {
+    sched::NativeExecutor ex(2);
+    expect_rejected_sides(ex, [](auto&& call) { call(); });
+  }
+  {
+    SimExecutor ex(hm::MachineConfig::shared_l2(4));
+    expect_rejected_sides(ex, [&](auto&& call) { ex.run(18 * 18, call); });
+  }
 }
 
 }  // namespace

@@ -3,22 +3,22 @@
 // bound on EVERY machine.  Each test below runs one unmodified algorithm
 // across six HM machines of different depths/shapes and checks (a) the
 // output is correct everywhere, and (b) every cache level's measured misses
-// are within a generous constant of the theorem's bound.
+// are within a generous constant of the theorem's bound (the shared full
+// forms of workload/bounds.hpp).
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
-#include "algo/fft.hpp"
-#include "algo/gep.hpp"
-#include "algo/sort.hpp"
-#include "algo/transpose.hpp"
+#include "algo/scan.hpp"
 #include "hm/config.hpp"
 #include "sched/sim_executor.hpp"
-#include "util/rng.hpp"
+#include "workload/bounds.hpp"
+#include "workload/workloads.hpp"
 
 namespace obliv {
 namespace {
+
+namespace bd = workload::bound;
 
 std::vector<hm::MachineConfig> all_machines() {
   return {hm::MachineConfig::sequential(),
@@ -32,110 +32,49 @@ std::vector<hm::MachineConfig> all_machines() {
 class Machines : public ::testing::TestWithParam<int> {
  protected:
   hm::MachineConfig cfg() const { return all_machines()[GetParam()]; }
+
+  /// Runs the registry's `kind` at size n on this machine, checks the
+  /// output against its serial reference, and expects every level's max
+  /// misses below `factor` times `bound`.
+  template <class Bound>
+  void expect_correct_and_bounded(workload::Kind kind, std::uint64_t n,
+                                  std::uint64_t seed, double factor,
+                                  Bound&& bound) const {
+    const hm::MachineConfig machine = cfg();
+    sched::SimExecutor ex(machine);
+    workload::Instance<sched::SimExecutor> inst(ex, kind, n, seed);
+    const auto m = inst.run(ex);
+    ASSERT_TRUE(inst.check()) << machine.name();
+    for (std::uint32_t lvl = 1; lvl <= machine.cache_levels(); ++lvl) {
+      EXPECT_LT(double(m.level_max_misses[lvl - 1]),
+                factor * bound(machine, lvl, double(n)))
+          << machine.name() << " L" << lvl;
+    }
+  }
 };
 
 TEST_P(Machines, TransposeMeetsBoundEverywhere) {
-  const hm::MachineConfig machine = cfg();
-  const std::uint64_t n = 128;
-  sched::SimExecutor ex(machine);
-  auto a = ex.make_buf<double>(n * n);
-  auto out = ex.make_buf<double>(n * n);
-  util::Xoshiro256 rng(1);
-  for (auto& v : a.raw()) v = rng.uniform();
-  const auto m = ex.run(3 * n * n, [&] {
-    algo::mo_transpose(ex, a.ref(), out.ref(), n);
-  });
-  for (std::uint64_t i = 0; i < n; ++i) {
-    for (std::uint64_t j = 0; j < n; ++j) {
-      ASSERT_EQ(out.raw()[i * n + j], a.raw()[j * n + i]);
-    }
-  }
-  for (std::uint32_t lvl = 1; lvl <= machine.cache_levels(); ++lvl) {
-    const double bound =
-        double(n * n) / (machine.caches_at(lvl) * machine.block(lvl)) +
-        double(machine.block(lvl));
-    EXPECT_LT(double(m.level_max_misses[lvl - 1]), 16.0 * bound)
-        << machine.name() << " L" << lvl;
-  }
+  expect_correct_and_bounded(workload::Kind::kTranspose, 128, 1, 16.0,
+                             bd::transpose_misses);
 }
 
 TEST_P(Machines, FftMeetsBoundEverywhere) {
-  const hm::MachineConfig machine = cfg();
-  const std::uint64_t n = 1 << 12;
-  sched::SimExecutor ex(machine);
-  auto buf = ex.make_buf<algo::cplx>(n);
-  util::Xoshiro256 rng(2);
-  for (auto& v : buf.raw()) v = algo::cplx(rng.uniform(), 0.0);
-  const auto m = ex.run(6 * n, [&] { algo::mo_fft(ex, buf.ref()); });
-  for (std::uint32_t lvl = 1; lvl <= machine.cache_levels(); ++lvl) {
-    const double logc = std::max(
-        1.0, std::log(double(n)) / std::log(double(machine.capacity(lvl))));
-    const double bound = 2.0 * double(n) /
-                             (machine.caches_at(lvl) * machine.block(lvl)) *
-                             logc +
-                         double(machine.block(lvl));
-    // Generous constant: the check is about the bound's *shape* across
-    // machines; implementation constants (3 transposes + scratch per FFT
-    // level) are machine-dependent but n-independent (see bench_fft).
-    EXPECT_LT(double(m.level_max_misses[lvl - 1]), 160.0 * bound)
-        << machine.name() << " L" << lvl;
-  }
+  // Generous constant: the check is about the bound's *shape* across
+  // machines; implementation constants (3 transposes + scratch per FFT
+  // level) are machine-dependent but n-independent (see bench_table2's
+  // Theorem 2 rows).
+  expect_correct_and_bounded(workload::Kind::kFft, 1 << 12, 2, 160.0,
+                             bd::fft_misses);
 }
 
 TEST_P(Machines, SortCorrectAndBoundedEverywhere) {
-  const hm::MachineConfig machine = cfg();
-  const std::uint64_t n = 1 << 13;
-  sched::SimExecutor ex(machine);
-  auto buf = ex.make_buf<std::uint64_t>(n);
-  util::Xoshiro256 rng(3);
-  std::vector<std::uint64_t> expect(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    buf.raw()[i] = rng();
-    expect[i] = buf.raw()[i];
-  }
-  std::sort(expect.begin(), expect.end());
-  const auto m = ex.run(4 * n, [&] { algo::spms_sort(ex, buf.ref()); });
-  ASSERT_EQ(buf.raw(), expect) << machine.name();
-  for (std::uint32_t lvl = 1; lvl <= machine.cache_levels(); ++lvl) {
-    const double logc = std::max(
-        1.0, std::log(double(n)) / std::log(double(machine.capacity(lvl))));
-    const double bound =
-        double(n) / (machine.caches_at(lvl) * machine.block(lvl)) * logc +
-        double(machine.block(lvl));
-    EXPECT_LT(double(m.level_max_misses[lvl - 1]), 160.0 * bound)
-        << machine.name() << " L" << lvl;
-  }
+  expect_correct_and_bounded(workload::Kind::kSort, 1 << 13, 3, 160.0,
+                             bd::sort_misses);
 }
 
 TEST_P(Machines, IgepCorrectAndBoundedEverywhere) {
-  const hm::MachineConfig machine = cfg();
-  const std::uint64_t n = 64;
-  sched::SimExecutor ex(machine);
-  auto buf = ex.make_buf<double>(n * n);
-  util::Xoshiro256 rng(4);
-  std::vector<double> expect(n * n);
-  for (std::uint64_t i = 0; i < n * n; ++i) {
-    buf.raw()[i] = rng.uniform();
-    expect[i] = buf.raw()[i];
-  }
-  algo::gep_reference<algo::FloydWarshallInstance>(expect, n);
-  using Mat = sched::MatView<sched::SimRef<double>>;
-  const auto m = ex.run(n * n, [&] {
-    algo::igep<algo::FloydWarshallInstance>(ex, Mat::full(buf.ref(), n, n));
-  });
-  for (std::uint64_t i = 0; i < n * n; ++i) {
-    ASSERT_NEAR(buf.raw()[i], expect[i], 1e-12) << machine.name();
-  }
-  for (std::uint32_t lvl = 1; lvl <= machine.cache_levels(); ++lvl) {
-    const double bound =
-        double(n) * n * n /
-            (machine.caches_at(lvl) * machine.block(lvl) *
-             std::sqrt(double(machine.capacity(lvl)))) +
-        double(n * n) / (machine.caches_at(lvl) * machine.block(lvl)) +
-        double(machine.block(lvl));
-    EXPECT_LT(double(m.level_max_misses[lvl - 1]), 32.0 * bound)
-        << machine.name() << " L" << lvl;
-  }
+  expect_correct_and_bounded(workload::Kind::kGep, 64, 4, 32.0,
+                             bd::gep_misses);
 }
 
 TEST_P(Machines, MoreCoresNeverIncreaseSpan) {

@@ -8,6 +8,7 @@
 #include "sched/native_executor.hpp"
 #include "sched/sim_executor.hpp"
 #include "util/rng.hpp"
+#include "workload/bounds.hpp"
 
 namespace obliv::algo {
 namespace {
@@ -116,8 +117,7 @@ TEST(Transpose, CacheMissesScaleWithN2OverB) {
     for (auto& v : a.raw()) v = 1.0;
     auto m = ex.run(3 * n * n,
                     [&] { mo_transpose(ex, a.ref(), out.ref(), n); });
-    const double model = double(n * n) / (cfg.caches_at(1) * cfg.block(1)) +
-                         double(cfg.block(1));
+    const double model = workload::bound::transpose_misses(cfg, 1, double(n));
     EXPECT_LT(double(m.level_max_misses[0]), 16.0 * model) << "n=" << n;
   }
 }
