@@ -88,7 +88,7 @@ void simd_counter_validation(bool smoke) {
   std::cout << "\n==== SIMD kernel validation (scalar vs auto) ====\n";
   std::cout << "isa = " << simd::active_isa()
             << ", lanes = " << simd::lane_width() << ", compiled "
-            << (simd::kSimdCompiledIn ? "in" : "out") << "\n";
+            << (simd::kSimdBuilt ? "in" : "out") << "\n";
   {
     util::PerfCounterGroup probe({util::PerfEvent::kCycles});
     if (!probe.available()) {

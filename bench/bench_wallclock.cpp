@@ -93,8 +93,7 @@ int trace_overhead(bool smoke, int reps, const std::string& trace_path) {
   bench::Guardrail g("obs tracing overhead: native executor",
                      {"workload", "untraced ns/op", "traced ns/op"}, reps,
                      bench::Budget{0, /*gated=*/false});
-  std::printf("threads = %u, tracing compiled %s\n", kCheckThreads,
-              obs::kTracingCompiledIn ? "in" : "out");
+  std::printf("threads = %u\n", kCheckThreads);
   bool wrote = false;
   for (const auto& w : workloads(smoke)) {
     Exec ex(kCheckThreads, 1 << 12);
@@ -105,9 +104,7 @@ int trace_overhead(bool smoke, int reps, const std::string& trace_path) {
       ex.set_tracer(nullptr);
       return ns;
     });
-    if (!wrote && obs::kTracingCompiledIn) {
-      wrote = obs::write_chrome_trace(trace_path, tracer);
-    }
+    if (!wrote) wrote = obs::write_chrome_trace(trace_path, tracer);
   }
   g.print();
   if (wrote) {
@@ -128,12 +125,7 @@ int hist_off_check(bool smoke, int reps) {
   bench::Guardrail g("histogram metrics overhead when no tracer attached",
                      {"workload", "detached ns/op", "metrics-only ns/op"},
                      reps, bench::Budget{1.0, !smoke});
-  std::printf("threads = %u, tracing compiled %s\n", kCheckThreads,
-              obs::kTracingCompiledIn ? "in" : "out");
-  if (!obs::kTracingCompiledIn) {
-    std::printf("nothing to measure: trace hooks fold away at compile time\n");
-    return 0;
-  }
+  std::printf("threads = %u\n", kCheckThreads);
   // The metrics-only cells must actually record distributions -- otherwise
   // the gate would be vacuously green.
   obs::Tracer tracer(kCheckThreads);
@@ -156,8 +148,8 @@ int hist_off_check(bool smoke, int reps) {
 }
 
 /// `--fault-off-check` mode: the guardrail for the fault-injection layer.
-/// An *inactive* layer (compiled in, no plan attached -- the state every
-/// production run is in) must cost nothing: each hook is one pointer load
+/// An *inactive* layer (no plan attached -- the state every production run
+/// is in) must cost nothing: each hook is one pointer load
 /// and branch.  An attached-but-inert plan is the measurable upper bound
 /// on that cost (same hooks plus one probability load + branch each).
 /// Budget max(1%, A/A noise + 1%).
@@ -165,12 +157,7 @@ int fault_off_check(bool smoke, int reps) {
   bench::Guardrail g("fault-injection layer overhead when inactive",
                      {"workload", "detached ns/op", "inert ns/op"}, reps,
                      bench::Budget{1.0, !smoke});
-  std::printf("threads = %u, faults compiled %s\n", kCheckThreads,
-              fault::kFaultsCompiledIn ? "in" : "out");
-  if (!fault::kFaultsCompiledIn) {
-    std::printf("nothing to measure: hooks fold away at compile time\n");
-    return 0;
-  }
+  std::printf("threads = %u\n", kCheckThreads);
   fault::FaultPlan inert(1, fault::FaultOptions::inert());
   for (const auto& w : workloads(smoke)) {
     Exec ex(kCheckThreads, 1 << 12);
@@ -203,7 +190,7 @@ void simd_kernel_section(bool smoke, int reps, bench::JsonRecorder& json) {
   bench::print_header("SIMD kernels: scalar vs vector dispatch");
   std::printf("active ISA under kAuto: %s (lane width %u), compiled %s\n",
               simd::active_isa(), simd::lane_width(),
-              simd::kSimdCompiledIn ? "in" : "out");
+              simd::kSimdBuilt ? "in" : "out");
   util::Table t({"kernel", "n", "scalar ns/op", "auto ns/op", "scalar/auto"});
   double log_sum = 0.0;
   std::size_t families = 0;
@@ -264,7 +251,7 @@ int simd_off_check(bool smoke, int reps) {
                      {"workload", "generic ns/op", "scalar ns/op"}, reps,
                      bench::Budget{5.0, !smoke});
   std::printf("threads = %u, simd compiled %s\n", kCheckThreads,
-              simd::kSimdCompiledIn ? "in" : "out");
+              simd::kSimdBuilt ? "in" : "out");
   for (const auto& w : workloads(smoke)) {
     Exec ex(kCheckThreads, 1 << 12);
     auto in_mode = [&](simd::Mode mode) {

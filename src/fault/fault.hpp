@@ -34,11 +34,8 @@
 // to workers races exactly like any chaos schedule.  Reproduce a failing
 // fuzz case with OBLIV_FAULT_SEED=<n> (tests/test_fault_fuzz.cpp).
 //
-// Cost: compile out with -DOBLIV_FAULTS=OFF (OBLIV_FAULT_INJECTION=0) --
-// every hook sits under `if constexpr (fault::kFaultsCompiledIn)` via
-// enabled()/inject(), so the OFF build carries zero overhead (not even a
-// null check); bench_wallclock --fault-off-check measures the residual
-// cost of the ON-but-inactive configuration.
+// Cost: with no plan attached (the default) every hook is one null test;
+// bench_wallclock --fault-off-check gates that cost at <= 1%.
 #pragma once
 
 #include <array>
@@ -49,13 +46,7 @@
 #include <optional>
 #include <string_view>
 
-#ifndef OBLIV_FAULT_INJECTION
-#define OBLIV_FAULT_INJECTION 1
-#endif
-
 namespace obliv::fault {
-
-inline constexpr bool kFaultsCompiledIn = OBLIV_FAULT_INJECTION != 0;
 
 enum class InjectSite : std::uint8_t {
   kStealVictim = 0,  ///< perturb steal-victim selection
@@ -221,22 +212,10 @@ class FaultPlan {
   std::array<std::atomic<std::uint64_t>, kInjectSites> injected_{};
 };
 
-/// Folds the compile-time gate into pointer form: returns `plan` when fault
-/// injection is compiled in, a constant nullptr (dead-coding every hook)
-/// when it is not.
-inline FaultPlan* enabled(FaultPlan* plan) noexcept {
-  if constexpr (kFaultsCompiledIn) {
-    return plan;
-  } else {
-    (void)plan;
-    return nullptr;
-  }
-}
-
-/// One-line biased coin: false unless faults are compiled in, `plan` is
-/// attached, and the plan decides to inject at `site`.
+/// One-line biased coin: false unless `plan` is attached and decides to
+/// inject at `site`.
 inline bool inject(FaultPlan* plan, InjectSite site) noexcept {
-  if (FaultPlan* p = enabled(plan)) return p->should(site);
+  if (plan != nullptr) return plan->should(site);
   return false;
 }
 
@@ -256,11 +235,7 @@ inline std::atomic<FaultPlan*>& global_plan_slot() noexcept {
 }
 
 inline FaultPlan* active_plan() noexcept {
-  if constexpr (kFaultsCompiledIn) {
-    return global_plan_slot().load(std::memory_order_acquire);
-  } else {
-    return nullptr;
-  }
+  return global_plan_slot().load(std::memory_order_acquire);
 }
 
 /// RAII installer for the process-global plan (restores the previous one, so
@@ -284,7 +259,7 @@ class ScopedFaultPlan {
 /// reached only from them), which translate the throw into
 /// ErrorCode::kResourceExhausted.
 inline void maybe_fail_alloc(InjectSite site) {
-  if (FaultPlan* p = enabled(active_plan())) {
+  if (FaultPlan* p = active_plan()) {
     if (p->should(site)) throw std::bad_alloc();
   }
 }

@@ -186,11 +186,9 @@ void CacheSim::coherence_write(std::uint32_t core, std::uint64_t blk1) {
   std::uint64_t others = mask & ~me;
   if (others != 0) {
     ++pingpong_;
-    if constexpr (obs::kTracingCompiledIn) {
-      if (tracer_ != nullptr) {
-        tracer_->emit_attributed(obs::EventKind::kPingPong, 0, core, blk1,
-                                 others);
-      }
+    if (tracer_ != nullptr) {
+      tracer_->emit_attributed(obs::EventKind::kPingPong, 0, core, blk1,
+                               others);
     }
     do {
       // p_1 == 1 (validated), so core c's L1 is l1_[c].
@@ -232,11 +230,9 @@ void CacheSim::touch_block(std::uint32_t core, std::uint64_t blk1, bool write,
     return;
   }
   const std::uint64_t victim = l1_[core].last_evicted();
-  if constexpr (obs::kTracingCompiledIn) {
-    if (tracer_ != nullptr) {
-      tracer_->emit_attributed(obs::EventKind::kMiss, 1,
-                               obs::cache_lane(1, core), blk1, victim);
-    }
+  if (tracer_ != nullptr) {
+    tracer_->emit_attributed(obs::EventKind::kMiss, 1,
+                             obs::cache_lane(1, core), blk1, victim);
   }
   // A read miss that leaves `core` the sole sharer makes the memo slot
   // touch_private just filled exclusive, so a following write to the block
@@ -247,12 +243,10 @@ void CacheSim::touch_block(std::uint32_t core, std::uint64_t blk1, bool write,
   walk_upper(core, blk1, run_memo,
              [&](std::uint32_t lvl, std::uint32_t idx, std::uint64_t blk,
                  std::uint64_t evicted) {
-               if constexpr (obs::kTracingCompiledIn) {
-                 if (tracer_ != nullptr) {
-                   tracer_->emit_attributed(
-                       obs::EventKind::kMiss, static_cast<std::uint8_t>(lvl),
-                       obs::cache_lane(lvl, idx), blk, evicted);
-                 }
+               if (tracer_ != nullptr) {
+                 tracer_->emit_attributed(
+                     obs::EventKind::kMiss, static_cast<std::uint8_t>(lvl),
+                     obs::cache_lane(lvl, idx), blk, evicted);
                }
              });
 }

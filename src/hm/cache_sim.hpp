@@ -236,9 +236,8 @@ class CacheSim {
   /// Attaches an event tracer (nullptr detaches).  Misses, evictions and
   /// ping-pongs are then emitted as obs events attributed to the tracer's
   /// current task context; the memo/L1 hit fast paths never emit, so the
-  /// traced slowdown is bounded by the miss rate.  Emission sits behind
-  /// `if constexpr (obs::kTracingCompiledIn)`, so an OBLIV_TRACING=OFF
-  /// build pays nothing.
+  /// traced slowdown is bounded by the miss rate; detached, the miss path
+  /// pays one null test.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
   /// Zeroes all counters but keeps cache contents (warm restart).

@@ -39,10 +39,8 @@ void ShardedCacheSim::begin_run(obs::Tracer* tracer,
   epochs_ = 0;
   fallback_epochs_ = 0;
   reset_epoch_state();
-  if constexpr (obs::kTracingCompiledIn) {
-    if (tracer_ != nullptr && epoch_trace_) {
-      tracer_->name_lane(obs::kPsimEpochLane, "psim epochs");
-    }
+  if (tracer_ != nullptr && epoch_trace_) {
+    tracer_->name_lane(obs::kPsimEpochLane, "psim epochs");
   }
 }
 
@@ -62,11 +60,9 @@ void ShardedCacheSim::reset_epoch_state() {
 }
 
 void ShardedCacheSim::drain_sched(std::uint64_t upto) {
-  if constexpr (obs::kTracingCompiledIn) {
-    while (sched_cursor_ < sched_events_.size() &&
-           sched_events_[sched_cursor_].seq <= upto) {
-      tracer_->emit_prestamped(0, sched_events_[sched_cursor_++].ev);
-    }
+  while (sched_cursor_ < sched_events_.size() &&
+         sched_events_[sched_cursor_].seq <= upto) {
+    tracer_->emit_prestamped(0, sched_events_[sched_cursor_++].ev);
   }
 }
 
@@ -226,7 +222,7 @@ void ShardedCacheSim::merge_epoch() {
   for (std::uint32_t core : active_) {
     sim_.accesses_ += shards_[core].accesses;
   }
-  const bool tracing = obs::kTracingCompiledIn && tracer_ != nullptr;
+  const bool tracing = tracer_ != nullptr;
   for (std::size_t k = 0; k < buf_.size(); ++k) {
     drain_sched(k);
     const PsimAccess& e = buf_[k];
@@ -285,27 +281,25 @@ void ShardedCacheSim::merge_epoch() {
 }
 
 void ShardedCacheSim::fallback_epoch() {
-  if constexpr (obs::kTracingCompiledIn) {
-    if (tracer_ != nullptr) {
-      // Replay through the oracle with the tracer's clock pointed at each
-      // entry's captured timestamp and task context, so the emitted events
-      // are byte-identical to live emission; restore afterwards.
-      const std::uint64_t saved_task = tracer_->current_task();
-      const std::uint32_t saved_lvl = tracer_->current_anchor_level();
-      const std::uint32_t saved_idx = tracer_->current_anchor_index();
-      std::uint64_t tmp_ts = 0;
-      tracer_->set_logical_clock(&tmp_ts);
-      for (std::size_t k = 0; k < buf_.size(); ++k) {
-        drain_sched(k);
-        const PsimAccess& e = buf_[k];
-        tmp_ts = e.ts;
-        tracer_->set_task(e.task, saved_lvl, saved_idx);
-        sim_.access(e.core, e.addr, e.words, e.write != 0);
-      }
-      tracer_->set_logical_clock(run_clock_);
-      tracer_->set_task(saved_task, saved_lvl, saved_idx);
-      return;
+  if (tracer_ != nullptr) {
+    // Replay through the oracle with the tracer's clock pointed at each
+    // entry's captured timestamp and task context, so the emitted events
+    // are byte-identical to live emission; restore afterwards.
+    const std::uint64_t saved_task = tracer_->current_task();
+    const std::uint32_t saved_lvl = tracer_->current_anchor_level();
+    const std::uint32_t saved_idx = tracer_->current_anchor_index();
+    std::uint64_t tmp_ts = 0;
+    tracer_->set_logical_clock(&tmp_ts);
+    for (std::size_t k = 0; k < buf_.size(); ++k) {
+      drain_sched(k);
+      const PsimAccess& e = buf_[k];
+      tmp_ts = e.ts;
+      tracer_->set_task(e.task, saved_lvl, saved_idx);
+      sim_.access(e.core, e.addr, e.words, e.write != 0);
     }
+    tracer_->set_logical_clock(run_clock_);
+    tracer_->set_task(saved_task, saved_lvl, saved_idx);
+    return;
   }
   for (const PsimAccess& e : buf_) {
     sim_.access(e.core, e.addr, e.words, e.write != 0);
@@ -313,19 +307,17 @@ void ShardedCacheSim::fallback_epoch() {
 }
 
 void ShardedCacheSim::emit_epoch_mark(bool fallback) {
-  if constexpr (obs::kTracingCompiledIn) {
-    if (tracer_ == nullptr || !epoch_trace_) return;
-    // active_ is only populated on the parallel path now; recount from the
-    // buffer so fallback epochs report their core count too (this pass
-    // only runs with the opt-in OBLIV_PSIM_TRACE lane enabled).
-    std::uint64_t cores = 0;
-    for (const PsimAccess& e : buf_) cores |= 1ull << e.core;
-    const std::uint64_t ts = buf_.empty() ? 0 : buf_.back().ts;
-    tracer_->emit_prestamped(
-        0, obs::Event{ts, epochs_ - 1, buf_.size(), fallback ? 1ull : 0ull,
-                      obs::kPsimEpochLane, obs::EventKind::kEpoch,
-                      static_cast<std::uint8_t>(std::popcount(cores))});
-  }
+  if (tracer_ == nullptr || !epoch_trace_) return;
+  // active_ is only populated on the parallel path now; recount from the
+  // buffer so fallback epochs report their core count too (this pass
+  // only runs with the opt-in OBLIV_PSIM_TRACE lane enabled).
+  std::uint64_t cores = 0;
+  for (const PsimAccess& e : buf_) cores |= 1ull << e.core;
+  const std::uint64_t ts = buf_.empty() ? 0 : buf_.back().ts;
+  tracer_->emit_prestamped(
+      0, obs::Event{ts, epochs_ - 1, buf_.size(), fallback ? 1ull : 0ull,
+                    obs::kPsimEpochLane, obs::EventKind::kEpoch,
+                    static_cast<std::uint8_t>(std::popcount(cores))});
 }
 
 }  // namespace obliv::hm

@@ -234,13 +234,10 @@ void NoMachine::flush_computes() {
 void NoMachine::set_tracer(obs::Tracer* tracer) {
   tracer_ = tracer;
   hist_superstep_words_ = nullptr;
-  if constexpr (obs::kTracingCompiledIn) {
-    if (tracer != nullptr) {
-      tracer->set_logical_clock(&total_words_);
-      tracer->name_lane(obs::kSuperstepLane, "supersteps");
-      hist_superstep_words_ =
-          &tracer->counters().histogram("no.superstep.words");
-    }
+  if (tracer != nullptr) {
+    tracer->set_logical_clock(&total_words_);
+    tracer->name_lane(obs::kSuperstepLane, "supersteps");
+    hist_superstep_words_ = &tracer->counters().histogram("no.superstep.words");
   }
 }
 
@@ -267,12 +264,10 @@ void NoMachine::end_superstep() {
   }
   dbsp_worst_level_ =
       dbsp_.g.empty() ? 0 : static_cast<std::uint32_t>(dbsp_.g.size()) - 1;
-  if constexpr (obs::kTracingCompiledIn) {
-    if (tracer_ != nullptr) {
-      hist_superstep_words_->record(step_words_);
-      tracer_->emit(0, obs::EventKind::kSuperstep, 0, obs::kSuperstepLane,
-                    supersteps_ - 1, step_words_, fold0_h);
-    }
+  if (tracer_ != nullptr) {
+    hist_superstep_words_->record(step_words_);
+    tracer_->emit(0, obs::EventKind::kSuperstep, 0, obs::kSuperstepLane,
+                  supersteps_ - 1, step_words_, fold0_h);
   }
   step_words_ = 0;
   superstep_dirty_ = false;

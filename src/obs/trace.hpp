@@ -26,10 +26,7 @@
 // (tests/test_trace_golden.cpp).  On the native layer timestamps come from
 // steady_clock and are inherently non-deterministic.
 //
-// Cost: compile out with -DOBLIV_TRACING=OFF (OBLIV_OBS_TRACING=0) -- every
-// emission site sits under `if constexpr (obs::kTracingCompiledIn)`, so the
-// disabled build carries provably zero overhead (not even a branch).  When
-// compiled in but no tracer is attached (the default), hot paths pay one
+// Cost: with no tracer attached (the default) every emission site pays one
 // pointer compare; bench_wallclock --trace measures the attached-tracer
 // overhead (recorded in EXPERIMENTS.md, budget <= 5%).
 #pragma once
@@ -45,13 +42,7 @@
 
 #include "obs/histogram.hpp"
 
-#ifndef OBLIV_OBS_TRACING
-#define OBLIV_OBS_TRACING 1
-#endif
-
 namespace obliv::obs {
-
-inline constexpr bool kTracingCompiledIn = OBLIV_OBS_TRACING != 0;
 
 enum class EventKind : std::uint8_t {
   kTaskSpawn = 0,   ///< native fork: a=task id, b=deque depth after push

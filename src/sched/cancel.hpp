@@ -129,8 +129,10 @@ namespace detail {
 // executing, or nullptr outside any cancellable tree.  WorkStealingPool
 // installs a task's token around run() and forked tasks inherit the
 // forking thread's token, so one set_cancel_token() at the tree root
-// covers every stolen descendant.  Defined in native_executor.cpp.
-extern thread_local CancelToken* tls_cancel_token;
+// covers every stolen descendant.  Defined here with its constant
+// initializer, so every TU reads it directly rather than through a
+// thread_local init wrapper.
+inline thread_local CancelToken* tls_cancel_token = nullptr;
 
 /// Hot-path check used at fork/anchor/loop-driver sites: one TLS read
 /// plus, only when a token is installed, one acquire load — and, only

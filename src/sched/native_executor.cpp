@@ -15,13 +15,6 @@
 
 namespace obliv::sched {
 
-namespace detail {
-// See cancel.hpp: the token of the task tree the thread is currently
-// executing.  Installed by WorkStealingPool::execute() around each task
-// body and by ScopedCancelToken for direct callers.
-thread_local CancelToken* tls_cancel_token = nullptr;
-}  // namespace detail
-
 bool pin_current_thread(unsigned core) noexcept {
 #if defined(__linux__)
   cpu_set_t set;
@@ -150,13 +143,11 @@ void WorkStealingPool::fork(Task* t) {
     }
   }
   workers_[tls_binding.id]->deque.push_bottom(t);
-  if constexpr (obs::kTracingCompiledIn) {
-    if (obs::Tracer* tr = tracer()) {
-      const unsigned id = tls_binding.id;
-      tr->emit(ring_for(id, tr), obs::EventKind::kTaskSpawn, 0, id,
-               reinterpret_cast<std::uintptr_t>(t),
-               workers_[id]->deque.approx_size(), 0);
-    }
+  if (obs::Tracer* tr = tracer()) {
+    const unsigned id = tls_binding.id;
+    tr->emit(ring_for(id, tr), obs::EventKind::kTaskSpawn, 0, id,
+             reinterpret_cast<std::uintptr_t>(t),
+             workers_[id]->deque.approx_size(), 0);
   }
   // Wake at most a single helper; if it forks in turn it wakes the next
   // one, so the pool ramps up as a wake chain instead of a thundering herd
@@ -186,7 +177,7 @@ int WorkStealingPool::this_worker_id() const {
 }
 
 void WorkStealingPool::execute(Task* t) {
-  if (fault::FaultPlan* p = fault::enabled(plan())) {
+  if (fault::FaultPlan* p = plan()) {
     // Simulated preemption: hold the task hostage for a bounded window
     // before running it.  Joiners sleep on the task's state word, not on a
     // timeout, so a stalled task delays but never deadlocks them.  A
@@ -206,12 +197,10 @@ void WorkStealingPool::execute(Task* t) {
   t->run();
   detail::tls_cancel_token = saved_tok;
   // Emit before publishing completion: `t` may be dead past the exchange.
-  if constexpr (obs::kTracingCompiledIn) {
-    if (obs::Tracer* tr = tracer()) {
-      const unsigned id = tls_binding.id;
-      tr->emit(ring_for(id, tr), obs::EventKind::kTaskComplete, 0, id,
-               reinterpret_cast<std::uintptr_t>(t), 0, 0);
-    }
+  if (obs::Tracer* tr = tracer()) {
+    const unsigned id = tls_binding.id;
+    tr->emit(ring_for(id, tr), obs::EventKind::kTaskComplete, 0, id,
+             reinterpret_cast<std::uintptr_t>(t), 0, 0);
   }
   // Single RMW: publish completion and learn whether a joiner sleeps on it
   // (see the Task handshake comment).  `t` may be dead past this line.
@@ -224,11 +213,9 @@ Task* WorkStealingPool::try_steal(unsigned self) {
   // Victim-scan latency of a *successful* steal, recorded into the tracer's
   // steal histogram; the clock read is paid only with a tracer attached.
   std::chrono::steady_clock::time_point scan_t0;
-  if constexpr (obs::kTracingCompiledIn) {
-    if (tracer() != nullptr) scan_t0 = std::chrono::steady_clock::now();
-  }
+  if (tracer() != nullptr) scan_t0 = std::chrono::steady_clock::now();
   unsigned v = static_cast<unsigned>(splitmix64(workers_[self]->rng) % n);
-  if (fault::FaultPlan* p = fault::enabled(plan())) {
+  if (fault::FaultPlan* p = plan()) {
     // Adversarial victim selection: start the scan at a plan-chosen worker
     // instead of the owner's PRNG.  Any starting point yields a legal
     // schedule -- the scan still visits every victim once.
@@ -245,26 +232,24 @@ Task* WorkStealingPool::try_steal(unsigned self) {
       // The stolen task still executes (its body no-ops once poisoned) so
       // the owner's join always completes.
       if (CancelToken* tok = t->cancel_token()) {
-        if (fault::FaultPlan* p = fault::enabled(plan())) {
+        if (fault::FaultPlan* p = plan()) {
           if (p->should(fault::InjectSite::kCancelPoison)) {
             tok->poison(CancelToken::Reason::kCancelled);
           }
         }
       }
-      if constexpr (obs::kTracingCompiledIn) {
-        if (obs::Tracer* tr = tracer()) {
-          // Histogram re-loaded (not derived from tr): a detach between
-          // the two reads must yield null here, never a stale pointer.
-          if (obs::Histogram* h =
-                  steal_hist_.load(std::memory_order_acquire)) {
-            h->record(static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - scan_t0)
-                    .count()));
-          }
-          tr->emit(ring_for(self, tr), obs::EventKind::kTaskSteal, 0, self,
-                   reinterpret_cast<std::uintptr_t>(t), v, 0);
+      if (obs::Tracer* tr = tracer()) {
+        // Histogram re-loaded (not derived from tr): a detach between
+        // the two reads must yield null here, never a stale pointer.
+        if (obs::Histogram* h =
+                steal_hist_.load(std::memory_order_acquire)) {
+          h->record(static_cast<std::uint64_t>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  std::chrono::steady_clock::now() - scan_t0)
+                  .count()));
         }
+        tr->emit(ring_for(self, tr), obs::EventKind::kTaskSteal, 0, self,
+                 reinterpret_cast<std::uintptr_t>(t), v, 0);
       }
       return t;
     }
@@ -497,9 +482,7 @@ void range_run(WorkStealingPool& pool, RangeBody body, std::uint64_t lo,
       // A thief (or an idle worker) drained us: expose the upper half.
       const std::uint64_t mid = split.mid(lo, hi);
       RangeTask upper(pool, body, mid, hi, split);
-      if constexpr (obs::kTracingCompiledIn) {
-        if (obs::Histogram* h = pool.fork_grain_hist()) h->record(hi - mid);
-      }
+      if (obs::Histogram* h = pool.fork_grain_hist()) h->record(hi - mid);
       pool.fork(&upper);
       range_run(pool, body, lo, mid, split);
       pool.join(&upper);

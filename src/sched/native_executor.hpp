@@ -187,11 +187,9 @@ class WorkStealingPool {
   void set_tracer(obs::Tracer* tracer) {
     obs::Histogram* steal = nullptr;
     obs::Histogram* grain = nullptr;
-    if constexpr (obs::kTracingCompiledIn) {
-      if (tracer != nullptr) {
-        steal = &tracer->counters().histogram("sched.steal.scan_ns");
-        grain = &tracer->counters().histogram("sched.fork.grain_iters");
-      }
+    if (tracer != nullptr) {
+      steal = &tracer->counters().histogram("sched.steal.scan_ns");
+      grain = &tracer->counters().histogram("sched.fork.grain_iters");
     }
     steal_hist_.store(steal, std::memory_order_release);
     grain_hist_.store(grain, std::memory_order_release);
@@ -216,7 +214,7 @@ class WorkStealingPool {
   /// task in flight; still attach only between run_root calls so every task
   /// of a run sees one plan.
   void set_fault_plan(fault::FaultPlan* plan) {
-    fault_plan_.store(fault::enabled(plan), std::memory_order_release);
+    fault_plan_.store(plan, std::memory_order_release);
   }
 
  private:
@@ -346,11 +344,9 @@ class NativeExecutor {
   /// and names one export lane per worker.
   void set_tracer(obs::Tracer* tracer) {
     ws_->set_tracer(tracer);
-    if constexpr (obs::kTracingCompiledIn) {
-      if (tracer != nullptr) {
-        for (unsigned i = 0; i < ws_->threads(); ++i) {
-          tracer->name_lane(i, "worker " + std::to_string(i));
-        }
+    if (tracer != nullptr) {
+      for (unsigned i = 0; i < ws_->threads(); ++i) {
+        tracer->name_lane(i, "worker " + std::to_string(i));
       }
     }
   }

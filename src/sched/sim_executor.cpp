@@ -32,12 +32,10 @@ Result<SimExecutor> SimExecutor::make(hm::MachineConfig cfg,
 
 void SimExecutor::access_hooked(std::uint64_t addr, std::uint32_t words,
                                 bool write) {
-  if constexpr (obs::kTracingCompiledIn) {
-    // Access-run-length distribution (how effective PR 3's run batching
-    // is for this workload); recorded at capture time so serial and
-    // sharded replay produce identical registries.
-    if (tracer_ != nullptr) hist_access_words_->record(words);
-  }
+  // Access-run-length distribution (how effective run batching is for
+  // this workload); recorded at capture time so serial and sharded replay
+  // produce identical registries.
+  if (tracer_ != nullptr) hist_access_words_->record(words);
   if (trace_ != nullptr) {
     trace_->push_back(TraceEntry{addr, words,
                                  static_cast<std::uint8_t>(ctx_.core),
@@ -65,23 +63,20 @@ void SimExecutor::set_tracer(obs::Tracer* tracer) {
   hist_cgc_grain_ = nullptr;
   hist_anchor_space_ = nullptr;
   hist_access_words_ = nullptr;
-  if constexpr (obs::kTracingCompiledIn) {
-    if (tracer != nullptr) {
-      hist_cgc_grain_ = &tracer->counters().histogram("sim.grain.cgc_iters");
-      hist_anchor_space_ =
-          &tracer->counters().histogram("sim.anchor.space_words");
-      hist_access_words_ =
-          &tracer->counters().histogram("sim.access.run_words");
-      tracer->set_logical_clock(&work_);
-      for (std::uint32_t c = 0; c < cfg_.cores(); ++c) {
-        tracer->name_lane(c, "core " + std::to_string(c));
-      }
-      for (std::uint32_t lvl = 1; lvl <= cfg_.cache_levels(); ++lvl) {
-        for (std::uint32_t i = 0; i < cfg_.caches_at(lvl); ++i) {
-          tracer->name_lane(obs::cache_lane(lvl, i),
-                            "L" + std::to_string(lvl) + " cache " +
-                                std::to_string(i));
-        }
+  if (tracer != nullptr) {
+    hist_cgc_grain_ = &tracer->counters().histogram("sim.grain.cgc_iters");
+    hist_anchor_space_ =
+        &tracer->counters().histogram("sim.anchor.space_words");
+    hist_access_words_ = &tracer->counters().histogram("sim.access.run_words");
+    tracer->set_logical_clock(&work_);
+    for (std::uint32_t c = 0; c < cfg_.cores(); ++c) {
+      tracer->name_lane(c, "core " + std::to_string(c));
+    }
+    for (std::uint32_t lvl = 1; lvl <= cfg_.cache_levels(); ++lvl) {
+      for (std::uint32_t i = 0; i < cfg_.caches_at(lvl); ++i) {
+        tracer->name_lane(obs::cache_lane(lvl, i),
+                          "L" + std::to_string(lvl) + " cache " +
+                              std::to_string(i));
       }
     }
   }
@@ -138,21 +133,17 @@ RunMetrics SimExecutor::run(std::uint64_t space_words,
   }
   const std::uint32_t lvl = cfg_.smallest_level_fitting(space_words);
   ctx_ = Ctx{lvl, 0, 0};
-  if constexpr (obs::kTracingCompiledIn) {
-    if (tracer_ != nullptr) {
-      tally_ = SchedTally{};
-      tally_.anchors_per_level.assign(cfg_.h(), 0);
-      tracer_->set_task(0, lvl, 0);  // the root task is id 0
-      emit_sched(obs::EventKind::kTaskBegin, 0, /*tid=*/0, /*a=*/0,
-                 /*b=*/lvl, /*c=*/0);
-    }
+  if (tracer_ != nullptr) {
+    tally_ = SchedTally{};
+    tally_.anchors_per_level.assign(cfg_.h(), 0);
+    tracer_->set_task(0, lvl, 0);  // the root task is id 0
+    emit_sched(obs::EventKind::kTaskBegin, 0, /*tid=*/0, /*a=*/0,
+               /*b=*/lvl, /*c=*/0);
   }
   body();
-  if constexpr (obs::kTracingCompiledIn) {
-    if (tracer_ != nullptr) {
-      emit_sched(obs::EventKind::kTaskEnd, 0, /*tid=*/0, /*a=*/0,
-                 /*b=*/span_, /*c=*/0);
-    }
+  if (tracer_ != nullptr) {
+    emit_sched(obs::EventKind::kTaskEnd, 0, /*tid=*/0, /*a=*/0,
+               /*b=*/span_, /*c=*/0);
   }
   if (psim_buf_ != nullptr) {
     psim_->flush();
@@ -160,25 +151,23 @@ RunMetrics SimExecutor::run(std::uint64_t space_words,
   }
   ctx_ = Ctx{cfg_.h(), 0, 0};
   RunMetrics m = metrics();
-  if constexpr (obs::kTracingCompiledIn) {
-    if (tracer_ != nullptr) {
-      obs::CounterRegistry& reg = tracer_->counters();
-      metrics_to_counters(m, reg);
-      reg.set("sched.tasks", next_task_id_);
-      reg.set("sched.hint.cgc", tally_.cgc);
-      reg.set("sched.hint.sb", tally_.sb);
-      reg.set("sched.hint.cgcsb", tally_.cgcsb);
-      reg.set("sched.sb.queued", tally_.sb_queued);
-      for (std::size_t i = 0; i < tally_.anchors_per_level.size(); ++i) {
-        reg.set("sched.anchor.L" + std::to_string(i + 1),
-                tally_.anchors_per_level[i]);
-      }
-      // Epoch stats only when the opt-in epoch lane is on: the default
-      // export must stay byte-identical to a serial run.
-      if (psim_ != nullptr && psim_->epoch_trace_enabled()) {
-        reg.set("psim.epochs", psim_->epochs());
-        reg.set("psim.fallback_epochs", psim_->fallback_epochs());
-      }
+  if (tracer_ != nullptr) {
+    obs::CounterRegistry& reg = tracer_->counters();
+    metrics_to_counters(m, reg);
+    reg.set("sched.tasks", next_task_id_);
+    reg.set("sched.hint.cgc", tally_.cgc);
+    reg.set("sched.hint.sb", tally_.sb);
+    reg.set("sched.hint.cgcsb", tally_.cgcsb);
+    reg.set("sched.sb.queued", tally_.sb_queued);
+    for (std::size_t i = 0; i < tally_.anchors_per_level.size(); ++i) {
+      reg.set("sched.anchor.L" + std::to_string(i + 1),
+              tally_.anchors_per_level[i]);
+    }
+    // Epoch stats only when the opt-in epoch lane is on: the default
+    // export must stay byte-identical to a serial run.
+    if (psim_ != nullptr && psim_->epoch_trace_enabled()) {
+      reg.set("psim.epochs", psim_->epochs());
+      reg.set("psim.fallback_epochs", psim_->fallback_epochs());
     }
   }
   return m;
@@ -223,25 +212,21 @@ std::uint64_t SimExecutor::run_child(std::uint32_t level, std::uint32_t idx,
   ctx_ = Ctx{level, idx, core};
   std::uint64_t id = 0;
   std::uint64_t parent = 0;
-  if constexpr (obs::kTracingCompiledIn) {
-    if (tracer_ != nullptr) {
-      id = ++next_task_id_;
-      parent = tracer_->current_task();
-      if (level - 1 < tally_.anchors_per_level.size()) {
-        ++tally_.anchors_per_level[level - 1];
-      }
-      tracer_->set_task(id, level, idx);
-      emit_sched(obs::EventKind::kTaskBegin, 0, core, id, level, parent);
+  if (tracer_ != nullptr) {
+    id = ++next_task_id_;
+    parent = tracer_->current_task();
+    if (level - 1 < tally_.anchors_per_level.size()) {
+      ++tally_.anchors_per_level[level - 1];
     }
+    tracer_->set_task(id, level, idx);
+    emit_sched(obs::EventKind::kTaskBegin, 0, core, id, level, parent);
   }
   fn();
   const std::uint64_t end = span_;
-  if constexpr (obs::kTracingCompiledIn) {
-    if (tracer_ != nullptr) {
-      emit_sched(obs::EventKind::kTaskEnd, 0, core, id, end - span_base,
-                 parent);
-      tracer_->set_task(parent, saved.anchor_level, saved.anchor_idx);
-    }
+  if (tracer_ != nullptr) {
+    emit_sched(obs::EventKind::kTaskEnd, 0, core, id, end - span_base,
+               parent);
+    tracer_->set_task(parent, saved.anchor_level, saved.anchor_idx);
   }
   ctx_ = saved;
   span_ = saved_span;
@@ -281,9 +266,7 @@ void SimExecutor::cgc_pfor(
   for (std::uint64_t start = lo; start < hi; start += base_len, ++j) {
     const std::uint64_t end_i = std::min(hi, start + base_len);
     const std::uint32_t core = first_core + (j % P);
-    if constexpr (obs::kTracingCompiledIn) {
-      if (tracer_ != nullptr) hist_cgc_grain_->record(end_i - start);
-    }
+    if (tracer_ != nullptr) hist_cgc_grain_->record(end_i - start);
     // Each segment is anchored at the L1 cache of its core.
     trace_anchor(obs::AnchorReason::kCgcSegment, (end_i - start) * wpi, 1,
                  core);

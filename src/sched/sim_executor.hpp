@@ -130,7 +130,7 @@ class SimExecutor {
   /// repeat touches of a B_1 block exactly (see hm/cache_sim.hpp).
   void access(std::uint64_t addr, std::uint32_t words, bool write) {
     if (trace_ != nullptr || psim_buf_ != nullptr ||
-        (obs::kTracingCompiledIn && tracer_ != nullptr)) [[unlikely]] {
+        tracer_ != nullptr) [[unlikely]] {
       access_hooked(addr, words, write);
       return;
     }
@@ -228,7 +228,7 @@ class SimExecutor {
   /// attached.
   void access_hooked(std::uint64_t addr, std::uint32_t words, bool write);
 
-  // ---- obs emission helpers (no-ops when tracing is compiled out) ---------
+  // ---- obs emission helpers (no-ops without an attached tracer) ----------
 
   /// Routes a scheduler event to the tracer -- directly in serial mode, or
   /// deferred at the current buffer position when the sharded engine is
@@ -236,13 +236,11 @@ class SimExecutor {
   /// would have placed it.  Caller must have checked tracer_ != nullptr.
   void emit_sched(obs::EventKind kind, std::uint8_t detail, std::uint32_t tid,
                   std::uint64_t a, std::uint64_t b, std::uint64_t c) {
-    if constexpr (obs::kTracingCompiledIn) {
-      if (psim_buf_ != nullptr) {
-        psim_->defer_sched_event(
-            obs::Event{tracer_->now(), a, b, c, tid, kind, detail});
-      } else {
-        tracer_->emit(0, kind, detail, tid, a, b, c);
-      }
+    if (psim_buf_ != nullptr) {
+      psim_->defer_sched_event(
+          obs::Event{tracer_->now(), a, b, c, tid, kind, detail});
+    } else {
+      tracer_->emit(0, kind, detail, tid, a, b, c);
     }
   }
 
@@ -259,17 +257,15 @@ class SimExecutor {
   /// CounterRegistry::clear() zeroes histograms in place, so the cached
   /// pointers stay valid across Tracer::clear() between runs.
   void trace_hint(Hint hint, std::uint64_t a, std::uint64_t b) {
-    if constexpr (obs::kTracingCompiledIn) {
-      if (tracer_ != nullptr) {
-        switch (hint) {
-          case Hint::kCgc: ++tally_.cgc; break;
-          case Hint::kSb: ++tally_.sb; break;
-          case Hint::kCgcSb: ++tally_.cgcsb; break;
-        }
-        emit_sched(obs::EventKind::kHintDispatch,
-                   static_cast<std::uint8_t>(hint), ctx_.core, a, b,
-                   next_task_id_ + 1);
+    if (tracer_ != nullptr) {
+      switch (hint) {
+        case Hint::kCgc: ++tally_.cgc; break;
+        case Hint::kSb: ++tally_.sb; break;
+        case Hint::kCgcSb: ++tally_.cgcsb; break;
       }
+      emit_sched(obs::EventKind::kHintDispatch,
+                 static_cast<std::uint8_t>(hint), ctx_.core, a, b,
+                 next_task_id_ + 1);
     }
   }
 
@@ -278,14 +274,12 @@ class SimExecutor {
   /// is adjacent and unambiguous in the stream).
   void trace_anchor(obs::AnchorReason reason, std::uint64_t space_words,
                     std::uint32_t level, std::uint32_t idx) {
-    if constexpr (obs::kTracingCompiledIn) {
-      if (tracer_ != nullptr) {
-        if (reason == obs::AnchorReason::kSbQueued) ++tally_.sb_queued;
-        hist_anchor_space_->record(space_words);
-        emit_sched(obs::EventKind::kAnchor, static_cast<std::uint8_t>(reason),
-                   obs::cache_lane(level, idx), space_words, level,
-                   next_task_id_ + 1);
-      }
+    if (tracer_ != nullptr) {
+      if (reason == obs::AnchorReason::kSbQueued) ++tally_.sb_queued;
+      hist_anchor_space_->record(space_words);
+      emit_sched(obs::EventKind::kAnchor, static_cast<std::uint8_t>(reason),
+                 obs::cache_lane(level, idx), space_words, level,
+                 next_task_id_ + 1);
     }
   }
 

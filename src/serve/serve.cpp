@@ -269,18 +269,16 @@ struct Core : std::enable_shared_from_this<Core> {
               .count());
       core->record_wait(wait_ns);
       std::uint64_t begin_ns = 0;
-      if constexpr (obs::kTracingCompiledIn) {
-        if (tracer != nullptr) {
-          begin_ns = tracer->now();
-          const int wid = core->pool_->this_worker_id();
-          const std::uint32_t ring =
-              static_cast<std::uint32_t>(wid < 0 ? 0 : wid) %
-              tracer->ring_count();
-          tracer->emit(ring, obs::EventKind::kJobBegin,
-                       static_cast<std::uint8_t>(st.family), obs::kServeLane,
-                       st.seq, wait_ns, 0);
-          if (core->wait_hist_ != nullptr) core->wait_hist_->record(wait_ns);
-        }
+      if (tracer != nullptr) {
+        begin_ns = tracer->now();
+        const int wid = core->pool_->this_worker_id();
+        const std::uint32_t ring =
+            static_cast<std::uint32_t>(wid < 0 ? 0 : wid) %
+            tracer->ring_count();
+        tracer->emit(ring, obs::EventKind::kJobBegin,
+                     static_cast<std::uint8_t>(st.family), obs::kServeLane,
+                     st.seq, wait_ns, 0);
+        if (core->wait_hist_ != nullptr) core->wait_hist_->record(wait_ns);
       }
       // Install the job's cancel token for the whole tree: fork() inherits
       // it into every descendant, and every fork/steal/anchor point checks
@@ -397,27 +395,23 @@ struct Core : std::enable_shared_from_this<Core> {
       poison_lat_ns = now_ns > poisoned_at ? now_ns - poisoned_at : 0;
       if (poison_hist_ != nullptr) poison_hist_->record(poison_lat_ns);
     }
-    if constexpr (obs::kTracingCompiledIn) {
-      if (tracer != nullptr) {
-        const std::uint64_t end_ns = tracer->now();
-        const int wid = pool_->this_worker_id();
-        const std::uint32_t ring =
-            static_cast<std::uint32_t>(wid < 0 ? 0 : wid) %
-            tracer->ring_count();
-        const std::uint64_t run_ns =
-            end_ns >= begin_ns ? end_ns - begin_ns : 0;
-        tracer->emit(ring, obs::EventKind::kJobEnd,
+    if (tracer != nullptr) {
+      const std::uint64_t end_ns = tracer->now();
+      const int wid = pool_->this_worker_id();
+      const std::uint32_t ring =
+          static_cast<std::uint32_t>(wid < 0 ? 0 : wid) % tracer->ring_count();
+      const std::uint64_t run_ns = end_ns >= begin_ns ? end_ns - begin_ns : 0;
+      tracer->emit(ring, obs::EventKind::kJobEnd,
+                   static_cast<std::uint8_t>(st.family), obs::kServeLane,
+                   st.seq, run_ns,
+                   static_cast<std::uint64_t>(final_status.code()));
+      if (reason != sched::CancelToken::Reason::kNone) {
+        tracer->emit(ring, obs::EventKind::kJobCancel,
                      static_cast<std::uint8_t>(st.family), obs::kServeLane,
-                     st.seq, run_ns,
-                     static_cast<std::uint64_t>(final_status.code()));
-        if (reason != sched::CancelToken::Reason::kNone) {
-          tracer->emit(ring, obs::EventKind::kJobCancel,
-                       static_cast<std::uint8_t>(st.family), obs::kServeLane,
-                       st.seq, poison_lat_ns,
-                       static_cast<std::uint64_t>(reason));
-        }
-        if (run_hist_ != nullptr) run_hist_->record(run_ns);
+                     st.seq, poison_lat_ns,
+                     static_cast<std::uint64_t>(reason));
       }
+      if (run_hist_ != nullptr) run_hist_->record(run_ns);
     }
   }
 
@@ -514,11 +508,9 @@ struct Core : std::enable_shared_from_this<Core> {
           shed_.fetch_add(1, std::memory_order_relaxed);
           const std::uint64_t hint_ms = std::clamp<std::uint64_t>(
               p99 / 1'000'000, 1, 1000);
-          if constexpr (obs::kTracingCompiledIn) {
-            if (tracer_ != nullptr) {
-              pending_events_.push_back(
-                  PendingEvent{family_of(req), 0, p99, hint_ms});
-            }
+          if (tracer_ != nullptr) {
+            pending_events_.push_back(
+                PendingEvent{family_of(req), 0, p99, hint_ms});
           }
           return Status::error(
               ErrorCode::kUnavailable,
@@ -540,9 +532,7 @@ struct Core : std::enable_shared_from_this<Core> {
       e.st = st;
       e.req = req;
       e.submit_tp = std::chrono::steady_clock::now();
-      if constexpr (obs::kTracingCompiledIn) {
-        if (tracer_ != nullptr) e.submit_ns = tracer_->now();
-      }
+      if (tracer_ != nullptr) e.submit_ns = tracer_->now();
       if (jopts.deadline.has_value()) {
         e.has_deadline = true;
         e.deadline = *jopts.deadline;
@@ -662,19 +652,16 @@ struct Core : std::enable_shared_from_this<Core> {
     run_hist_ = nullptr;
     poison_hist_ = nullptr;
     ex_.set_tracer(tracer);
-    if constexpr (obs::kTracingCompiledIn) {
-      if (tracer != nullptr) {
-        tracer->name_lane(obs::kServeLane, "serve jobs");
-        // Pre-resolve histogram handles single-threaded; workers only
-        // touch record(), which is a few relaxed atomics.  (Histogram
-        // references are deque-backed and stable; plain counter items are
-        // not, hence update_gauges_locked sets those by name.)
-        wait_hist_ = &tracer->counters().histogram("serve.job.wait_ns");
-        run_hist_ = &tracer->counters().histogram("serve.job.run_ns");
-        poison_hist_ =
-            &tracer->counters().histogram("serve.poison_latency_ns");
-        update_gauges_locked();
-      }
+    if (tracer != nullptr) {
+      tracer->name_lane(obs::kServeLane, "serve jobs");
+      // Pre-resolve histogram handles single-threaded; workers only
+      // touch record(), which is a few relaxed atomics.  (Histogram
+      // references are deque-backed and stable; plain counter items are
+      // not, hence update_gauges_locked sets those by name.)
+      wait_hist_ = &tracer->counters().histogram("serve.job.wait_ns");
+      run_hist_ = &tracer->counters().histogram("serve.job.run_ns");
+      poison_hist_ = &tracer->counters().histogram("serve.poison_latency_ns");
+      update_gauges_locked();
     }
   }
 
@@ -777,8 +764,7 @@ struct Core : std::enable_shared_from_this<Core> {
       }
     }
     if (!any) return;
-    if (fault::FaultPlan* p = fault::enabled(plan_.load(
-            std::memory_order_acquire))) {
+    if (fault::FaultPlan* p = plan_.load(std::memory_order_acquire)) {
       // Chaos: a lagging watchdog.  Delays enforcement (promptness under
       // faults is best-effort) but must never corrupt it -- the sleep
       // holds mu_, exactly like a dispatcher busy elsewhere.
@@ -818,15 +804,13 @@ struct Core : std::enable_shared_from_this<Core> {
       auto job = std::make_unique<Job>(this, std::move(e));
       Job* raw = job.get();
       inflight_.push_back(std::move(job));
-      if constexpr (obs::kTracingCompiledIn) {
-        if (tracer_ != nullptr) {
-          // Ring 0 is the dispatcher's own (it holds the pool's worker-0
-          // slot for the server's lifetime).
-          tracer_->emit(0 % tracer_->ring_count(), obs::EventKind::kJobAdmit,
-                        static_cast<std::uint8_t>(raw->entry.st->family),
-                        obs::kServeLane, raw->entry.st->seq, est,
-                        used_words_);
-        }
+      if (tracer_ != nullptr) {
+        // Ring 0 is the dispatcher's own (it holds the pool's worker-0
+        // slot for the server's lifetime).
+        tracer_->emit(0 % tracer_->ring_count(), obs::EventKind::kJobAdmit,
+                      static_cast<std::uint8_t>(raw->entry.st->family),
+                      obs::kServeLane, raw->entry.st->seq, est,
+                      used_words_);
       }
       pool_->fork(raw);
     }
@@ -855,13 +839,11 @@ struct Core : std::enable_shared_from_this<Core> {
   /// from publish_counters after the dispatcher joined.  Called with mu_
   /// held.
   void drain_pending_events_locked() {
-    if constexpr (obs::kTracingCompiledIn) {
-      if (tracer_ != nullptr) {
-        for (const PendingEvent& ev : pending_events_) {
-          tracer_->emit(0 % tracer_->ring_count(), obs::EventKind::kJobShed,
-                        static_cast<std::uint8_t>(ev.family), obs::kServeLane,
-                        ev.a, ev.b, ev.c);
-        }
+    if (tracer_ != nullptr) {
+      for (const PendingEvent& ev : pending_events_) {
+        tracer_->emit(0 % tracer_->ring_count(), obs::EventKind::kJobShed,
+                      static_cast<std::uint8_t>(ev.family), obs::kServeLane,
+                      ev.a, ev.b, ev.c);
       }
     }
     pending_events_.clear();
@@ -873,43 +855,39 @@ struct Core : std::enable_shared_from_this<Core> {
   /// name each time (gauge updates are not on the per-task hot path).
   /// Called with mu_ held after any queue_/inflight_ change.
   void update_gauges_locked() {
-    if constexpr (obs::kTracingCompiledIn) {
-      if (tracer_ != nullptr) {
-        obs::CounterRegistry& c = tracer_->counters();
-        c.set("serve.queue_depth", queue_.size());
-        c.set("serve.inflight", inflight_.size());
-      }
+    if (tracer_ != nullptr) {
+      obs::CounterRegistry& c = tracer_->counters();
+      c.set("serve.queue_depth", queue_.size());
+      c.set("serve.inflight", inflight_.size());
     }
   }
 
   /// Publishes aggregate counters into the tracer.  Single-threaded: runs
   /// after the dispatcher has joined (CounterRegistry is not thread-safe).
   void publish_counters() {
-    if constexpr (obs::kTracingCompiledIn) {
-      if (tracer_ == nullptr) return;
-      std::lock_guard<std::mutex> lk(mu_);
-      drain_pending_events_locked();
-      obs::CounterRegistry& c = tracer_->counters();
-      c.set("serve.jobs_submitted",
-            submitted_.load(std::memory_order_relaxed));
-      c.set("serve.jobs_completed_ok",
-            completed_ok_.load(std::memory_order_relaxed));
-      c.set("serve.jobs_failed", failed_.load(std::memory_order_relaxed));
-      c.set("serve.jobs_rejected", rejected_.load(std::memory_order_relaxed));
-      c.set("serve.jobs_cancelled",
-            cancelled_.load(std::memory_order_relaxed));
-      c.set("serve.jobs_deadline_exceeded",
-            deadline_exceeded_.load(std::memory_order_relaxed));
-      c.set("serve.jobs_shed", shed_.load(std::memory_order_relaxed));
-      c.set("serve.jobs_cancelled_running",
-            cancelled_running_.load(std::memory_order_relaxed));
-      c.set("serve.jobs_deadline_exceeded_running",
-            deadline_exceeded_running_.load(std::memory_order_relaxed));
-      c.set("serve.space_budget_words", opts_.space_budget_words);
-      c.set("serve.space_peak_words", space_peak_);
-      c.set("serve.queue_peak", queue_peak_);
-      update_gauges_locked();
-    }
+    if (tracer_ == nullptr) return;
+    std::lock_guard<std::mutex> lk(mu_);
+    drain_pending_events_locked();
+    obs::CounterRegistry& c = tracer_->counters();
+    c.set("serve.jobs_submitted",
+          submitted_.load(std::memory_order_relaxed));
+    c.set("serve.jobs_completed_ok",
+          completed_ok_.load(std::memory_order_relaxed));
+    c.set("serve.jobs_failed", failed_.load(std::memory_order_relaxed));
+    c.set("serve.jobs_rejected", rejected_.load(std::memory_order_relaxed));
+    c.set("serve.jobs_cancelled",
+          cancelled_.load(std::memory_order_relaxed));
+    c.set("serve.jobs_deadline_exceeded",
+          deadline_exceeded_.load(std::memory_order_relaxed));
+    c.set("serve.jobs_shed", shed_.load(std::memory_order_relaxed));
+    c.set("serve.jobs_cancelled_running",
+          cancelled_running_.load(std::memory_order_relaxed));
+    c.set("serve.jobs_deadline_exceeded_running",
+          deadline_exceeded_running_.load(std::memory_order_relaxed));
+    c.set("serve.space_budget_words", opts_.space_budget_words);
+    c.set("serve.space_peak_words", space_peak_);
+    c.set("serve.queue_peak", queue_peak_);
+    update_gauges_locked();
   }
 
   // ---- state --------------------------------------------------------------

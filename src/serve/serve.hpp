@@ -68,6 +68,7 @@
 #include "obs/trace.hpp"
 #include "sched/native_executor.hpp"
 #include "util/rng.hpp"
+#include "workload/kinds.hpp"
 
 namespace obliv::serve {
 
@@ -75,17 +76,9 @@ namespace obliv::serve {
 // Requests
 // ---------------------------------------------------------------------------
 
-/// The seven paper algorithm families a server accepts.  Stamped into the
-/// kJob* events' detail byte, so keep values dense and stable.
-enum class Family : std::uint8_t {
-  kScan = 0,
-  kSort,
-  kFft,
-  kTranspose,
-  kGep,
-  kListRank,
-  kSpmdv,
-};
+/// The paper's algorithm families; a server accepts the first seven
+/// (every kind but kMatmul).  Stamped into the kJob* events' detail byte.
+using Family = workload::Kind;
 inline constexpr std::size_t kFamilies = 7;
 
 std::string_view family_name(Family f);

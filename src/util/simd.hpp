@@ -55,7 +55,7 @@ namespace obliv::simd {
 // than one vector stride.
 inline constexpr unsigned kMaxLaneWords = 4;
 
-inline constexpr bool kSimdCompiledIn = OBLIV_SIMD_ENABLED != 0;
+inline constexpr bool kSimdBuilt = OBLIV_SIMD_ENABLED != 0;
 
 // Runtime kernel mode.  kAuto selects the vector path when the build and
 // the CPU support it; kScalar forces the bit-identical scalar fallback
@@ -98,7 +98,7 @@ class ScopedMode {
 
 inline bool use_kernels() noexcept { return mode() != Mode::kGeneric; }
 inline bool vector_active() noexcept {
-  return kSimdCompiledIn && mode() == Mode::kAuto && detail::vector_supported();
+  return kSimdBuilt && mode() == Mode::kAuto && detail::vector_supported();
 }
 // Lane width (doubles per step) the dispatchers currently use.
 unsigned lane_width() noexcept;

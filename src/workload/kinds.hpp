@@ -13,8 +13,8 @@
 
 namespace obliv::workload {
 
-/// The families.  The first seven are serve::Family, value for value
-/// (workloads.hpp asserts it).
+/// The families.  serve::Family is this enum; the server accepts the first
+/// seven.
 enum class Kind : std::uint8_t {
   kScan,
   kSort,

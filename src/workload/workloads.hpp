@@ -41,16 +41,6 @@
 
 namespace obliv::workload {
 
-static_assert(int(Kind::kScan) == int(serve::Family::kScan) &&
-                  int(Kind::kSort) == int(serve::Family::kSort) &&
-                  int(Kind::kFft) == int(serve::Family::kFft) &&
-                  int(Kind::kTranspose) == int(serve::Family::kTranspose) &&
-                  int(Kind::kGep) == int(serve::Family::kGep) &&
-                  int(Kind::kListRank) == int(serve::Family::kListRank) &&
-                  int(Kind::kSpmdv) == int(serve::Family::kSpmdv) &&
-                  kKinds == serve::kFamilies + 1,
-              "Kind must extend serve::Family value for value");
-
 /// A problem instance whose input is a pure function of (kind, n, seed):
 ///   scan       n int64 in [-500, 500), plus an n-word scratch
 ///   sort       n uint64 keys, Xoshiro256(seed)()

@@ -78,7 +78,7 @@ void running_cancel_storm(int rounds, const fault::FaultOptions& fo) {
     o.threads = 4;
     obs::Tracer tracer(o.threads, 1 << 12);
     Server srv(o);
-    if (obs::kTracingCompiledIn) srv.set_tracer(&tracer);
+    srv.set_tracer(&tracer);
     srv.set_fault_plan(&plan);
 
     std::vector<std::thread> clients;

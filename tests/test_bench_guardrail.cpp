@@ -117,7 +117,6 @@ TEST(Guardrail, HistogramCheckFailsWhenNoSampleWasRecorded) {
   g.require(histogram_samples(idle) > 0, "no histogram site fired");
   EXPECT_EQ(g.finish("ok", "fail"), 1);
 
-  if (!obs::kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   // The metrics-only state the check measures does record samples: a
   // split loop on a 4-worker pool forks, and each fork records its grain.
   obs::Tracer metrics(4);

@@ -106,9 +106,6 @@ std::vector<std::byte> run_native(fault::FaultPlan* plan, workload::Kind kind,
 /// (floating point included: every output element's arithmetic DAG is
 /// fixed by the algorithm, whatever the schedule).
 void fuzz_native(workload::Kind kind, std::uint64_t n, std::uint64_t seed) {
-  if (!fault::kFaultsCompiledIn) {
-    GTEST_SKIP() << "fault injection compiled out (OBLIV_FAULTS=OFF)";
-  }
   const auto baseline = run_native(nullptr, kind, n, seed);
   for (const std::uint64_t fault_seed : fuzz_seeds()) {
     fault::FaultPlan plan(fault_seed, fault::FaultOptions::chaos());
@@ -162,9 +159,6 @@ TEST(FaultFuzz, NativeMatmul) {
 // ---------------------------------------------------------------------------
 
 TEST(FaultFuzz, NGepInvariantUnderAttachedPlan) {
-  if (!fault::kFaultsCompiledIn) {
-    GTEST_SKIP() << "fault injection compiled out (OBLIV_FAULTS=OFF)";
-  }
   const std::uint64_t n = 16;
   auto run = [n]() {
     util::Xoshiro256 rng(555);
@@ -191,9 +185,6 @@ TEST(FaultFuzz, NGepInvariantUnderAttachedPlan) {
 // ---------------------------------------------------------------------------
 
 TEST(FaultFuzz, SimCountersInvariantUnderAttachedPlan) {
-  if (!fault::kFaultsCompiledIn) {
-    GTEST_SKIP() << "fault injection compiled out (OBLIV_FAULTS=OFF)";
-  }
   const hm::MachineConfig cfg = hm::MachineConfig::shared_l2(4);
   auto sweep = [&cfg]() {
     std::vector<std::uint64_t> flat;
@@ -379,9 +370,6 @@ TEST(FaultTypedErrors, OverflowingFanoutCannotWrapThe64CoreCheck) {
 // ---------------------------------------------------------------------------
 
 TEST(FaultAllocStorm, SimulatorSurfacesInjectedAllocFailures) {
-  if (!fault::kFaultsCompiledIn) {
-    GTEST_SKIP() << "fault injection compiled out (OBLIV_FAULTS=OFF)";
-  }
   fault::FaultPlan plan(1, fault::FaultOptions::alloc_storm());
   fault::ScopedFaultPlan scope(&plan);
   auto r = sched::SimExecutor::make(hm::MachineConfig::shared_l2(4));
@@ -391,9 +379,6 @@ TEST(FaultAllocStorm, SimulatorSurfacesInjectedAllocFailures) {
 }
 
 TEST(FaultAllocStorm, TryRunSurfacesBufferAllocFailures) {
-  if (!fault::kFaultsCompiledIn) {
-    GTEST_SKIP() << "fault injection compiled out (OBLIV_FAULTS=OFF)";
-  }
   sched::SimExecutor ex(hm::MachineConfig::shared_l2(4));
   fault::FaultPlan plan(2, fault::FaultOptions::alloc_storm());
   fault::ScopedFaultPlan scope(&plan);
@@ -413,9 +398,6 @@ TEST(FaultAllocStorm, TryRunSurfacesBufferAllocFailures) {
 }
 
 TEST(FaultAllocStorm, ExecutorSetupSurvivesInjectedSpawnFailure) {
-  if (!fault::kFaultsCompiledIn) {
-    GTEST_SKIP() << "fault injection compiled out (OBLIV_FAULTS=OFF)";
-  }
   // Every seed must yield either a working pool or a clean typed error --
   // and an error must not leak joinable threads (the ASan/TSan builds of
   // this test enforce the leak half; no deadlock enforces the join half).
@@ -461,9 +443,6 @@ std::string slurp(const char* path) {
 }
 
 TEST(CrashTrace, FlushIsByteDeterministicAndGolden) {
-  if (!obs::kTracingCompiledIn) {
-    GTEST_SKIP() << "tracing compiled out (OBLIV_TRACING=OFF)";
-  }
   const char* path = "fault_fuzz_crash_trace.json";
   obs::Tracer tracer(1, 16);
   std::uint64_t clock = 0;
@@ -505,9 +484,6 @@ TEST(CrashTrace, FlushIsByteDeterministicAndGolden) {
 }
 
 TEST(CrashTrace, FatalSignalProducesLoadableTrace) {
-  if (!obs::kTracingCompiledIn) {
-    GTEST_SKIP() << "tracing compiled out (OBLIV_TRACING=OFF)";
-  }
   const char* path = "fault_fuzz_crash_signal.json";
   std::remove(path);
   const pid_t pid = fork();

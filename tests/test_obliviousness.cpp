@@ -92,9 +92,9 @@ TEST_P(Machines, MoreCoresNeverIncreaseSpan) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMachines, Machines, ::testing::Range(0, 6),
-                         [](const auto& info) {
-                           return all_machines()[info.param].name() + "_" +
-                                  std::to_string(info.param);
+                         [](const auto& p) {
+                           return all_machines()[p.param].name() + "_" +
+                                  std::to_string(p.param);
                          });
 
 TEST(Obliviousness, SpanShrinksWithCores) {

@@ -48,9 +48,6 @@ TEST_P(FamilyParallelism, TasksAreStolenOnFourWorkers) {
   if (std::thread::hardware_concurrency() < 2) {
     GTEST_SKIP() << "needs a multi-core host";
   }
-  if (!obs::kTracingCompiledIn) {
-    GTEST_SKIP() << "steal histogram compiled out (OBLIV_TRACING=OFF)";
-  }
   const Kind kind = static_cast<Kind>(GetParam());
   NativeExecutor ex(4, 1 << 12);
   obs::Tracer tracer(4);
@@ -99,9 +96,6 @@ std::uint64_t forks_during(F&& run) {
 // quarter leaf run as one chunk.  The root forks into its own empty deque,
 // so this needs no second core.
 TEST(NativeLeaf, FourLeafLoopForks) {
-  if (!obs::kTracingCompiledIn) {
-    GTEST_SKIP() << "fork-grain histogram compiled out (OBLIV_TRACING=OFF)";
-  }
   std::vector<double> v(4 * sched::kNativeLeafWords, 1.0);
   const sched::NatRef<double> vref(v.data(), v.size());
   EXPECT_GT(forks_during(

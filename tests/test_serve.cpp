@@ -327,7 +327,6 @@ TEST(ServeShutdown, HandleOutlivesServer) {
 // ---------------------------------------------------------------------------
 
 TEST(ServeObs, JobLaneEventsAndCounters) {
-  if (!obs::kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   ServerOptions o = small_server();
   obs::Tracer tracer(o.threads == 0 ? 2 : o.threads, 1 << 12);
   Server srv(o);

@@ -161,7 +161,7 @@ TEST(ServeDeadline, RunningJobPoisonedByWatchdog) {
   o.threads = 2;
   obs::Tracer tracer(2, 1 << 12);
   Server srv(o);
-  if (obs::kTracingCompiledIn) srv.set_tracer(&tracer);
+  srv.set_tracer(&tracer);
 
   // A Floyd-Warshall instance that takes well over the deadline: n = 1024
   // is ~1.07G relaxations -- beating a 25 ms deadline would need over
@@ -189,21 +189,19 @@ TEST(ServeDeadline, RunningJobPoisonedByWatchdog) {
   EXPECT_EQ(st.deadline_exceeded_running, 1u);
   EXPECT_EQ(st.completed_ok, 0u);
 
-  if (obs::kTracingCompiledIn) {
-    // The condemnation is visible in the trace: a kJobCancel event whose
-    // `c` carries CancelToken::Reason::kDeadline (2).
-    bool saw_deadline_poison = false;
-    for (std::uint32_t ring = 0; ring < tracer.ring_count(); ++ring) {
-      tracer.ring(ring).for_each([&](const obs::Event& e) {
-        if (e.kind == obs::EventKind::kJobCancel && e.c == 2) {
-          saw_deadline_poison = true;
-        }
-      });
-    }
-    EXPECT_TRUE(saw_deadline_poison);
-    EXPECT_EQ(tracer.counters().value("serve.jobs_deadline_exceeded_running"),
-              1u);
+  // The condemnation is visible in the trace: a kJobCancel event whose
+  // `c` carries CancelToken::Reason::kDeadline (2).
+  bool saw_deadline_poison = false;
+  for (std::uint32_t ring = 0; ring < tracer.ring_count(); ++ring) {
+    tracer.ring(ring).for_each([&](const obs::Event& e) {
+      if (e.kind == obs::EventKind::kJobCancel && e.c == 2) {
+        saw_deadline_poison = true;
+      }
+    });
   }
+  EXPECT_TRUE(saw_deadline_poison);
+  EXPECT_EQ(tracer.counters().value("serve.jobs_deadline_exceeded_running"),
+            1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -386,7 +384,7 @@ TEST(ServeObs, LiveGaugesTrackQueueAndInflight) {
   o.space_budget_words = 4 * na;  // A alone fits; B and C must queue
   obs::Tracer tracer(2, 1 << 12);
   Server srv(o);
-  if (obs::kTracingCompiledIn) srv.set_tracer(&tracer);
+  srv.set_tracer(&tracer);
 
   util::Xoshiro256 rng(31337);
   std::vector<std::uint64_t> a(na);
@@ -419,13 +417,11 @@ TEST(ServeObs, LiveGaugesTrackQueueAndInflight) {
   const ServerStats st = srv.stats();
   EXPECT_EQ(st.inflight, 0u);
   EXPECT_EQ(st.queue_depth, 0u);
-  if (obs::kTracingCompiledIn) {
-    // The published gauges agree after drain.
-    EXPECT_EQ(tracer.counters().value("serve.queue_depth"), 0u);
-    EXPECT_EQ(tracer.counters().value("serve.inflight"), 0u);
-    EXPECT_EQ(tracer.counters().value("serve.jobs_cancelled"), 1u);
-    EXPECT_EQ(tracer.counters().value("serve.jobs_cancelled_running"), 0u);
-  }
+  // The published gauges agree after drain.
+  EXPECT_EQ(tracer.counters().value("serve.queue_depth"), 0u);
+  EXPECT_EQ(tracer.counters().value("serve.inflight"), 0u);
+  EXPECT_EQ(tracer.counters().value("serve.jobs_cancelled"), 1u);
+  EXPECT_EQ(tracer.counters().value("serve.jobs_cancelled_running"), 0u);
 }
 
 TEST(ServeShutdownRace, SubmitAfterShutdownIsTypedUnavailable) {

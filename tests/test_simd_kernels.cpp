@@ -440,7 +440,7 @@ TEST(SimdKernels, ModeSwitchesDispatch) {
     simd::ScopedMode m(simd::Mode::kAuto);
     // Whatever the host supports, the accessors must be consistent.
     if (simd::vector_active()) {
-      EXPECT_TRUE(simd::kSimdCompiledIn);
+      EXPECT_TRUE(simd::kSimdBuilt);
       EXPECT_TRUE(simd::vec::available());
       EXPECT_EQ(simd::lane_width(), simd::kMaxLaneWords);
     } else {

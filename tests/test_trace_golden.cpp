@@ -47,9 +47,6 @@ std::string traced_workload_json(obs::Tracer& tracer) {
 }
 
 TEST(TraceGolden, SimTraceIsByteIdenticalAcrossRuns) {
-  if (!obs::kTracingCompiledIn) {
-    GTEST_SKIP() << "tracing compiled out (OBLIV_TRACING=OFF)";
-  }
   obs::Tracer t1, t2;
   const std::string a = traced_workload_json(t1);
   const std::string b = traced_workload_json(t2);
@@ -63,9 +60,6 @@ TEST(TraceGolden, SimTraceIsByteIdenticalAcrossRuns) {
 }
 
 TEST(TraceGolden, ChromeTraceSchemaAndEventCoverage) {
-  if (!obs::kTracingCompiledIn) {
-    GTEST_SKIP() << "tracing compiled out (OBLIV_TRACING=OFF)";
-  }
   obs::Tracer tracer;
   const std::string json = traced_workload_json(tracer);
 

@@ -155,7 +155,6 @@ void destroy_while_sleeping() {
 // join races the Worker state teardown, under ASan it leaks the thread and
 // its deque, and a lost wake-up hangs this loop.
 void failed_setup_teardown() {
-  if (!obliv::fault::kFaultsCompiledIn) return;
   int failed = 0, built = 0;
   for (std::uint64_t seed = 0; seed < 32; ++seed) {
     obliv::fault::FaultPlan plan(
@@ -182,7 +181,6 @@ void failed_setup_teardown() {
 // pop-order inversion, stalls, and dropped wake-ups all execute on hot
 // scheduler paths concurrently with real stealing.
 void chaos_storm() {
-  if (!obliv::fault::kFaultsCompiledIn) return;
   obliv::sched::NativeExecutor ex(4, /*grain=*/1);
   obliv::fault::FaultPlan plan(99, obliv::fault::FaultOptions::chaos());
   ex.set_fault_plan(&plan);
@@ -261,8 +259,7 @@ void fork_list_storm() {
     bool twice = true;
     for (auto& h : hits) twice = twice && h.load() == 2;
     check(twice, "fork_list_storm: every index hit once per tree");
-    check(!obliv::fault::kFaultsCompiledIn || plan.decisions() > 0,
-          "fork_list_storm: plan was consulted");
+    check(plan.decisions() > 0, "fork_list_storm: plan was consulted");
   }
 }
 
