@@ -70,8 +70,8 @@ struct FloydWarshallInstance {
                          std::size_t n) {
     simd::fw_min_f64(y, v, u, n);
   }
-  // Native function-D tile (I, J, K pairwise disjoint, so no store can
-  // change an operand): the whole leaf in one register-blocked call.
+  // Native function-D tile (K disjoint from I and J, so no store can
+  // change an operand): a whole tile in one register-blocked call.
   static void tile_kernel(double* y, std::size_t ldy, const double* u,
                           std::size_t ldu, const double* v, std::size_t ldv,
                           std::size_t m, std::size_t n, std::size_t k) {
@@ -199,23 +199,13 @@ template <class Inst, class Ref>
 void gep_base(sched::MatView<Ref> x, Interval I, Interval J, Interval K) {
   if constexpr (gep_row_kernel_v<Inst, Ref>) {
     // Gated on vector_active(), not use_kernels(): the kernels pay an
-    // out-of-line dispatch per call (per leaf for a function-D tile, per
-    // (k, i) row otherwise), which only pays off when real lanes amortize
-    // it.  Scalar mode (== an OBLIV_SIMD=OFF build) keeps the generic
-    // triple loop -- results are bit-identical either way (same
+    // out-of-line dispatch per call (per (k, i) row here, per tile for
+    // gep_rec's function-D tiles), which only pays off when real lanes
+    // amortize it.  Scalar mode (== an OBLIV_SIMD=OFF build) keeps the
+    // generic triple loop -- results are bit-identical either way (same
     // per-element arithmetic and order; goldened in test_simd_kernels.cpp),
     // so this is purely a speed decision.
     if (simd::vector_active()) {
-      if constexpr (gep_tile_kernel_v<Inst, Ref>) {
-        // Function D: x[I,J] shares no element with x[I,K] or x[K,J].
-        if (disjoint(I, K) && disjoint(J, K) && I.len() && J.len()) {
-          Inst::tile_kernel(x.row(I.lo).raw() + J.lo, x.ld(),
-                            x.row(I.lo).raw() + K.lo, x.ld(),
-                            x.row(K.lo).raw() + J.lo, x.ld(), I.len(),
-                            J.len(), K.len());
-          return;
-        }
-      }
       for (std::uint64_t k = K.lo; k < K.hi; ++k) {
         const double* v = x.row(k).raw();
         for (std::uint64_t i = I.lo; i < I.hi; ++i) {
@@ -266,6 +256,19 @@ void gep_rec(Exec& ex, sched::MatView<Ref> x, Interval I, Interval J,
   if (!Inst::intersects(I, J, K)) return;
   const std::uint64_t m = I.len();
   assert(J.len() == m && K.len() == m);
+  if constexpr (gep_tile_kernel_v<Inst, Ref>) {
+    // Native function-D tile (DESIGN §5f), from kNativeTileSide down: X =
+    // x[I,J] shares no element with U = x[I,K] or V = x[K,J], so no store
+    // changes an operand, and every element sees k ascending, as in the
+    // recursion's rounds -- the same arithmetic bit for bit.
+    if (m > 0 && m <= std::max(base_cutoff, sched::kNativeTileSide) &&
+        disjoint(I, K) && disjoint(J, K) && simd::vector_active()) {
+      Inst::tile_kernel(x.row(I.lo).raw() + J.lo, x.ld(),
+                        x.row(I.lo).raw() + K.lo, x.ld(),
+                        x.row(K.lo).raw() + J.lo, x.ld(), m, m, m);
+      return;
+    }
+  }
   if (m <= base_cutoff) {
     gep_base<Inst>(x, I, J, K);
     return;
@@ -354,7 +357,8 @@ using detail::GepFn;
 /// I-GEP: runs the instance's GEP computation on the n x n matrix viewed by
 /// `x` under the SB scheduler.
 /// `base_cutoff` is the constant tile side at which recursion bottoms out
-/// (any constant preserves obliviousness and the asymptotic bounds).
+/// (any constant preserves obliviousness and the asymptotic bounds);
+/// native function-D tiles stop at sched::kNativeTileSide if that is larger.
 /// Throws Error(kInvalidArgument) unless x is square and n halves evenly
 /// down to base_cutoff.
 template <class Inst, class Exec, class Ref>
@@ -408,20 +412,23 @@ template <class Exec, class Ref>
 void matmul_rec(Exec& ex, sched::MatView<Ref> c, sched::MatView<Ref> a,
                 sched::MatView<Ref> b, std::uint64_t base_cutoff) {
   const std::uint64_t m = c.rows();
-  if (m <= base_cutoff) {
-    if constexpr (sched::is_direct_ref_v<Ref> &&
-                  std::is_same_v<typename Ref::value_type, double>) {
-      // vector_active(), not use_kernels(): see gep_base -- the tile
-      // kernel only beats the inlined triple loop when lanes are real.
-      if (simd::vector_active()) {
-        // c is disjoint from a and b: the tile kernel's one precondition.
-        if (m > 0) {
-          simd::tile_matmul_f64(c.row(0).raw(), c.ld(), a.row(0).raw(),
-                                a.ld(), b.row(0).raw(), b.ld(), m, m, m);
-        }
-        return;
+  if constexpr (sched::is_direct_ref_v<Ref> &&
+                std::is_same_v<typename Ref::value_type, double>) {
+    // Native tile from kNativeTileSide down (DESIGN §5f).  vector_active(),
+    // not use_kernels(): see gep_base -- the tile kernel only beats the
+    // inlined triple loop when lanes are real.  c is disjoint from a and
+    // b, the kernel's one precondition, and each c element sees k
+    // ascending, as in the two rounds below: bitwise the recursion.
+    if (m <= std::max(base_cutoff, sched::kNativeTileSide) &&
+        simd::vector_active()) {
+      if (m > 0) {
+        simd::tile_matmul_f64(c.row(0).raw(), c.ld(), a.row(0).raw(), a.ld(),
+                              b.row(0).raw(), b.ld(), m, m, m);
       }
+      return;
     }
+  }
+  if (m <= base_cutoff) {
     for (std::uint64_t k = 0; k < m; ++k) {
       for (std::uint64_t i = 0; i < m; ++i) {
         for (std::uint64_t j = 0; j < m; ++j) {

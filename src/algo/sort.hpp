@@ -24,8 +24,9 @@
 // (oversized buckets simply recurse further).
 //
 // Native serial leaf (DESIGN.md §5f): on direct-memory refs, a subproblem of
-// at most sched::kNativeLeafWords words is one std::sort, with no scheduler
-// construct and no allocation.  Output contract: every sort returns the
+// at most sched::kNativeLeafWords words is sorted serially, with no
+// scheduler construct and no allocation: u64 keys by an LSD radix sort,
+// every other type by std::sort.  Output contract: every sort returns the
 // unique sorted permutation when elements that compare equivalent are
 // bitwise equal, so the leaf and the recursion agree bit for bit.  Every
 // in-repo key meets it (u64 keys and arcs, records ordered by a unique
@@ -36,6 +37,9 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "algo/scan.hpp"
@@ -72,6 +76,45 @@ void sort_base(Exec& ex, Ref v) {
   v.store_run(0, n, local);
 }
 
+/// The native u64 leaf: LSD radix sort of n <= kNativeLeafWords keys in
+/// place, 8-bit digits from the least significant up.  A digit that is the
+/// same in every key is skipped (its pass would move nothing), so keys
+/// drawn from a narrow range take few passes.  Scratch is one stack array
+/// of kNativeLeafWords words.  Up to kSortBase keys, where the 256-bucket
+/// tables cost more than the passes save, it is std::sort.  Sorted u64
+/// keys are one sequence of values, so either returns the same bits.
+inline void radix_sort_leaf(std::uint64_t* a, std::uint64_t n) {
+  assert(n <= sched::kNativeLeafWords);
+  if (n <= kSortBase) {
+    std::sort(a, a + n);
+    return;
+  }
+  std::uint32_t count[8][256] = {};
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const std::uint64_t x = a[i];
+    for (int d = 0; d < 8; ++d) ++count[d][(x >> (8 * d)) & 0xff];
+  }
+  std::uint64_t scratch[sched::kNativeLeafWords];
+  std::uint64_t* src = a;
+  std::uint64_t* dst = scratch;
+  for (int d = 0; d < 8; ++d) {
+    std::uint32_t* c = count[d];
+    if (c[(src[0] >> (8 * d)) & 0xff] == n) continue;
+    std::uint32_t start = 0;
+    for (int b = 0; b < 256; ++b) {
+      const std::uint32_t len = c[b];
+      c[b] = start;
+      start += len;
+    }
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const std::uint64_t x = src[i];
+      dst[c[(x >> (8 * d)) & 0xff]++] = x;
+    }
+    std::swap(src, dst);
+  }
+  if (src != a) std::memcpy(a, src, n * sizeof(std::uint64_t));
+}
+
 }  // namespace detail
 
 template <class Exec, class Ref>
@@ -87,13 +130,17 @@ void spms_sort(Exec& ex, Ref v) {
   bool native = false;
   if constexpr (sched::is_direct_ref_v<Ref>) {
     native = simd::use_kernels();
-    // Native serial leaf: the whole subproblem in one std::sort.  It gives
-    // the recursion's output whenever equivalent keys are bitwise equal
-    // (see the header comment), and so does returning an in-order
+    // Native serial leaf: the whole subproblem in one serial sort.  It
+    // gives the recursion's output whenever equivalent keys are bitwise
+    // equal (see the header comment), and so does returning an in-order
     // subproblem as it is -- e.g. a bucket of equal keys.  On unsorted
     // input the check stops at the first descent.
     if (native && n * W <= sched::kNativeLeafWords) {
-      std::sort(v.raw(), v.raw() + n);
+      if constexpr (std::is_same_v<T, std::uint64_t>) {
+        detail::radix_sort_leaf(v.raw(), n);
+      } else {
+        std::sort(v.raw(), v.raw() + n);
+      }
       return;
     }
     if (native && std::is_sorted(v.raw(), v.raw() + n)) return;

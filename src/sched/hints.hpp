@@ -41,15 +41,25 @@ template <class Ref>
 inline constexpr bool is_direct_ref_v = is_direct_ref<Ref>::value;
 
 /// Native leaf size in 8-byte words (16 KiB, half a 32 KiB L1D), shared
-/// by five families on their direct-memory instantiations.  Below it, the
+/// by seven families on their direct-memory instantiations.  Below it, the
 /// recursion-bound ones (SPMS sort, MO-FFT, and MO-SpM-DV over row ranges)
 /// solve the whole subproblem serially on raw pointers: no scheduler
 /// construct and at most one allocation.  The CGC ones work in leaves of
 /// this size: the prefix scan in blocks of this many elements, MO-MT in
 /// the largest power-of-two tiles of which a source and a destination
-/// fit.  SimRef and NoRef never take a leaf, so no model counter depends
-/// on it (DESIGN §5f).
+/// fit.  Matmul and I-GEP's function D stop at kNativeTileSide below.
+/// SimRef and NoRef never take a leaf, so no model counter depends on it
+/// (DESIGN §5f).
 inline constexpr std::uint64_t kNativeLeafWords = 2048;
+
+/// Side of the native dense tiles of mo_matmul and I-GEP's function D: the
+/// largest power of two m with three m x m double tiles (X, U and V) in
+/// kNativeLeafWords words -- 16.
+inline constexpr std::uint64_t kNativeTileSide = [] {
+  std::uint64_t m = 1;
+  while (3 * (2 * m) * (2 * m) <= kNativeLeafWords) m *= 2;
+  return m;
+}();
 
 enum class Hint : std::uint8_t {
   kCgc,      ///< coarse-grained contiguous

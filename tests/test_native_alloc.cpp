@@ -177,6 +177,19 @@ TEST(NativeLeaf, SortAllocations) {
   EXPECT_LE(allocs, 16u);
   EXPECT_LE(bytes / 8.0, 3.25 * n) << "words";
   EXPECT_EQ(keys, want);
+  // A leaf-sized sort is one radix leaf on its stack scratch.
+  keys.resize(sched::kNativeLeafWords);
+  for (auto& k : keys) k = g();
+  want = keys;
+  std::sort(want.begin(), want.end());
+  {
+    AllocCounter count;
+    algo::spms_sort(ex, sched::NatRef<std::uint64_t>(keys.data(),
+                                                     keys.size()));
+    allocs = count.count();
+  }
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(keys, want);
 }
 
 TEST(NativeLeaf, ForksAllocateNothing) {

@@ -17,8 +17,8 @@
 //     reduction order than the serial loop -- under Mode::kGeneric too.
 //
 //  3. Native leaves (sched::kNativeLeafWords): native SPMS sort, MO-FFT,
-//     prefix scan and MO-MT on both sides of the leaf size reproduce the
-//     simulator, which never takes a leaf.
+//     prefix scan, MO-MT, matmul and I-GEP on both sides of the leaf size
+//     reproduce the simulator, which never takes a leaf.
 #include "util/simd.hpp"
 
 #include <gtest/gtest.h>
@@ -339,7 +339,7 @@ TEST(SimdKernels, TileKernelsNeedDisjointOperands) {
   // kernels are only legal when Y overlaps neither U nor V: the register
   // block reads U long before its stores to Y land.  With Y == U (an
   // I-GEP A/B tile) the vector path departs from the row loop, which is
-  // why gep_base routes only function-D tiles here.
+  // why gep_rec routes only function-D tiles here.
   if (!simd::vec::available()) GTEST_SKIP() << "no vector path in this build";
   Xoshiro256 g(9);
   const std::size_t n = 8;
@@ -827,6 +827,57 @@ TEST(NativeLeaf, SortMatchesSim) {
   }
 }
 
+/// The u64 radix leaf against std::sort, called directly and through a
+/// native spms_sort (one leaf), on both sides of kSortBase = 64 (below it
+/// the leaf is std::sort) and at the leaf's largest size, over keys that
+/// vary in every digit, in one digit, or in none.
+TEST(NativeLeaf, SortLeafRadixEdgeCases) {
+  Xoshiro256 g(90);
+  auto pattern = [&](int p, std::size_t n) {
+    std::vector<std::uint64_t> k(n);
+    const std::uint64_t base = g(), a = g(), b = g();
+    // Keys that differ only in byte `d` of `base`.
+    auto one_byte = [&](int d) {
+      const std::uint64_t mask = std::uint64_t{0xff} << (8 * d);
+      for (auto& x : k) x = (base & ~mask) | (g() & mask);
+    };
+    switch (p) {
+      case 0: k.assign(n, base); break;
+      case 1:
+      case 2:
+        for (auto& x : k) x = g();
+        std::sort(k.begin(), k.end());
+        if (p == 2) std::reverse(k.begin(), k.end());
+        break;
+      case 3: for (auto& x : k) x = g() & 1 ? a : b; break;
+      case 4: one_byte(7); break;
+      case 5: one_byte(0); break;
+      case 6: one_byte(3); break;
+      case 7: for (auto& x : k) x = g() & 1 ? ~std::uint64_t{0} : 0; break;
+      default: for (auto& x : k) x = g(); break;
+    }
+    return k;
+  };
+  const char* names[] = {"all equal", "sorted", "reversed",
+                         "two values", "top byte only", "low byte only",
+                         "byte 3 only", "0 and ~0", "random"};
+  for (const std::size_t n : {0, 1, 2, 63, 64, 65, 725, 2047, 2048}) {
+    for (int p = 0; p < 9; ++p) {
+      SCOPED_TRACE("n=" + std::to_string(n) + ", " + names[p]);
+      const auto in = pattern(p, n);
+      auto want = in;
+      std::sort(want.begin(), want.end());
+      auto direct = in;
+      algo::detail::radix_sort_leaf(direct.data(), n);
+      EXPECT_TRUE(BitsEqual(want, direct));
+      sched::NativeExecutor ex(1);
+      EXPECT_TRUE(BitsEqual(want, run_on(ex, in, [&](auto ref) {
+                              algo::spms_sort(ex, ref);
+                            })));
+    }
+  }
+}
+
 /// Above the leaf: sorted, all-equal and reversed keys at n = 2^16, and 64
 /// distinct values at 2^18 (so that each value's bucket, about 4096 u64
 /// keys, exceeds the leaf and is in order), for u64 keys and records,
@@ -846,6 +897,38 @@ TEST(NativeLeaf, SortPatternsMatchGeneric) {
     expect_native_runs(keys, generic(keys), sort, kBitsEqual);
     const auto recs = records<algo::detail::RouteRec<1>>(keys, g);
     expect_native_runs(recs, generic(recs), sort, kBitsEqual);
+  }
+}
+
+/// Native mo_matmul and Floyd-Warshall igep at sides 16 to 64, whose
+/// function-D tiles stop at kNativeTileSide = 16, against the simulator's
+/// recursion to base_cutoff 8, on non-integer values so that a changed
+/// summation or min order would show.
+TEST(NativeLeaf, TileLeafMatchesSim) {
+  Xoshiro256 g(89);
+  for (const std::uint64_t n : {16u, 32u, 64u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    auto matmul = [n](auto& ex, auto ref) {
+      using Mat = sched::MatView<decltype(ref)>;
+      algo::mo_matmul(ex, Mat::full(ref.slice(0, n * n), n, n),
+                      Mat::full(ref.slice(n * n, n * n), n, n),
+                      Mat::full(ref.slice(2 * n * n, n * n), n, n));
+    };
+    auto fw = [n](auto& ex, auto ref) {
+      algo::igep<algo::FloydWarshallInstance>(
+          ex, sched::MatView<decltype(ref)>::full(ref, n, n));
+    };
+    std::vector<double> cab(3 * n * n);
+    for (auto& v : cab) v = rnd(g);
+    {
+      SCOPED_TRACE("matmul");
+      expect_native_runs(cab, sim_run(cab, 4 * n * n, matmul), matmul,
+                         kBitsEqual);
+    }
+    std::vector<double> x(n * n);
+    for (auto& v : x) v = std::abs(rnd(g)) + 0.01;
+    SCOPED_TRACE("Floyd-Warshall");
+    expect_native_runs(x, sim_run(x, n * n, fw), fw, kBitsEqual);
   }
 }
 

@@ -12,7 +12,7 @@
 // under error (spawn failures injected mid-construction; destruction with
 // workers asleep), the chaos scheduler racing a live fault plan, nested
 // SB fork lists under wake-drop and pop-order plans, and the native
-// SpM-DV and SPMS sort leaves on a 4-worker pool.
+// SpM-DV, SPMS sort, matmul and I-GEP leaves on a 4-worker pool.
 //
 // The same file also builds as `obliv_sched_asan` (-fsanitize=address with
 // leak detection: the teardown scenarios' "no thread / worker-state leak"
@@ -31,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "algo/gep.hpp"
 #include "algo/sort.hpp"
 #include "algo/spmdv.hpp"
 #include "fault/fault.hpp"
@@ -409,6 +410,8 @@ void simd_kernel_sweep() {
 // ranges of y from different workers (TSan), and no row range may read
 // past A_v or A_0 (ASan).  SPMS sort patterns take the leaf, the in-order
 // shortcut (equal-key buckets, sorted input) and the full recursion.
+// Matmul and Floyd-Warshall I-GEP write their kNativeTileSide tiles from
+// different workers.
 void native_leaf_sweep() {
   namespace algo = obliv::algo;
   namespace sched = obliv::sched;
@@ -451,6 +454,22 @@ void native_leaf_sweep() {
     algo::spms_sort(ex4, sched::NatRef<std::uint64_t>(keys.data(), m));
     check(keys == want, "native_leaf_sweep: spms_sort at 4 workers");
   }
+  using Mat = sched::MatView<sched::NatRef<double>>;
+  const std::uint64_t s = 64;
+  auto full = [&](std::vector<double>& v) {
+    return Mat::full(sched::NatRef<double>(v.data(), v.size()), s, s);
+  };
+  std::vector<double> a(s * s), b(s * s), fw(s * s);
+  for (auto& v : a) v = static_cast<double>(g() % 1000) / 7;
+  for (auto& v : b) v = static_cast<double>(g() % 1000) / 9;
+  for (auto& v : fw) v = static_cast<double>(1 + g() % 1000) / 7;
+  std::vector<double> c1(s * s, 0.5), c4 = c1, fw1 = fw, fw4 = fw;
+  algo::mo_matmul(ex1, full(c1), full(a), full(b));
+  algo::mo_matmul(ex4, full(c4), full(a), full(b));
+  check(c1 == c4, "native_leaf_sweep: matmul 4 workers == 1 worker");
+  algo::igep<algo::FloydWarshallInstance>(ex1, full(fw1));
+  algo::igep<algo::FloydWarshallInstance>(ex4, full(fw4));
+  check(fw1 == fw4, "native_leaf_sweep: igep 4 workers == 1 worker");
 }
 
 }  // namespace
