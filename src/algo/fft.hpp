@@ -16,9 +16,9 @@
 //
 // Native serial leaf (DESIGN.md §5f): on direct-memory refs, a transform of
 // 8 < n and 2n <= sched::kNativeLeafWords words runs Lines 1-10 serially
-// in detail::fft_leaf, on one 2n-element scratch buffer and with no
-// scheduler construct.  It performs the same arithmetic on every element,
-// so its output is bit-identical to the recursion's.
+// in detail::fft_leaf, on 2n elements of stack scratch (no allocation) and
+// with no scheduler construct.  It performs the same arithmetic on every
+// element, so its output is bit-identical to the recursion's.
 #pragma once
 
 #include <cassert>
@@ -171,6 +171,15 @@ inline void fft_leaf(const cplx* in, std::uint64_t s_in, cplx* out,
   }
 }
 
+/// fft_leaf of n <= kNativeLeafWords / 2 points in place, on uninitialised
+/// stack scratch.  Not inlined, so the 32 KiB frame exists only while a
+/// leaf runs, not in every frame of the recursion above it.
+[[gnu::noinline]] inline void fft_leaf_inplace(cplx* x, std::uint64_t n) {
+  assert(2 * n <= sched::kNativeLeafWords);
+  alignas(cplx) unsigned char scratch[sched::kNativeLeafWords * sizeof(cplx)];
+  fft_leaf(x, 1, x, 1, n, reinterpret_cast<cplx*>(scratch));
+}
+
 }  // namespace detail
 
 /// MO-FFT.  In-place DFT of `x` (size a power of two), convention
@@ -188,8 +197,7 @@ void mo_fft(Exec& ex, Ref x) {
   }
   if constexpr (detail::fft_kernel_v<Ref>) {
     if (simd::use_kernels() && n * W <= sched::kNativeLeafWords) {
-      auto scratch = ex.template make_buf<cplx>(2 * n);
-      detail::fft_leaf(x.raw(), 1, x.raw(), 1, n, scratch.ref().raw());
+      detail::fft_leaf_inplace(x.raw(), n);
       return;
     }
   }

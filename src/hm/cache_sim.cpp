@@ -10,39 +10,44 @@ namespace obliv::hm {
 
 LruCache::LruCache(std::size_t lines)
     : lines_(lines),
-      map_(std::min<std::size_t>(lines, 32768)),
-      queue_(kQueueSlack),
-      queue_mask_(kQueueSlack - 1) {
-  static_assert(std::has_single_bit(kQueueSlack));
-  assert(lines_ > 0);
+      nodes_(1, Node{kNoBlock, 0, 0}),
+      slots_(pow2_at_least(4 * std::min(lines, kMaxInitialLines))),
+      mask_(slots_.size() - 1) {
+  assert(lines_ > 0 && lines_ < 0xffffffffu);
 }
 
 bool LruCache::touch(std::uint64_t block) {
-  last_evicted_ = ~0ull;
-  if (map_.needs_grow()) {
-    // Rehash before probing so the insert slot stays valid, then refresh
-    // the node backpointers the rehash invalidated.
-    map_.rehash_now();
-    map_.for_each(
-        [&](std::size_t slot, std::uint32_t val) {
-          nodes_[val].slot = static_cast<std::uint32_t>(slot);
-        });
+  assert(block != kNoBlock);
+  last_evicted_ = kNoBlock;
+  std::size_t i = bucket_of(block, mask_);
+  for (; !slots_[i].empty(); i = (i + 1) & mask_) {
+    if (slots_[i].key == block) {
+      last_node_ = slots_[i].node;
+      touch_known(last_node_);
+      return true;
+    }
   }
-  std::size_t slot;
-  if (const std::uint32_t* v = map_.find_or_slot(block, slot)) {
-    last_node_ = *v;
-    touch_known(*v);
-    return true;
+  if (size_ == lines_) {
+    // Full: the victim's node takes the new block.  The new entry goes
+    // into the empty slot the probe ended at before the victim's entry is
+    // deleted (the table has room for one more), so no second probe is
+    // needed; the deletion's backward shift may move the new entry.
+    const std::uint32_t v = nodes_[0].prev;
+    last_evicted_ = nodes_[v].block;
+    nodes_[v].block = block;
+    slots_[i] = Slot{block, v};
+    touch_known(v);
+    erase_key(last_evicted_);
+    last_node_ = v;
+    return false;
+  }
+  if ((size_ + 1) * 4 > slots_.size()) {
+    // Only a cache of more than kMaxInitialLines lines gets here.
+    double_table(slots_, mask_);
+    i = empty_slot(slots_.data(), mask_, block);
   }
   std::uint32_t idx;
-  if (map_.size() >= lines_) {
-    // Evict the LRU block and reuse its node.  The victim's tombstone
-    // cannot shorten our insert cluster, but `slot` stays valid: probes
-    // step over tombstones, and `slot` precedes the cluster's first empty.
-    idx = pop_victim();
-    last_evicted_ = nodes_[idx].block;
-    map_.erase_at(nodes_[idx].slot);
-  } else if (!free_.empty()) {
+  if (!free_.empty()) {
     idx = free_.back();
     free_.pop_back();
   } else {
@@ -50,77 +55,44 @@ bool LruCache::touch(std::uint64_t block) {
     nodes_.push_back(Node{});
   }
   nodes_[idx].block = block;
-  nodes_[idx].slot =
-      static_cast<std::uint32_t>(map_.insert_at(slot, block, idx));
+  slots_[i] = Slot{block, idx};
+  push_front(idx);
+  ++size_;
   last_node_ = idx;
-  stamp(idx);
   return false;
 }
 
-std::uint32_t LruCache::pop_victim() {
-  for (;;) {
-    assert(head_ < tail_);
-    const Use u = queue_[head_++ & queue_mask_];
-    if (nodes_[u.node].stamp == u.stamp) return u.node;
+void LruCache::erase_key(std::uint64_t block) {
+  std::size_t i = bucket_of(block, mask_);
+  while (slots_[i].key != block) {
+    assert(!slots_[i].empty());
+    i = (i + 1) & mask_;
   }
-}
-
-void LruCache::compact() {
-  // Branch-free filter: whether a use is current is a coin flip on
-  // hit-heavy streams, so every use is copied and the write position
-  // advances by the test.
-  std::size_t w = head_;
-  for (std::size_t i = head_; i < tail_; ++i) {
-    const Use u = queue_[i & queue_mask_];
-    queue_[w & queue_mask_] = u;
-    w += nodes_[u.node].stamp == u.stamp ? 1 : 0;
-  }
-  tail_ = w;
-  const std::size_t live = tail_ - head_;
-  if (now_ >= kRenumberAt) {
-    // Compaction runs at least once per ring size of pushes, so stamps
-    // stay below kRenumberAt plus a ring size and cannot wrap.
-    for (std::size_t i = head_; i < tail_; ++i) {
-      Use& u = queue_[i & queue_mask_];
-      u.stamp = static_cast<std::uint32_t>(i - head_ + 1);
-      nodes_[u.node].stamp = u.stamp;
-    }
-    now_ = static_cast<std::uint32_t>(live);
-  }
-  // Keep at least half the ring free, so every compaction is followed by
-  // at least size() + kQueueSlack pushes: amortized O(1) per use, and the
-  // ring stays O(lines).
-  const std::size_t want = 2 * live + kQueueSlack;
-  if (queue_.size() < want) {
-    std::vector<Use> ring(std::bit_ceil(want));
-    for (std::size_t i = 0; i < live; ++i) {
-      ring[i] = queue_[(head_ + i) & queue_mask_];
-    }
-    queue_.swap(ring);
-    queue_mask_ = queue_.size() - 1;
-    head_ = 0;
-    tail_ = live;
-  }
+  erase_shift(slots_.data(), mask_, i);
 }
 
 bool LruCache::erase(std::uint64_t block) {
-  const std::uint32_t* v = map_.find(block);
-  if (v == nullptr) return false;
-  const std::uint32_t idx = *v;
-  nodes_[idx].stamp = 0;  // its queued uses go stale
-  free_.push_back(idx);
-  map_.erase_at(nodes_[idx].slot);
-  return true;
+  for (std::size_t i = bucket_of(block, mask_); !slots_[i].empty();
+       i = (i + 1) & mask_) {
+    if (slots_[i].key == block) {
+      const std::uint32_t idx = slots_[i].node;
+      unlink(idx);
+      free_.push_back(idx);
+      erase_shift(slots_.data(), mask_, i);
+      --size_;
+      return true;
+    }
+  }
+  return false;
 }
 
 void LruCache::clear() {
-  map_.clear();
-  nodes_.clear();
+  if (size_ > 0) std::fill(slots_.begin(), slots_.end(), Slot{});
+  nodes_.resize(1);
+  nodes_[0] = Node{kNoBlock, 0, 0};
   free_.clear();
-  head_ = 0;
-  tail_ = 0;
-  now_ = 0;
-  last_evicted_ = ~0ull;
+  size_ = 0;
+  last_evicted_ = kNoBlock;
 }
 
 CacheSim::CacheSim(MachineConfig cfg) : cfg_(std::move(cfg)) {
@@ -181,9 +153,8 @@ Result<CacheSim> CacheSim::make(MachineConfig cfg) noexcept {
 }
 
 void CacheSim::coherence_write(std::uint32_t core, std::uint64_t blk1) {
-  std::uint64_t& mask = sharers_.get(blk1);
   const std::uint64_t me = 1ull << core;
-  std::uint64_t others = mask & ~me;
+  std::uint64_t others = sharers_.exchange(blk1, me) & ~me;
   if (others != 0) {
     ++pingpong_;
     if (tracer_ != nullptr) {
@@ -199,27 +170,23 @@ void CacheSim::coherence_write(std::uint32_t core, std::uint64_t blk1) {
       memo_drop(c, blk1);
     } while (others != 0);
   }
-  mask = me;
 }
 
 bool CacheSim::miss_shared(std::uint32_t core, std::uint64_t blk1, bool write,
                            std::uint64_t victim) {
   const std::uint64_t me = 1ull << core;
-  if (victim != obs::kNoEviction) {
-    // Keep the sharer table in sync with L1 contents.
-    if (std::uint64_t* m = sharers_.find(victim)) *m &= ~me;
-  }
+  // Keep the sharer table in sync with L1 contents.
+  if (victim != obs::kNoEviction) sharers_.clear_bits(victim, me);
   if (write) return true;  // the write path made `core` the sole sharer
-  std::uint64_t& mask = sharers_.get(blk1);
+  const std::uint64_t old = sharers_.fetch_or(blk1, me);
   // Gaining a second sharer revokes the sole owner's memo exclusivity (its
   // next write must ping-pong us out).
-  if (mask != 0 && mask != me && (mask & (mask - 1)) == 0) {
-    const std::uint32_t w = static_cast<std::uint32_t>(std::countr_zero(mask));
+  if (old != 0 && old != me && (old & (old - 1)) == 0) {
+    const std::uint32_t w = static_cast<std::uint32_t>(std::countr_zero(old));
     MemoEntry& e = memo_[memo_index(w, blk1)];
     if (e.block == blk1) e.exclusive = 0;
   }
-  mask |= me;
-  return mask == me;
+  return (old | me) == me;
 }
 
 void CacheSim::touch_block(std::uint32_t core, std::uint64_t blk1, bool write,

@@ -20,19 +20,21 @@
 // tests/test_golden_counters.cpp and, against an independent naive model,
 // tests/test_cache_sim_oracle.cpp):
 //
-//   * LruCache keys blocks through an open-addressing flat table
-//     (hm/flat_table.hpp) into stable nodes.  Recency is a last-use stamp
-//     per node; a lazy FIFO of (node, stamp) pairs finds the victim by
-//     popping pairs until one still matches its node's stamp -- exact
-//     fully-associative LRU in amortized O(1), ~one probe per touch.
+//   * LruCache keeps its blocks in stable nodes on an intrusive doubly-
+//     linked recency list: a hit moves the node to the front, the victim
+//     is the tail.  A linear-probing table (hm/flat_table.hpp) maps block
+//     ids to nodes and deletes by backward shift, so it never holds a
+//     tombstone and never rehashes in place -- exact fully-associative
+//     LRU in O(1) per touch, one probe per table lookup.
 //   * A per-core block memo in front of the L1 maps a B_1 block to its L1
 //     node and an exclusivity bit.  Entries are dropped when their block
 //     leaves the L1, so a memo hit is an exact L1 hit and resolves inline
 //     with one compare.  See DESIGN.md section 5c for why both are exact.
-//   * Coherence is O(1) per access: the sharer set is a 64-bit mask in an
-//     epoch-tagged flat table (MachineConfig rejects > 64 cores), writers
-//     the memo knows to be the sole sharer skip the invalidation probe
-//     entirely, and invalidations iterate set bits, not all cores.
+//   * Coherence is O(1) per access: the sharer set is a 64-bit mask in a
+//     flat table (MachineConfig rejects > 64 cores) that holds a block
+//     only while some L1 does, writers the memo knows to be the sole
+//     sharer skip the invalidation probe entirely, and invalidations
+//     iterate set bits, not all cores.
 //   * access_run() walks a whole run of B_1 blocks per call, memoising the
 //     last block touched per upper level within the run, so batched range
 //     accesses (SimRef::load_run / store_run) pay one hierarchy walk per
@@ -53,21 +55,25 @@
 namespace obliv::hm {
 
 /// Fully-associative LRU cache over abstract block ids.
+///
+/// Blocks live in stable nodes on a circular doubly-linked recency list
+/// (node 0 is its sentinel: next = most recently used, prev = the victim).
+/// A linear-probing table maps block ids to nodes and deletes by backward
+/// shift, so it has no tombstones and a probe ends at the first empty slot.
 class LruCache {
  public:
   explicit LruCache(std::size_t lines);
 
   /// Accesses `block`; returns true on hit.  On a miss the block is
-  /// installed, evicting the least-recently-used block if full.
-  /// `evicted` receives the victim block id (valid when the return of
-  /// `evicted_valid()` is true after the call).
+  /// installed, evicting the least-recently-used block if full (see
+  /// last_evicted()).
   bool touch(std::uint64_t block);
 
   /// Recency update for a block whose node index is already known (from
-  /// last_node() at install/hit time) -- no hash probe.  Touching the most
-  /// recently used block again changes nothing.
+  /// last_node() at install/hit time) -- no table probe.  Touching the
+  /// most recently used block again changes nothing.
   void touch_known(std::uint32_t idx) {
-    if (nodes_[idx].stamp != now_) stamp(idx);
+    if (nodes_[0].next != idx) move_to_front(idx);
   }
 
   /// Node index of the block hit or installed by the most recent touch().
@@ -78,7 +84,10 @@ class LruCache {
   bool erase(std::uint64_t block);
 
   bool contains(std::uint64_t block) const {
-    return map_.find(block) != nullptr;
+    for (std::size_t i = bucket_of(block, mask_);; i = (i + 1) & mask_) {
+      if (slots_[i].key == block) return true;
+      if (slots_[i].empty()) return false;
+    }
   }
 
   /// Block id evicted by the most recent touch(), or obs::kNoEviction if
@@ -88,55 +97,59 @@ class LruCache {
 
   void clear();
 
-  std::size_t size() const { return map_.size(); }
+  std::size_t size() const { return size_; }
   std::size_t lines() const { return lines_; }
 
  private:
-  /// `stamp` is the node's last use (larger = more recent; 0 = free).
+  /// ~0 is no block id (it is the memo's and kNoEviction's sentinel too).
+  static constexpr std::uint64_t kNoBlock = ~0ull;
+
   struct Node {
     std::uint64_t block;
-    std::uint32_t stamp;
-    std::uint32_t slot;  ///< backpointer into map_ for O(1) erase
+    std::uint32_t prev, next;
   };
-  /// One use of `node`; stale once the node is used again or freed.
-  struct Use {
-    std::uint32_t node;
-    std::uint32_t stamp;
+  struct Slot {
+    std::uint64_t key = kNoBlock;
+    std::uint32_t node = 0;
+    bool empty() const { return key == kNoBlock; }
   };
-  /// The victim queue is a ring of at least 2 * size() + kQueueSlack uses.
-  static constexpr std::size_t kQueueSlack = 64;
-  static constexpr std::uint32_t kRenumberAt = 1u << 20;
 
-  void stamp(std::uint32_t idx) {
-    if (tail_ - head_ > queue_mask_) compact();
-    nodes_[idx].stamp = ++now_;
-    queue_[tail_++ & queue_mask_] = Use{idx, now_};
+  void unlink(std::uint32_t idx) {
+    const Node& n = nodes_[idx];
+    nodes_[n.prev].next = n.next;
+    nodes_[n.next].prev = n.prev;
+  }
+  void push_front(std::uint32_t idx) {
+    const std::uint32_t first = nodes_[0].next;
+    nodes_[idx].prev = 0;
+    nodes_[idx].next = first;
+    nodes_[first].prev = idx;
+    nodes_[0].next = idx;
+  }
+  void move_to_front(std::uint32_t idx) {
+    unlink(idx);
+    push_front(idx);
   }
 
-  /// Pops stale uses off the queue front until one is current: that node
-  /// is the least recently used.  Only called when the cache is full.
-  std::uint32_t pop_victim();
+  /// Deletes `block`'s table entry (it must have one).
+  void erase_key(std::uint64_t block);
 
-  /// Called when the ring is full: drops every stale use and grows the
-  /// ring if less than half of it is then free.  Once stamps pass
-  /// kRenumberAt it also renumbers the current uses 1..size() in queue
-  /// order, so stamps never outgrow 32 bits.
-  void compact();
+  /// The table starts sized for at most this many lines; a larger cache
+  /// doubles it while it fills.
+  static constexpr std::size_t kMaxInitialLines = 32768;
 
   std::size_t lines_;
+  std::size_t size_ = 0;
+  // nodes_[0] is the list sentinel; free_ holds nodes erase() released.
   std::vector<Node> nodes_;
   std::vector<std::uint32_t> free_;
-  FlatTable<std::uint32_t> map_;
-  // Ring of uses in stamp order: positions [head_, tail_), each stored at
-  // queue_[pos & queue_mask_] (the size is a power of two).  Every live
-  // node's latest use is in the ring, and no other use there is current.
-  std::vector<Use> queue_;
-  std::size_t queue_mask_;
-  std::size_t head_ = 0;
-  std::size_t tail_ = 0;
-  std::uint32_t now_ = 0;
+  // At most a quarter full (plus the one entry an eviction adds before it
+  // deletes the victim's): capacity >= 4 * size, which keeps probes and
+  // backward shifts short.
+  std::vector<Slot> slots_;
+  std::size_t mask_;
   std::uint32_t last_node_ = 0;
-  std::uint64_t last_evicted_ = ~0ull;
+  std::uint64_t last_evicted_ = kNoBlock;
 };
 
 /// Per-cache transfer counters.
@@ -184,7 +197,7 @@ class CacheSim {
   ///
   /// The body here is the memo fast path, inlined into callers: a
   /// re-touch of a block resident in the core's L1 (for a write, one the
-  /// core holds exclusively) is one compare, a recency stamp and a counter
+  /// core holds exclusively) is one compare, a recency move and a counter
   /// increment.  Everything else calls the out-of-line slow path.
   void access_run(std::uint32_t core, std::uint64_t addr, std::uint32_t words,
                   bool write) {
@@ -232,6 +245,10 @@ class CacheSim {
   /// numerator: a batched access_run over `words` words counts `words`,
   /// exactly like per-word calls over the same range would).
   std::uint64_t total_accesses() const { return accesses_; }
+
+  /// Number of B_1 blocks the coherence table tracks: those held by at
+  /// least one L1 (always 0 on a one-core machine, which tracks none).
+  std::size_t sharer_entries() const { return sharers_.size(); }
 
   /// Attaches an event tracer (nullptr detaches).  Misses, evictions and
   /// ping-pongs are then emitted as obs events attributed to the tracer's

@@ -1,25 +1,20 @@
-// Open-addressing hash tables for the cache simulator's hot path.
+// Open-addressing hash tables for the cache simulator.
 //
-// The simulator does one hash probe per cache level per simulated block
-// touch, so table speed is simulator speed.  Both tables here are linear-
-// probing, power-of-two flat tables with one control byte per slot (empty /
-// tombstone / 7-bit key fingerprint), so a probe is one byte compare plus,
-// on fingerprint match, one key compare -- no pointer chasing, no
-// allocation per entry, and the control bytes of a cluster share cache
-// lines.  Keys are 64-bit block ids, bucketed by their low bits (see
-// bucket_of for why identity beats a scattering hash here).
+// Every table here is linear-probing over a power-of-two array of slots,
+// bucketed by one Fibonacci multiply of the 64-bit block id (see
+// bucket_of), with no allocation per entry.  None of them has tombstones:
 //
-//   * FlatTable<V>   -- generic map used by LruCache (block -> node index).
-//     Deletions (coherence invalidations) leave tombstones; the table
-//     rehashes in place when live + tombstone load crosses 7/8 and doubles
-//     when the live load alone justifies it.
-//   * SharerTable    -- block -> 64-bit sharer mask for the coherence
-//     model, with *epoch-tagged* slots: clear() is O(1) (bump the epoch;
-//     stale slots are treated as absent and reclaimed lazily on insert or
-//     rehash).  CacheSim::clear() runs once per SimExecutor::run(), so this
-//     keeps warm-table memory across runs without paying a sweep.
+//   * SharerTable   -- block -> 64-bit mask of the L1s holding the block,
+//     CacheSim's coherence state.  An entry is deleted by backward shift
+//     (erase_shift) the moment its mask drops to 0, so the table holds
+//     exactly the blocks some L1 holds: at most the sum of the L1 line
+//     counts.  LruCache (hm/cache_sim.hpp) deletes the same way.
+//   * FlatTable<V>  -- insert-only map with fingerprint control bytes,
+//     used by the sharded replay engine's per-epoch analysis (hm/psim.hpp)
+//     and nothing else.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
@@ -34,7 +29,7 @@ namespace obliv::hm {
 /// win, while identity indexing (key & mask) collapses under the
 /// power-of-two-strided block ids the benches generate (per-core
 /// partitions and matrix tiles alias into the same buckets, degrading
-/// probes into long tombstone-ridden clusters).
+/// probes into long clusters).
 inline std::size_t bucket_of(std::uint64_t key, std::size_t mask) {
   return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ull) >> 32) & mask;
 }
@@ -50,17 +45,146 @@ inline std::size_t pow2_at_least(std::size_t n) {
   return c;
 }
 
-/// Linear-probing flat hash map from uint64 keys to V, with tombstone
-/// deletion.  V must be trivially copyable.
+/// Backward-shift deletion from a linear-probing table of `mask + 1`
+/// slots: empties slot `hole` and moves each later entry of its cluster
+/// whose probe path passes the hole back into it, so every entry stays
+/// reachable from its bucket without crossing an empty slot.  `Slot` has
+/// a `key` member and an `empty()` test, and `Slot{}` is empty.
+template <class Slot>
+void erase_shift(Slot* slots, std::size_t mask, std::size_t hole) {
+  for (std::size_t j = (hole + 1) & mask; !slots[j].empty();
+       j = (j + 1) & mask) {
+    // The entry at j may fill the hole iff the hole lies on its probe
+    // path [bucket, j), i.e. it is no farther back than the bucket.
+    if (((j - bucket_of(slots[j].key, mask)) & mask) >= ((j - hole) & mask)) {
+      slots[hole] = slots[j];
+      hole = j;
+    }
+  }
+  slots[hole] = Slot{};
+}
+
+/// First empty slot on `key`'s probe path (the table holds no `key`).
+template <class Slot>
+std::size_t empty_slot(const Slot* slots, std::size_t mask,
+                       std::uint64_t key) {
+  std::size_t i = bucket_of(key, mask);
+  while (!slots[i].empty()) i = (i + 1) & mask;
+  return i;
+}
+
+/// Doubles a table of `slots` (`mask` follows), reinserting every entry.
+template <class Slot>
+void double_table(std::vector<Slot>& slots, std::size_t& mask) {
+  std::vector<Slot> old(slots.size() * 2);
+  old.swap(slots);
+  mask = slots.size() - 1;
+  for (const Slot& s : old) {
+    if (!s.empty()) slots[empty_slot(slots.data(), mask, s.key)] = s;
+  }
+}
+
+/// Block id -> nonzero 64-bit L1 sharer mask.  A slot is empty iff its
+/// mask is 0, and an entry whose last sharer leaves (clear_bits) is
+/// deleted at once, so size() is the number of blocks some L1 holds and
+/// the table stays at most half full.
+class SharerTable {
+ public:
+  SharerTable() : slots_(kMinSlots), mask_(kMinSlots - 1) {}
+
+  /// Sharer mask of `blk` (0 when no L1 holds it).
+  std::uint64_t mask(std::uint64_t blk) const {
+    for (std::size_t i = bucket_of(blk, mask_);; i = (i + 1) & mask_) {
+      const Slot& s = slots_[i];
+      if (s.empty()) return 0;
+      if (s.key == blk) return s.bits;
+    }
+  }
+
+  /// Sets `blk`'s mask to `bits` (nonzero); returns the old mask.
+  std::uint64_t exchange(std::uint64_t blk, std::uint64_t bits) {
+    assert(bits != 0);
+    std::uint64_t& m = find_or_insert(blk);
+    const std::uint64_t old = m;
+    m = bits;
+    return old;
+  }
+
+  /// Adds `bits` (nonzero) to `blk`'s mask; returns the old mask.
+  std::uint64_t fetch_or(std::uint64_t blk, std::uint64_t bits) {
+    assert(bits != 0);
+    std::uint64_t& m = find_or_insert(blk);
+    const std::uint64_t old = m;
+    m |= bits;
+    return old;
+  }
+
+  /// Removes `bits` from `blk`'s mask, deleting the entry when it drops
+  /// to 0.  A block with no entry is left alone.
+  void clear_bits(std::uint64_t blk, std::uint64_t bits) {
+    for (std::size_t i = bucket_of(blk, mask_);; i = (i + 1) & mask_) {
+      Slot& s = slots_[i];
+      if (s.empty()) return;
+      if (s.key == blk) {
+        s.bits &= ~bits;
+        if (s.bits == 0) {
+          erase_shift(slots_.data(), mask_, i);
+          --size_;
+        }
+        return;
+      }
+    }
+  }
+
+  /// Number of blocks with a nonzero mask.
+  std::size_t size() const { return size_; }
+
+  void clear() {
+    if (size_ == 0) return;
+    std::fill(slots_.begin(), slots_.end(), Slot{});
+    size_ = 0;
+  }
+
+ private:
+  struct Slot {
+    std::uint64_t key = 0;
+    std::uint64_t bits = 0;  ///< 0 = empty slot
+    bool empty() const { return bits == 0; }
+  };
+  static constexpr std::size_t kMinSlots = 256;
+
+  /// Mask of `blk`, inserted as 0 if absent: the caller must leave it
+  /// nonzero, or the slot reads as empty.
+  std::uint64_t& find_or_insert(std::uint64_t blk) {
+    std::size_t i = bucket_of(blk, mask_);
+    for (; !slots_[i].empty(); i = (i + 1) & mask_) {
+      if (slots_[i].key == blk) return slots_[i].bits;
+    }
+    if ((size_ + 1) * 2 > slots_.size()) {
+      double_table(slots_, mask_);
+      i = empty_slot(slots_.data(), mask_, blk);
+    }
+    ++size_;
+    slots_[i].key = blk;
+    return slots_[i].bits;
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t mask_;
+  std::size_t size_ = 0;
+};
+
+/// Insert-only linear-probing flat hash map from uint64 keys to V, with
+/// one control byte (empty or a 7-bit key fingerprint) per slot.  V must
+/// be trivially copyable.
 template <class V>
 class FlatTable {
   static constexpr std::uint8_t kEmpty = 0x80;
-  static constexpr std::uint8_t kTomb = 0x81;
 
  public:
-  /// `expected` sizes the initial table so the steady state (e.g. a full
-  /// LRU cache) does not rehash.
-  explicit FlatTable(std::size_t expected = 0) { init(capacity_for(expected)); }
+  explicit FlatTable(std::size_t expected = 0) {
+    init(pow2_at_least(expected * 2));
+  }
 
   std::size_t size() const { return size_; }
 
@@ -79,100 +203,51 @@ class FlatTable {
     return const_cast<FlatTable*>(this)->find(key);
   }
 
-  /// Single-pass lookup for the hot miss path: on a hit returns the value
-  /// pointer; on a miss returns nullptr and sets `slot` to the position a
-  /// subsequent insert_at(slot, key, v) must use.  Call reserve_one()
-  /// first so the cluster cannot overflow.
+  /// Single-pass lookup: on a hit returns the value pointer; on a miss
+  /// returns nullptr and sets `slot` to the position a subsequent
+  /// insert_at(slot, key, v) must use.  Call rehash_now() first when
+  /// needs_grow().
   V* find_or_slot(std::uint64_t key, std::size_t& slot) {
     std::size_t i = bucket_of(key, mask_);
     const std::uint8_t fp = fingerprint_of(key);
-    std::size_t insert = kNoSlot;
     for (;;) {
       const std::uint8_t c = ctrl_[i];
       if (c == fp && slots_[i].key == key) return &slots_[i].val;
       if (c == kEmpty) {
-        slot = (insert != kNoSlot) ? insert : i;
+        slot = i;
         return nullptr;
       }
-      if (c == kTomb && insert == kNoSlot) insert = i;
       i = (i + 1) & mask_;
     }
   }
 
-  /// Inserts `key` (absent) at `slot` obtained from find_or_slot(); returns
-  /// the slot actually used.
-  std::size_t insert_at(std::size_t slot, std::uint64_t key, V v) {
-    if (ctrl_[slot] == kTomb) --tombs_;
+  /// Inserts `key` (absent) at `slot` obtained from find_or_slot().
+  void insert_at(std::size_t slot, std::uint64_t key, V v) {
     ctrl_[slot] = fingerprint_of(key);
     slots_[slot].key = key;
     slots_[slot].val = v;
     ++size_;
-    return slot;
   }
 
-  /// O(1) erase of the entry known to live at `slot` (from insert_at or
-  /// a caller-maintained backpointer).
-  void erase_at(std::size_t slot) {
-    ctrl_[slot] = kTomb;
-    ++tombs_;
-    --size_;
-  }
+  /// True when the next insert would fill the table past 7/8.
+  bool needs_grow() const { return (size_ + 1) * 8 >= capacity() * 7; }
 
-  /// True when the next insert would cross the load threshold; the caller
-  /// should rehash_now() and refresh any stored slot positions.
-  bool needs_grow() const {
-    return (size_ + tombs_ + 1) * 8 >= capacity() * 7;
-  }
-
-  /// Rehashes (in place if mostly tombstones, doubling if genuinely full).
-  /// Invalidates every slot position previously returned.
+  /// Doubles the table.  Invalidates every slot position.
   void rehash_now() {
-    rehash((size_ + 1) * 8 >= capacity() * 3 ? capacity() * 2 : capacity());
-  }
-
-  /// Calls f(slot, value) for every live entry.
-  template <class F>
-  void for_each(F&& f) const {
-    for (std::size_t i = 0; i < capacity(); ++i) {
-      if (ctrl_[i] < kEmpty) f(i, slots_[i].val);
-    }
-  }
-
-  /// Inserts `key` (which must NOT be present) with value `v`.
-  void insert_new(std::uint64_t key, V v) {
-    if ((size_ + tombs_ + 1) * 8 >= capacity() * 7) {
-      // Mostly-tombstone tables rehash in place; genuinely full ones double.
-      rehash((size_ + 1) * 8 >= capacity() * 3 ? capacity() * 2 : capacity());
-    }
-    std::size_t i = bucket_of(key, mask_);
-    while (ctrl_[i] < kEmpty) i = (i + 1) & mask_;  // live slot -> keep going
-    if (ctrl_[i] == kTomb) --tombs_;
-    ctrl_[i] = fingerprint_of(key);
-    slots_[i].key = key;
-    slots_[i].val = v;
-    ++size_;
-  }
-
-  bool erase(std::uint64_t key) {
-    std::size_t i = bucket_of(key, mask_);
-    const std::uint8_t fp = fingerprint_of(key);
-    for (;;) {
-      const std::uint8_t c = ctrl_[i];
-      if (c == fp && slots_[i].key == key) {
-        ctrl_[i] = kTomb;
-        ++tombs_;
-        --size_;
-        return true;
-      }
-      if (c == kEmpty) return false;
-      i = (i + 1) & mask_;
+    std::vector<std::uint8_t> old_ctrl = std::move(ctrl_);
+    std::vector<Slot> old_slots = std::move(slots_);
+    init(old_ctrl.size() * 2);
+    for (std::size_t i = 0; i < old_ctrl.size(); ++i) {
+      if (old_ctrl[i] == kEmpty) continue;
+      std::size_t j = bucket_of(old_slots[i].key, mask_);
+      while (ctrl_[j] != kEmpty) j = (j + 1) & mask_;
+      insert_at(j, old_slots[i].key, old_slots[i].val);
     }
   }
 
   void clear() {
     std::memset(ctrl_.data(), kEmpty, ctrl_.size());
     size_ = 0;
-    tombs_ = 0;
   }
 
   std::size_t capacity() const { return mask_ + 1; }
@@ -182,146 +257,18 @@ class FlatTable {
     std::uint64_t key;
     V val;
   };
-  static constexpr std::size_t kNoSlot = ~std::size_t(0);
-
-  static std::size_t capacity_for(std::size_t expected) {
-    return pow2_at_least(expected * 2);
-  }
 
   void init(std::size_t cap) {
     ctrl_.assign(cap, kEmpty);
     slots_.resize(cap);
     mask_ = cap - 1;
     size_ = 0;
-    tombs_ = 0;
-  }
-
-  void rehash(std::size_t cap) {
-    std::vector<std::uint8_t> old_ctrl = std::move(ctrl_);
-    std::vector<Slot> old_slots = std::move(slots_);
-    init(cap);
-    for (std::size_t i = 0; i < old_ctrl.size(); ++i) {
-      if (old_ctrl[i] < kEmpty) insert_new(old_slots[i].key, old_slots[i].val);
-    }
   }
 
   std::vector<std::uint8_t> ctrl_;
   std::vector<Slot> slots_;
   std::size_t mask_ = 0;
   std::size_t size_ = 0;
-  std::size_t tombs_ = 0;
-};
-
-/// Block id -> 64-bit L1 sharer mask, with epoch-tagged slots.
-///
-/// A slot whose epoch differs from the table's current epoch, or whose mask
-/// is zero (all sharers evicted), is logically absent and reusable; probes
-/// step over it like a tombstone.  Rehashing drops dead slots, so the table
-/// footprint tracks the number of blocks *currently resident in some L1*,
-/// not the number of blocks ever touched.
-class SharerTable {
-  static constexpr std::uint8_t kEmpty = 0x80;
-
- public:
-  SharerTable() { init(256); }
-
-  /// Mask reference for `blk`, zero-initialised if absent this epoch.
-  std::uint64_t& get(std::uint64_t blk) {
-    if ((live_ + 1) * 8 >= capacity() * 7) maybe_grow();
-    std::size_t i = bucket_of(blk, mask_);
-    const std::uint8_t fp = fingerprint_of(blk);
-    std::size_t reuse = kNoSlot;
-    for (;;) {
-      const std::uint8_t c = ctrl_[i];
-      if (c == fp && slots_[i].key == blk) {
-        Slot& s = slots_[i];
-        if (s.epoch != epoch_) {
-          s.epoch = epoch_;
-          s.mask = 0;
-        }
-        return s.mask;
-      }
-      if (c == kEmpty) break;
-      if (reuse == kNoSlot && c != kEmpty && dead(slots_[i])) reuse = i;
-      i = (i + 1) & mask_;
-    }
-    if (reuse != kNoSlot) {
-      i = reuse;  // recycle a dead slot inside the cluster
-    } else {
-      ++live_;
-    }
-    ctrl_[i] = fingerprint_of(blk);
-    slots_[i] = Slot{blk, 0, epoch_};
-    return slots_[i].mask;
-  }
-
-  /// Mask pointer if `blk` has a current-epoch entry, else nullptr.  Used
-  /// by the eviction path, which must not create entries.
-  std::uint64_t* find(std::uint64_t blk) {
-    std::size_t i = bucket_of(blk, mask_);
-    const std::uint8_t fp = fingerprint_of(blk);
-    for (;;) {
-      const std::uint8_t c = ctrl_[i];
-      if (c == fp && slots_[i].key == blk) {
-        return slots_[i].epoch == epoch_ ? &slots_[i].mask : nullptr;
-      }
-      if (c == kEmpty) return nullptr;
-      i = (i + 1) & mask_;
-    }
-  }
-
-  /// O(1) logical clear: every existing slot becomes stale.
-  void clear() { ++epoch_; }
-
-  std::size_t capacity() const { return mask_ + 1; }
-
- private:
-  struct Slot {
-    std::uint64_t key;
-    std::uint64_t mask;
-    std::uint64_t epoch;
-  };
-  static constexpr std::size_t kNoSlot = ~std::size_t(0);
-
-  bool dead(const Slot& s) const { return s.epoch != epoch_ || s.mask == 0; }
-
-  void init(std::size_t cap) {
-    ctrl_.assign(cap, kEmpty);
-    slots_.resize(cap);
-    mask_ = cap - 1;
-    live_ = 0;
-  }
-
-  void maybe_grow() {
-    // Count genuinely live entries; grow only if they justify it, else
-    // rehash in place to shed dead slots.
-    std::size_t alive = 0;
-    for (std::size_t i = 0; i < capacity(); ++i) {
-      if (ctrl_[i] != kEmpty && !dead(slots_[i])) ++alive;
-    }
-    const std::size_t cap =
-        (alive + 1) * 8 >= capacity() * 3 ? capacity() * 2 : capacity();
-    std::vector<std::uint8_t> old_ctrl = std::move(ctrl_);
-    std::vector<Slot> old_slots = std::move(slots_);
-    init(cap);
-    for (std::size_t i = 0; i < old_ctrl.size(); ++i) {
-      if (old_ctrl[i] == kEmpty) continue;
-      const Slot& s = old_slots[i];
-      if (s.epoch != epoch_ || s.mask == 0) continue;
-      // Re-probe for the new home (keys are unique; slots are fresh).
-      std::size_t j = bucket_of(s.key, mask_);
-      while (ctrl_[j] != kEmpty) j = (j + 1) & mask_;
-      ctrl_[j] = fingerprint_of(s.key);
-      slots_[j] = s;
-      ++live_;
-    }
-  }
-
-  std::vector<std::uint8_t> ctrl_;
-  std::vector<Slot> slots_;
-  std::size_t mask_ = 0;
-  std::size_t live_ = 0;
-  std::uint64_t epoch_ = 1;
 };
 
 }  // namespace obliv::hm

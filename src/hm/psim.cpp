@@ -170,9 +170,7 @@ bool ShardedCacheSim::epoch_conflict_free() {
   // write's sharer mask is a subset of {writer} at write time.)
   for (std::uint64_t b : written_) {
     const TouchMasks* m = touched_.find(b);
-    if (const std::uint64_t* s = sim_.sharers_.find(b)) {
-      if ((*s & ~m->w) != 0) return false;
-    }
+    if ((sim_.sharers_.mask(b) & ~m->w) != 0) return false;
   }
   return true;
 }
@@ -245,9 +243,9 @@ void ShardedCacheSim::merge_epoch() {
       if (ev.kind == kEvWriteTouch) {
         // coherence_write with provably no other sharers: mask = {core},
         // no ping-pong, no invalidation.
-        std::uint64_t& mask = sim_.sharers_.get(ev.blk);
-        assert((mask & ~me) == 0);
-        mask = me;
+        [[maybe_unused]] const std::uint64_t old =
+            sim_.sharers_.exchange(ev.blk, me);
+        assert((old & ~me) == 0);
         continue;
       }
       if (tracing) {

@@ -15,6 +15,7 @@
 // and SB / CGC=>SB forks narrow the group recursively.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <initializer_list>
@@ -46,20 +47,34 @@ class NoExecutor {
   template <class T>
   NoBuf<T> make_buf(std::size_t n);
 
-  /// Element-wise copy (counterpart of SimExecutor::copy).  Per-element on
-  /// this model: every element's read and write owes its own message.
+  /// Element-wise copy (counterpart of SimExecutor::copy).  Declares one
+  /// read and one write per stretch of elements whose source and
+  /// destination owners are both fixed: the same counters as a per-element
+  /// load/store loop (see NoRef::load_run).
   template <class T>
   void copy(NoRef<T> dst, NoRef<T> src) {
     assert(dst.size() == src.size());
-    for (std::size_t i = 0; i < src.size(); ++i) dst.store(i, src.load(i));
+    constexpr std::uint64_t W = (sizeof(T) + 7) / 8;
+    const std::size_t n = src.size();
+    for (std::size_t i = 0; i < n;) {
+      std::uint64_t src_pe, dst_pe;
+      const std::size_t e =
+          std::min(src.owner_run(i, n, src_pe), dst.owner_run(i, n, dst_pe));
+      access_at(src_pe, W * (e - i), /*write=*/false);
+      access_at(dst_pe, W * (e - i), /*write=*/true);
+      std::copy(src.raw() + i, src.raw() + e, dst.raw() + i);
+      i = e;
+    }
   }
 
   void tick(std::uint64_t n) { mach_->compute(cur_pe_, n); }
 
-  /// Called by NoRef on every element access: local accesses cost compute
-  /// only; remote ones are declared messages (a read pulls the value from
-  /// the owner, a write pushes it).
-  void access_at(std::uint64_t owner_pe, std::uint32_t words, bool write) {
+  /// Called by NoRef on every access: local accesses cost compute only;
+  /// remote ones are declared messages (a read pulls the value from the
+  /// owner, a write pushes it).  One call over `words` words counts exactly
+  /// like `words` one-word calls to the same owner: NoMachine keeps only
+  /// per-pair and per-processor sums within a superstep.
+  void access_at(std::uint64_t owner_pe, std::uint64_t words, bool write) {
     if (owner_pe != cur_pe_) {
       if (write) {
         mach_->send(cur_pe_, owner_pe, words);
@@ -170,18 +185,22 @@ class NoRef {
     f(data_[i]);
   }
 
-  // Batched accessors, per-element here: consecutive elements may live on
-  // different PEs, so each one still declares its own message.  Message and
-  // compute counters are bit-identical to the unbatched loop.
+  // Batched accessors: one declaration per run of elements with one owner
+  // PE.  Message and compute counters are bit-identical to the per-element
+  // loop, because NoMachine sums the declarations of a superstep per PE
+  // pair and per PE, and those sums do not depend on how the words are
+  // grouped (DESIGN.md section 2).
   void load_run(std::size_t i, std::size_t len, T* out) const {
-    for (std::size_t k = 0; k < len; ++k) out[k] = load(i + k);
+    declare_runs(i, i + len, /*write=*/false);
+    std::copy(data_ + i, data_ + i + len, out);
   }
   void store_run(std::size_t i, std::size_t len, const T* src) const {
-    for (std::size_t k = 0; k < len; ++k) store(i + k, src[k]);
+    declare_runs(i, i + len, /*write=*/true);
+    std::copy(src, src + len, data_ + i);
   }
   std::pair<T, T> load2(std::size_t i) const {
-    const T a = load(i);
-    return {a, load(i + 1)};
+    declare_runs(i, i + 2, /*write=*/false);
+    return {data_[i], data_[i + 1]};
   }
 
   NoRef slice(std::size_t off, std::size_t len) const {
@@ -206,7 +225,28 @@ class NoRef {
     return own_pe_;
   }
 
+  /// End of the run of elements from `i` (< end) that share element i's
+  /// owner, capped at `end`; `pe` receives that owner.  Element j is on
+  /// PE g_lo + k while (off0 + j) * g_span < (k + 1) * n0.
+  std::size_t owner_run(std::size_t i, std::size_t end,
+                        std::uint64_t& pe) const {
+    pe = owner(i);
+    const std::uint64_t lim =
+        util::ceil_div((pe - g_lo_ + 1) * n0_, g_span_) - off0_;
+    return static_cast<std::size_t>(std::min<std::uint64_t>(end, lim));
+  }
+
  private:
+  void declare_runs(std::size_t i, std::size_t end, bool write) const {
+    assert(end <= n_);
+    while (i < end) {
+      std::uint64_t pe;
+      const std::size_t e = owner_run(i, end, pe);
+      ex_->access_at(pe, W * (e - i), write);
+      i = e;
+    }
+  }
+
   static constexpr std::uint64_t W = (sizeof(T) + 7) / 8;
   NoExecutor* ex_ = nullptr;
   T* data_ = nullptr;

@@ -169,32 +169,6 @@ Result<NoMachine> NoMachine::make(std::uint64_t n_pes,
   }
 }
 
-void NoMachine::send(std::uint64_t src_pe, std::uint64_t dst_pe,
-                     std::uint64_t words) {
-  assert(src_pe < n_ && dst_pe < n_);
-  if (src_pe == dst_pe || words == 0) return;
-  superstep_dirty_ = true;
-  total_words_ += words;
-  step_words_ += words;
-  if (src_pe != pend_src_ || dst_pe != pend_dst_) {
-    flush_sends();
-    pend_src_ = src_pe;
-    pend_dst_ = dst_pe;
-  }
-  pend_words_ += words;
-}
-
-void NoMachine::compute(std::uint64_t pe, std::uint64_t ops) {
-  assert(pe < n_);
-  if (ops == 0) return;
-  superstep_dirty_ = true;
-  if (pe != pend_pe_) {
-    flush_computes();
-    pend_pe_ = pe;
-  }
-  pend_ops_ += ops;
-}
-
 void NoMachine::flush_sends() {
   if (pend_words_ == 0) return;
   for (FoldState& st : states_) {

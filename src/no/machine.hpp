@@ -16,9 +16,10 @@
 // cluster granularity containing all of its messages and charged
 // h_s * g_{i_s} with block size B_{i_s}.
 //
-// Executors declare every element access, so send() and compute() are the
-// hot path.  A call that repeats the previous call's PE pair (send) or PE
-// (compute) only adds to a pending sum.  The rest are O(1) per fold with
+// Executors declare every element access (or one run of elements with one
+// owner PE), so send() and compute() are the hot path, inline below.  A
+// call that repeats the previous call's PE pair (send) or PE (compute)
+// only adds to a pending sum.  The flushes are O(1) per fold with
 // no hashing or division: each fold maps PEs to processors through a table
 // built once (O(N) words per fold), processor-pair words accumulate in a
 // dense p x p matrix (folds of up to 256 processors; wider folds use a
@@ -27,6 +28,7 @@
 // scratch, so dense folds allocate nothing once the machine is warm.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <unordered_map>
 #include <utility>
@@ -75,10 +77,31 @@ class NoMachine {
 
   /// Declares that PE `src` sends `words` words to PE `dst` in the current
   /// superstep.  src == dst is free (local) and ignored.
-  void send(std::uint64_t src_pe, std::uint64_t dst_pe, std::uint64_t words);
+  void send(std::uint64_t src_pe, std::uint64_t dst_pe, std::uint64_t words) {
+    assert(src_pe < n_ && dst_pe < n_);
+    if (src_pe == dst_pe || words == 0) return;
+    superstep_dirty_ = true;
+    total_words_ += words;
+    step_words_ += words;
+    if (src_pe != pend_src_ || dst_pe != pend_dst_) {
+      flush_sends();
+      pend_src_ = src_pe;
+      pend_dst_ = dst_pe;
+    }
+    pend_words_ += words;
+  }
 
   /// Declares `ops` units of local computation at `pe`.
-  void compute(std::uint64_t pe, std::uint64_t ops);
+  void compute(std::uint64_t pe, std::uint64_t ops) {
+    assert(pe < n_);
+    if (ops == 0) return;
+    superstep_dirty_ = true;
+    if (pe != pend_pe_) {
+      flush_computes();
+      pend_pe_ = pe;
+    }
+    pend_ops_ += ops;
+  }
 
   /// Closes the current superstep and accumulates its costs.
   void end_superstep();

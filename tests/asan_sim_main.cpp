@@ -8,11 +8,11 @@
 // the whole build (mirrors the obliv_sched_tsan pattern).
 //
 // The scenarios target the manually-managed memory in the fast paths: the
-// open-addressing table's grow/rehash with live tombstones, Node::slot
-// backpointer resync, epoch-recycled sharer slots, the LRU victim ring's
-// compaction and stamp renumbering, node recycling after an invalidation,
-// the per-core block memo's drops, 1-line caches, clear() between runs,
-// and SimRef run accessors crossing block boundaries.  A scenario drives
+// backward-shift deletion of the LRU and sharer tables (clusters that wrap
+// past the last slot included), LRU table growth past 32768 lines, the
+// recency list's node recycling after an invalidation, the per-core block
+// memo's drops, 1-line caches, clear() between runs, and SimRef run
+// accessors crossing block boundaries.  A scenario drives
 // the sparse-matrix generators (algo/graphgen.hpp), whose counting-sort
 // scatter and in-place duplicate compaction index A_v through computed
 // offsets.  The harness is compiled without NDEBUG, so the last scenario,
@@ -25,6 +25,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <algorithm>
+#include <list>
 #include <map>
 #include <numeric>
 #include <utility>
@@ -37,6 +39,7 @@
 #include "algo/sort.hpp"
 #include "hm/cache_sim.hpp"
 #include "hm/config.hpp"
+#include "hm/flat_table.hpp"
 #include "obs/trace.hpp"
 #include "sched/sim_executor.hpp"
 #include "util/rng.hpp"
@@ -52,9 +55,9 @@ void check(bool ok, const char* what) {
   }
 }
 
-/// Flat-table churn: random touches/erases over a key range far larger
-/// than the cache, with power-of-two strides, repeatedly crossing the grow
-/// threshold and recycling tombstones.
+/// Table churn: random touches/erases over a key range far larger than
+/// the cache, with power-of-two strides, so every eviction and erase is a
+/// backward-shift deletion.
 void lru_churn() {
   for (std::uint64_t stride : {1u, 8u, 512u}) {
     obliv::hm::LruCache c(64);
@@ -73,38 +76,58 @@ void lru_churn() {
   }
 }
 
-/// Hit-heavy stream on a cache that never fills: every retouch queues a
-/// use and nothing pops, so the victim ring compacts over and over and the
-/// stamps pass the renumbering threshold several times.  The first
-/// eviction afterwards must still pick the least recently used block.
-void queue_compaction() {
-  obliv::hm::LruCache c(64);
-  obliv::util::Xoshiro256 rng(5);
-  std::map<std::uint64_t, int> last_use;  // block -> op of its last touch
-  std::vector<std::uint32_t> node(48);
-  for (std::uint64_t b = 0; b < 48; ++b) {
-    c.touch(b);
-    node[b] = c.last_node();
-    last_use[b] = -1;
+/// Backward shift across the end of the table: an 8-line cache (a 16-slot
+/// table) over 24 block ids that all hash to its last two slots, so every
+/// cluster wraps to slot 0 and every deletion shifts entries across the
+/// wrap.  Each verdict and victim is checked against a std::list LRU.
+void wrapping_chains() {
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t b = 0; keys.size() < 24; ++b) {
+    if (obliv::hm::bucket_of(b, 15) >= 14) keys.push_back(b);
   }
-  for (int op = 0; op < 3'000'000; ++op) {
-    const std::uint64_t b = rng() % 48;
-    if (op % 2 == 0) {
-      c.touch(b);
-    } else {
-      c.touch_known(node[b]);
+  obliv::hm::LruCache c(8);
+  std::list<std::uint64_t> ref;  // front = most recently used
+  obliv::util::Xoshiro256 rng(21);
+  bool same = true;
+  for (int op = 0; op < 100000 && same; ++op) {
+    const std::uint64_t b = keys[rng() % keys.size()];
+    const auto it = std::find(ref.begin(), ref.end(), b);
+    if (rng() % 4 == 0) {
+      same = c.erase(b) == (it != ref.end());
+      if (it != ref.end()) ref.erase(it);
+      continue;
     }
-    last_use[b] = op;
+    const bool hit = it != ref.end();
+    if (hit) ref.erase(it);
+    ref.push_front(b);
+    std::uint64_t victim = obliv::obs::kNoEviction;
+    if (ref.size() > 8) {
+      victim = ref.back();
+      ref.pop_back();
+    }
+    same = c.touch(b) == hit && c.last_evicted() == victim &&
+           c.size() == ref.size();
   }
-  for (std::uint64_t b = 48; b < 64; ++b) c.touch(b);  // fills, no victim
-  check(c.last_evicted() == obliv::obs::kNoEviction,
-        "queue_compaction: no eviction before full");
-  std::uint64_t lru = 0;
-  for (const auto& [b, op] : last_use) {
-    if (op < last_use[lru]) lru = b;
-  }
-  c.touch(1000);
-  check(c.last_evicted() == lru, "queue_compaction: LRU victim after churn");
+  check(same, "wrapping_chains: same verdicts and victims as std::list");
+}
+
+/// A cache of 100000 lines starts with a table for 32768 and doubles it
+/// twice while it fills; past that, installs evict.  Recency must survive
+/// the growth: after re-touching block 0, the next install evicts block 1.
+void table_growth() {
+  constexpr std::uint64_t kLines = 100000;
+  obliv::hm::LruCache c(kLines);
+  bool ok = true;
+  for (std::uint64_t b = 0; b < kLines; ++b) ok = ok && !c.touch(b * 64);
+  check(ok && c.size() == kLines, "table_growth: every install misses");
+  check(c.touch(0), "table_growth: block 0 still resident");
+  c.touch(kLines * 64);
+  check(c.last_evicted() == 64, "table_growth: LRU victim after growth");
+  for (std::uint64_t b = 2; b < kLines; b += 7) ok = ok && c.erase(b * 64);
+  check(ok && !c.contains(2 * 64) && c.contains(3 * 64),
+        "table_growth: erase after growth");
+  c.clear();
+  check(c.size() == 0 && !c.contains(0), "table_growth: clear empties");
 }
 
 /// Coherence invalidations free L1 nodes that later installs recycle: core
@@ -189,7 +212,8 @@ void clear_between_runs() {
 
 /// Multicore access storm straight at CacheSim: all cores hammer a shared
 /// region (ping-pong + invalidation paths) and private regions (memo fast
-/// path), with run accesses spanning many blocks.
+/// path), with run accesses spanning many blocks.  The sharer table never
+/// holds more blocks than the L1s can.
 void sim_storm(const obliv::hm::MachineConfig& cfg) {
   obliv::hm::CacheSim sim(cfg);
   obliv::util::Xoshiro256 rng(7);
@@ -207,7 +231,10 @@ void sim_storm(const obliv::hm::MachineConfig& cfg) {
     }
   }
   check(sim.total_accesses() > 0, "sim_storm: accesses counted");
+  check(sim.sharer_entries() <= p * (cfg.capacity(1) / cfg.block(1)),
+        "sim_storm: sharer entries bounded by L1 lines");
   sim.clear();
+  check(sim.sharer_entries() == 0, "sim_storm: clear empties sharers");
 }
 
 /// End-to-end: run-batched algorithms through SimExecutor (exercises
@@ -370,12 +397,18 @@ void list_and_graph_workloads() {
 
 int main() {
   lru_churn();
-  queue_compaction();
+  wrapping_chains();
+  table_growth();
   node_recycling();
   memo_drop_and_one_line();
   clear_between_runs();
   sim_storm(obliv::hm::MachineConfig::shared_l2(4));
   sim_storm(obliv::hm::MachineConfig::figure1());
+  // Eight cores with 4-line L1s: an invalidation or eviction, and so a
+  // backward-shift deletion in the sharer table, on nearly every access.
+  sim_storm(obliv::hm::MachineConfig(
+      "storm", {obliv::hm::LevelSpec{16, 4, 1}, obliv::hm::LevelSpec{256, 8, 4},
+                obliv::hm::LevelSpec{2048, 16, 2}}));
   executor_workloads(obliv::hm::MachineConfig::shared_l2(4));
   executor_workloads(obliv::hm::MachineConfig::figure1());
   generator_assembly();

@@ -40,6 +40,46 @@ TEST(LruCache, EraseSupportsCoherence) {
   EXPECT_FALSE(c.touch(7));  // miss again after invalidation
 }
 
+TEST(CacheSim, SharerEntriesNeverExceedL1Lines) {
+  // The coherence table drops a block when its last L1 copy leaves, so
+  // after any access it tracks at most the blocks resident in the L1s
+  // (misses - evictions - invalidations per L1, from a cold start), and
+  // at most the sum of the L1 line counts.
+  const MachineConfig storm("storm", {LevelSpec{16, 4, 1}, LevelSpec{256, 8, 4},
+                                      LevelSpec{2048, 16, 2}});
+  for (const MachineConfig& cfg :
+       {MachineConfig::shared_l2(4), MachineConfig::figure1(),
+        MachineConfig::three_level(2, 2), storm}) {
+    const std::uint64_t lines = cfg.capacity(1) / cfg.block(1);
+    for (const std::uint64_t footprint :
+         {cfg.capacity(1), 4 * cfg.cores() * cfg.capacity(1)}) {
+      CacheSim sim(cfg);
+      std::size_t peak = 0;
+      for (const auto& e :
+           traces::random_trace(cfg, footprint, 20000, footprint, 24)) {
+        sim.access(e.core, e.addr, e.words, e.write != 0);
+        std::uint64_t resident = 0;
+        for (std::uint32_t c = 0; c < cfg.cores(); ++c) {
+          const CacheCounters& k = sim.counters(1, c);
+          resident += k.misses - k.evictions - k.invalidations;
+        }
+        ASSERT_LE(sim.sharer_entries(), resident) << cfg.describe();
+        ASSERT_LE(resident, cfg.cores() * lines);
+        peak = std::max(peak, sim.sharer_entries());
+      }
+      if (footprint > cfg.capacity(1)) {
+        EXPECT_GT(peak, lines) << cfg.describe();  // several L1s' worth
+      }
+      sim.clear();
+      EXPECT_EQ(sim.sharer_entries(), 0u);
+    }
+  }
+  // A one-core machine tracks no sharers at all.
+  CacheSim one(MachineConfig::sequential(1 << 10, 8));
+  for (std::uint64_t a = 0; a < 1 << 14; a += 8) one.access(0, a, 1, true);
+  EXPECT_EQ(one.sharer_entries(), 0u);
+}
+
 TEST(CacheSim, SequentialScanMissesMatchBlockCount) {
   // Scanning n contiguous words misses exactly n / B_i times per level
   // (cold caches, n a multiple of every block size).

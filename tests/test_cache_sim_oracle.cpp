@@ -22,7 +22,9 @@
 #include <vector>
 
 #include "hm/cache_sim.hpp"
+#include "hm/flat_table.hpp"
 #include "sim_traces.hpp"
+#include "util/rng.hpp"
 
 namespace obliv::hm {
 namespace {
@@ -62,6 +64,13 @@ class NaiveHm {
     }
     out.insert(out.end(), {pingpong_, accesses_});
     return out;
+  }
+
+  /// Blocks held by at least one L1.
+  std::size_t held_blocks() const {
+    std::size_t n = 0;
+    for (const auto& [blk, holders] : holders_) n += holders.empty() ? 0 : 1;
+    return n;
   }
 
  private:
@@ -191,6 +200,46 @@ TEST(CacheSimOracle, OneCore) {
 TEST(CacheSimOracle, BlocksOfSixAndTwelve) {
   expect_matches_naive(MachineConfig(
       "odd_blocks", {LevelSpec{768, 6, 1}, LevelSpec{12288, 12, 4}}));
+}
+
+TEST(CacheSimOracle, InvalidationStormOnTinyL1s) {
+  // Eight cores with 4- and 8-line L1s read and write 64 B_1 blocks: nearly
+  // every access invalidates, evicts or re-installs a block, so the L1
+  // tables (16 slots) and the sharer table (256 slots) delete all the
+  // time.  Every block hashes to the last four slots of both, so clusters
+  // always wrap past the end and each deletion's backward shift must
+  // follow them across it.
+  constexpr std::uint64_t kB1 = 4;
+  std::vector<std::uint64_t> blocks;
+  for (std::uint64_t b = 0; blocks.size() < 64; ++b) {
+    if (bucket_of(b, 255) >= 252) blocks.push_back(b);
+  }
+  for (const std::uint64_t b : blocks) ASSERT_GE(bucket_of(b, 15), 12u);
+  for (const std::uint64_t l1_lines : {4u, 8u}) {
+    const MachineConfig cfg(
+        "storm", {LevelSpec{l1_lines * kB1, kB1, 1}, LevelSpec{256, 8, 4},
+                  LevelSpec{2048, 16, 2}});
+    ASSERT_EQ(cfg.cores(), 8u);
+    util::Xoshiro256 rng(l1_lines);
+    Trace t;
+    for (int i = 0; i < 40000; ++i) {
+      const std::uint64_t off = rng.below(kB1);
+      t.push_back({blocks[rng.below(blocks.size())] * kB1 + off,
+                   static_cast<std::uint32_t>(1 + rng.below(kB1 - off)),
+                   static_cast<std::uint8_t>(rng.below(8)),
+                   static_cast<std::uint8_t>(rng.below(2))});
+    }
+    CacheSim sim(cfg);
+    NaiveHm model(cfg);
+    for (const auto& e : t) {
+      sim.access(e.core, e.addr, e.words, e.write != 0);
+      model.access(e.core, e.addr, e.words, e.write != 0);
+    }
+    EXPECT_EQ(sim_counters(cfg, t), model.counters()) << l1_lines << " lines";
+    EXPECT_GT(sim.pingpong_events(), 1000u);
+    // The sharer table holds exactly the blocks some L1 holds.
+    EXPECT_EQ(sim.sharer_entries(), model.held_blocks());
+  }
 }
 
 }  // namespace

@@ -1,16 +1,14 @@
-// Randomized oracle test for the flat-table LRU cache (hm/cache_sim.hpp).
+// Randomized oracle test for the recency-list LRU cache (hm/cache_sim.hpp).
 //
 // A std::list + linear-search reference implements the fully-associative
 // LRU policy the HM model specifies.  Long random operation streams --
 // touches, coherence erases, known-node retouches, clears -- are applied to
 // both; every hit/miss verdict, eviction victim, and size must match.  One
-// stream runs long enough without a clear for the victim queue to
-// renumber its recency stamps.  The streams are tuned to cross the
-// open-addressing table's grow threshold repeatedly and to churn
-// tombstones (erase + reinsert), so the find_or_slot / erase_at /
-// rehash_now paths and the Node::slot backpointer resync all get
-// exercised, including with power-of-two-strided block ids (the
-// adversarial pattern for multiplicative hashing).
+// stream runs for millions of operations without a clear.  The streams
+// evict, erase and reinsert constantly, so the block table's backward-shift
+// deletion (and the node free list behind erase) runs on every geometry,
+// including with power-of-two-strided block ids (the adversarial pattern
+// for multiplicative hashing).
 #include "hm/cache_sim.hpp"
 
 #include <gtest/gtest.h>
@@ -120,8 +118,9 @@ TEST(LruOracle, DenseKeysSmallCache) { run_stream(4, 16, 1, 1, 20000); }
 TEST(LruOracle, SingleLine) { run_stream(1, 8, 1, 2, 5000); }
 
 TEST(LruOracle, GrowAndTombstoneChurn) {
-  // Key range >> lines: constant evict + erase + reinsert traffic keeps the
-  // table crossing its load threshold with live tombstones.
+  // Key range >> lines: constant evict + erase + reinsert traffic, each
+  // deletion a backward shift through the cluster behind it (the table has
+  // no tombstones; the name predates that).
   run_stream(64, 512, 1, 3, 40000);
 }
 
@@ -136,9 +135,10 @@ TEST(LruOracle, PowerOfTwoStrides) {
 TEST(LruOracle, LargeGeometry) { run_stream(1024, 4096, 16, 9, 60000); }
 
 TEST(LruOracle, StampRenumbering) {
-  // No clear(), so recency stamps climb past the point where the victim
-  // queue renumbers them (2^20), twice; a key range just above the line
-  // count keeps most touches hits, with an eviction every few.
+  // A long stream with no clear(): a key range just above the line count
+  // keeps most touches hits that move a node inside the recency list, with
+  // an eviction every few.  (Named for the stamp ring this cache used to
+  // keep, which renumbered its stamps past 2^20 uses.)
   run_stream(8, 10, 1, 4, 2'500'000, /*clears=*/false);
 }
 

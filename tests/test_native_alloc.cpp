@@ -104,6 +104,20 @@ TEST(NativeLeaf, TransposesAllocateNoIntermediate) {
   EXPECT_EQ(count.big(), 1u) << "largest " << count.largest() << " bytes";
 }
 
+TEST(NativeLeaf, FftAllocatesAtMostTwiceItsInput) {
+  // A 2^18-point transform allocates its top level's n1 x n1 matrix (n1 =
+  // 512, as large as the input) and one matrix per non-leaf level below;
+  // the 1024 leaf calls of 512 points each work on stack scratch.
+  constexpr std::uint64_t n = 1 << 18;
+  sched::NativeExecutor ex(1);
+  std::vector<algo::cplx> x(n, algo::cplx(1.0, -1.0));
+  AllocCounter count;
+  algo::mo_fft(ex, sched::NatRef<algo::cplx>(x.data(), n));
+  const std::uint64_t bytes = count.bytes();
+  EXPECT_LE(bytes, 2 * n * sizeof(algo::cplx));
+  EXPECT_EQ(x[0], algo::cplx(double(n), -double(n)));
+}
+
 TEST(NativeLeaf, PullAllocatesNothing) {
   constexpr std::uint64_t n = 1 << 14;
   sched::NativeExecutor ex(1);

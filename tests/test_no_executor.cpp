@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <complex>
+#include <vector>
+
 #include "algo/scan.hpp"
 #include "algo/sort.hpp"
 #include "util/rng.hpp"
@@ -137,6 +140,109 @@ TEST(NoExecutor, PrefixSumScalesAcrossFolds) {
   EXPECT_EQ(buf.raw()[n - 1], n);
   // Computation on 16 processors must be well below the 1-processor fold.
   EXPECT_LT(mach.computation(1) * 4, mach.computation(0));
+}
+
+/// Every counter a NoMachine reports.
+std::vector<double> machine_counters(const NoMachine& m) {
+  std::vector<double> v{double(m.supersteps()),
+                        double(m.total_message_words()), m.dbsp_time()};
+  for (std::size_t f = 0; f < m.folds().size(); ++f) {
+    v.push_back(double(m.communication(f)));
+    v.push_back(double(m.computation(f)));
+  }
+  return v;
+}
+
+/// Runs the same random mix of run reads, run writes, pair reads and
+/// copies on slices of two n-element buffers, once through the batched
+/// accessors and once as per-element load/store loops, each PE of a
+/// cgc_pfor executing the mix in its own superstep chunk.  Returns the
+/// machine counters and the final contents of both buffers.
+template <class T>
+std::pair<std::vector<double>, std::vector<T>> accessor_mix(
+    std::uint64_t pes, std::uint64_t n, bool batched) {
+  NoMachine mach(pes, {{static_cast<std::uint32_t>(pes), 1}, {4, 3}, {2, 8}},
+                 DbspConfig::mesh_like(8));
+  NoExecutor ex(&mach);
+  auto a = ex.make_buf<T>(n);
+  auto b = ex.make_buf<T>(n);
+  for (std::uint64_t i = 0; i < n; ++i) a.raw()[i] = T(i + 1);
+  struct Op {
+    int kind;
+    std::uint64_t off_a, off_b, len;
+  };
+  std::vector<Op> ops;
+  util::Xoshiro256 rng(pes * 1000 + n);
+  for (int k = 0; k < 24; ++k) {
+    const std::uint64_t len = rng.below(n + 1);
+    ops.push_back({static_cast<int>(rng.below(4)), rng.below(n - len + 1),
+                   rng.below(n - len + 1), len});
+  }
+  std::vector<T> tmp(n);
+  ex.cgc_pfor(0, pes, 1, [&](std::uint64_t, std::uint64_t) {
+    for (const Op& op : ops) {
+      // A slice of a slice keeps the parent buffer's layout.
+      const auto sa = a.ref().slice(op.off_a / 2, n - op.off_a / 2)
+                          .slice(op.off_a - op.off_a / 2, op.len);
+      const auto sb = b.ref().slice(op.off_b, op.len);
+      switch (op.kind) {
+        case 0:
+          if (batched) {
+            sa.load_run(0, op.len, tmp.data());
+          } else {
+            for (std::uint64_t i = 0; i < op.len; ++i) tmp[i] = sa.load(i);
+          }
+          break;
+        case 1:
+          if (batched) {
+            sb.store_run(0, op.len, tmp.data());
+          } else {
+            for (std::uint64_t i = 0; i < op.len; ++i) sb.store(i, tmp[i]);
+          }
+          break;
+        case 2:
+          for (std::uint64_t i = 0; i + 1 < op.len; i += 2) {
+            if (batched) {
+              tmp[i] = sa.load2(i).second;
+            } else {
+              sa.load(i);
+              tmp[i] = sa.load(i + 1);
+            }
+          }
+          break;
+        default:
+          if (batched) {
+            ex.copy(sb, sa);
+          } else {
+            for (std::uint64_t i = 0; i < op.len; ++i) sb.store(i, sa.load(i));
+          }
+      }
+    }
+  });
+  mach.end_superstep();
+  std::vector<T> out = a.raw();
+  out.insert(out.end(), b.raw().begin(), b.raw().end());
+  return {machine_counters(mach), out};
+}
+
+TEST(NoExecutor, RunAccessorsCountLikeElementLoops) {
+  // Slices that start and end inside an owner's range, cross several
+  // owners, or cover more PEs than elements (n < PEs): one declaration per
+  // owner run must leave every counter where the element loop leaves it.
+  for (std::uint64_t pes : {8u, 13u}) {
+    for (std::uint64_t n : {5u, 100u, 997u}) {
+      const auto [c64, v64] = accessor_mix<std::uint64_t>(pes, n, true);
+      const auto [r64, w64] = accessor_mix<std::uint64_t>(pes, n, false);
+      EXPECT_EQ(c64, r64) << pes << " PEs, n = " << n;
+      EXPECT_EQ(v64, w64);
+      using C = std::complex<double>;
+      const auto [cc, vc] = accessor_mix<C>(pes, n, true);
+      const auto [rc, wc] = accessor_mix<C>(pes, n, false);
+      EXPECT_EQ(cc, rc) << pes << " PEs, n = " << n << ", 2-word elements";
+      EXPECT_EQ(vc, wc);
+      EXPECT_GT(c64[1], 0.0);  // the mix does communicate
+    }
+  }
 }
 
 }  // namespace
